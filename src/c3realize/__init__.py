@@ -23,7 +23,7 @@ from .decomposition import (
     tournament_modules, tournament_pi, tournament_quotient,
     tournament_strong_modules,
 )
-from .errors import C3RealizeError, CapacityError, ParseError, PreconditionError
+from .errors import C3RealizeError, CapacityError, InvariantError, ParseError, PreconditionError
 from .io import (
     dump_hypergraph, dump_tournament, hypergraph_to_json,
     parse_hypergraph, parse_tournament, tournament_to_json,

@@ -3,7 +3,9 @@
 Every subcommand reads one structure file ("-" for standard input), writes
 machine-parseable JSON to standard output (DOT excepted), and exits with 0
 on success, 1 on a parse error, 2 on a precondition or capacity violation,
-and 3 when ``realize`` finds the input not realizable.
+3 when ``realize`` finds the input not realizable, and 4 when a result fails
+the package's own check of it (an ``InvariantError``: a bug, not a bad
+input).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 
 from . import decomposition, oracle, realization
 from .core import Hypergraph, Tournament, c3_structure, critical_family, linear_order
-from .errors import CapacityError, ParseError, PreconditionError
+from .errors import CapacityError, InvariantError, ParseError, PreconditionError
 from .io import (dump_hypergraph, dump_tournament, parse_hypergraph,
                  parse_tournament, tournament_to_json)
 
@@ -22,6 +24,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_NOT_REALIZABLE = 3
+EXIT_INVARIANT = 4
 
 
 def _read_input(path: str) -> tuple[str, str]:
@@ -219,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except BrokenPipeError:
         return EXIT_OK
 

@@ -3,17 +3,26 @@
 Implements the module machinery for hypergraphs (a vertex set M is a module
 when every edge straddling M meets it in exactly one vertex, and that vertex
 can be swapped for any member of M without leaving the edge set) and the
-interval-style analogue for tournaments.  Module enumeration is exact brute
-force over vertex subsets, bounded by ``DEFAULT_BOUND``.
+interval-style analogue for tournaments.  Primality, strong modules and the
+trees come from one closure engine (after Ehrenfeucht, Gabow, McConnell &
+Sullivan, J. Algorithms 1994, and McConnell & de Montgolfier, 2005): each
+structure supplies the smallest module containing a set, and the engine
+reads the rest from the closures of vertex pairs, in polynomial time.  Only
+``enumerate_modules``, ``enumerate_usual_modules`` and ``tournament_modules``
+list modules by brute force over vertex subsets, because their output can
+have 2^n members; they alone take a ``bound`` (``DEFAULT_BOUND``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from functools import partial
+from itertools import combinations
+from typing import Callable, Iterable, Iterator
 
-from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits, iter_submasks
+from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits
 from .core import Hypergraph, Tournament, is_linear_order
-from .errors import CapacityError, PreconditionError
+from .errors import InvariantError, PreconditionError
+from .oracle import DEFAULT_BOUND, _is_module_over, modules_within, subsets_where
 
 __all__ = [
     "DEFAULT_BOUND",
@@ -29,8 +38,6 @@ __all__ = [
     "tournament_decomposition_tree",
 ]
 
-DEFAULT_BOUND = 20
-
 LABEL_PRIME = "prime"
 LABEL_EMPTY = "empty"
 LABEL_COMPLETE = "complete"
@@ -39,40 +46,19 @@ LABEL_LINEAR = "linear"
 _HYPERGRAPH_SYMBOLS = {LABEL_PRIME: "△", LABEL_EMPTY: "◯",
                        LABEL_COMPLETE: "●"}
 
+Closure = Callable[[int], int]
 
-def _check_subset(h, m: int, what: str = "set") -> None:
+
+def _check_subset(h, m: int) -> None:
     if m & ~full_mask(h.n):
-        raise PreconditionError(f"{what} {bit_list(m)} not within 0..{h.n - 1}")
+        raise PreconditionError(f"set {bit_list(m)} not within 0..{h.n - 1}")
 
 
-def _check_capacity(n: int, bound: int, what: str) -> None:
-    if n > bound:
-        raise CapacityError(what, n, bound)
+def _lowest(m: int) -> int:
+    return (m & -m).bit_length() - 1
 
 
 # --- hypergraph module predicates -------------------------------------------
-
-def _is_module_over(edges: Iterable[int], membership: frozenset[int], m: int) -> bool:
-    """Module test for ``m`` against a straddle-candidate edge collection.
-
-    ``membership`` may be any edge set whose restriction to the relevant
-    vertex span agrees with ``edges``; swapped edges stay within that span.
-    """
-    for e in edges:
-        inter = e & m
-        if inter == 0 or e & ~m == 0:
-            continue
-        if inter & (inter - 1):  # straddling edge meets m in >= 2 vertices
-            return False
-        base = e ^ inter
-        rest = m ^ inter
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if (base | b) not in membership:
-                return False
-    return True
-
 
 def is_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
     """True iff the vertex set is a module of ``h``."""
@@ -101,8 +87,6 @@ def is_usual_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
     predicate: for every edge e straddling the set, replacing the part of e
     inside the set by any equal-size subset of the set must give an edge.
     """
-    from itertools import combinations
-
     m = as_mask(vertices)
     _check_subset(h, m)
     members = bit_list(m)
@@ -121,78 +105,152 @@ def is_usual_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
     return True
 
 
-# --- enumeration -------------------------------------------------------------
-
-def _edges_within(h: Hypergraph, w: int) -> list[int]:
-    return [e for e in h.edges if e & ~w == 0]
-
-
-def _modules_within(h: Hypergraph, w: int) -> list[int]:
-    """All modules of the subhypergraph induced by ``w``, as masks within w.
-
-    No re-indexing: an edge of H[w] is an edge of H contained in w, and a
-    swap target stays inside w, so membership can be tested against h.edges.
-    """
-    edges = _edges_within(h, w)
-    membership = h.edges
-    out = []
-    for m in iter_submasks(w):
-        if _is_module_over(edges, membership, m):
-            out.append(m)
-    return out
-
+# --- brute-force enumeration -------------------------------------------------
 
 def enumerate_modules(h: Hypergraph, bound: int = DEFAULT_BOUND) -> frozenset[VertexSet]:
     """Exactly the modules of ``h``, including the trivial ones."""
-    _check_capacity(h.n, bound, "module enumeration")
-    return frozenset(VertexSet(m) for m in _modules_within(h, full_mask(h.n)))
+    return frozenset(VertexSet(m) for m in modules_within(h, full_mask(h.n), bound))
 
 
 def enumerate_usual_modules(h: Hypergraph, bound: int = DEFAULT_BOUND) -> frozenset[VertexSet]:
-    _check_capacity(h.n, bound, "module enumeration")
-    return frozenset(VertexSet(m) for m in iter_submasks(full_mask(h.n))
-                     if is_usual_module(h, m))
+    return frozenset(VertexSet(m) for m in
+                     subsets_where(full_mask(h.n), partial(is_usual_module, h), bound))
 
 
-def _overlaps(a: int, b: int) -> bool:
-    return bool(a & b) and bool(a & ~b) and bool(b & ~a)
+# --- the closure engine ------------------------------------------------------
+
+def _hypergraph_closure(h: Hypergraph) -> Closure:
+    """The map from a nonempty vertex set to the smallest module containing it.
+
+    An edge that leaves the set and meets it in two or more vertices, or in
+    one vertex u whose swap for another member is not an edge, lies inside
+    every module containing the set, so it is absorbed.  Each member u is
+    spanned once: it absorbs the edges through u and each member spanned
+    before it.  Each member u is linked once, when every member is spanned:
+    it absorbs each link f (an edge minus u, or minus the first member r)
+    that misses the set and is a link of only one of u and r.  Spanning is
+    cheap and usually fills a prime structure before any linking.
+    """
+    n = h.n
+    links: list[set[int]] = [set() for _ in range(n)]
+    spans = [[0] * n for _ in range(n)]
+    for e in h.edges:
+        for u in iter_bits(e):
+            links[u].add(e ^ (1 << u))
+            for b in iter_bits(e):
+                spans[u][b] |= e
+    full = full_mask(n)
+
+    def close(s: int) -> int:
+        r_links = links[_lowest(s)]
+        m, spanned, linked = s, 0, 0
+        while m != full and m != linked:
+            if m != spanned:
+                u = _lowest(m & ~spanned)
+                for b in iter_bits(spanned):
+                    m |= spans[u][b]
+                spanned |= 1 << u
+            else:
+                u = _lowest(m & ~linked)
+                for f in links[u] ^ r_links:
+                    if not f & m:
+                        m |= f
+                linked |= 1 << u
+        return m
+
+    return close
 
 
-def _strong_of(mods: list[int]) -> list[int]:
-    return [m for m in mods if not any(_overlaps(m, x) for x in mods)]
+def _tournament_closure(t: Tournament) -> Closure:
+    """The map from a nonempty vertex set to the smallest module containing it.
+
+    An outside vertex that splits the set beats exactly one of some member u
+    and the first member r, so it lies in succ(u) ^ succ(r); it lies inside
+    every module containing the set and is absorbed.
+    """
+    succ = t.succ
+
+    def close(s: int) -> int:
+        r_succ = succ[_lowest(s)]
+        m, done = s, 0
+        while m != done:
+            u = _lowest(m & ~done)
+            m |= succ[u] ^ r_succ
+            done |= 1 << u
+        return m
+
+    return close
 
 
-def is_strong_module(h: Hypergraph, vertices: int | Iterable[int],
-                     bound: int = DEFAULT_BOUND) -> bool:
+def _pair_closures(n: int, close: Closure) -> Iterator[int]:
+    return (close((1 << x) | (1 << y)) for x, y in combinations(range(n), 2))
+
+
+def _is_prime_by(n: int, close: Closure) -> bool:
+    """At least 3 vertices, and every vertex pair closes to the whole set."""
+    full = full_mask(n)
+    return n >= 3 and all(c == full for c in _pair_closures(n, close))
+
+
+def _strong_nodes(n: int, close: Closure) -> set[int]:
+    """The nonempty strong modules, which are the decomposition tree's nodes.
+
+    A pair closure that overlaps no other pair closure is strong: a module
+    it overlapped would contain a pair whose closure overlaps it.  Every
+    other pair closure is a union of children of a node whose quotient is
+    degenerate (empty, complete or linear) with three or more children; the
+    closures of that node's pairs are overlap-connected, and one of them
+    together with those it overlaps covers the node.  Singletons and the
+    whole set complete the list.
+    """
+    closures = set(_pair_closures(n, close))
+    nodes = {1 << v for v in range(n)} | {full_mask(n)}
+    for c in closures:
+        node = c
+        for d in closures:
+            if c & d and c & ~d and d & ~c:
+                node |= d
+        nodes.add(node)
+    return nodes
+
+
+def _tree(n: int, close: Closure, label: Callable[[int, list[int]], str],
+          kind: str) -> DecompositionTree:
+    """The inclusion tree of the strong modules, labelled node by node."""
+    nodes = sorted(_strong_nodes(n, close), key=int.bit_count, reverse=True)
+    children: dict[int, list[int]] = {m: [] for m in nodes}
+    for i, m in enumerate(nodes[1:], 1):
+        children[next(p for p in reversed(nodes[:i]) if m & ~p == 0)].append(m)
+
+    def build(w: int) -> TreeNode:
+        if w & (w - 1) == 0:
+            return TreeNode(w, None, ())
+        blocks = sorted(children[w], key=_lowest)
+        union = 0
+        for b in blocks:
+            union |= b
+        if union != w or sum(map(int.bit_count, blocks)) != w.bit_count():
+            raise InvariantError("maximal proper strong modules must partition their parent")
+        return TreeNode(w, label(w, blocks), tuple(build(b) for b in blocks))
+
+    return DecompositionTree(build(full_mask(n)), n, kind)
+
+
+def is_strong_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
     """True iff the set is a module overlapping no other module of ``h``."""
     m = as_mask(vertices)
-    if not is_module(h, m):
-        return False
-    mods = enumerate_modules(h, bound)
-    return not any(_overlaps(m, x) for x in mods)
+    _check_subset(h, m)
+    return m in strong_modules(h)
 
 
-def strong_modules(h: Hypergraph, bound: int = DEFAULT_BOUND) -> frozenset[VertexSet]:
+def strong_modules(h: Hypergraph) -> frozenset[VertexSet]:
     """All strong modules of ``h`` (the tree nodes, plus the empty set)."""
-    _check_capacity(h.n, bound, "module enumeration")
-    mods = _modules_within(h, full_mask(h.n))
-    return frozenset(VertexSet(m) for m in _strong_of(mods))
+    return frozenset(VertexSet(m) for m in _strong_nodes(h.n, _hypergraph_closure(h)) | {0})
 
 
-def is_prime(h: Hypergraph, bound: int = DEFAULT_BOUND) -> bool:
+def is_prime(h: Hypergraph) -> bool:
     """True iff ``h`` has at least 3 vertices and only trivial modules."""
-    if h.n < 3:
-        return False
-    _check_capacity(h.n, bound, "module enumeration")
-    full = full_mask(h.n)
-    edges = list(h.edges)
-    for m in iter_submasks(full):
-        c = m.bit_count()
-        if c < 2 or c == h.n:
-            continue
-        if _is_module_over(edges, h.edges, m):
-            return False
-    return True
+    return _is_prime_by(h.n, _hypergraph_closure(h))
 
 
 # --- modular partitions and quotients ----------------------------------------
@@ -208,7 +266,7 @@ class ModularPartition:
 
     def __init__(self, host: Hypergraph | Tournament, blocks: Iterable[int | Iterable[int]]):
         masks = [as_mask(b) for b in blocks]
-        masks.sort(key=lambda m: (m & -m).bit_length())
+        masks.sort(key=_lowest)
         union = 0
         for b in masks:
             if b == 0:
@@ -218,10 +276,8 @@ class ModularPartition:
             union |= b
         if union != full_mask(host.n):
             raise PreconditionError("partition blocks must cover the vertex set")
-        if isinstance(host, Tournament):
-            bad = [b for b in masks if not tournament_is_module(host, b)]
-        else:
-            bad = [b for b in masks if not is_module(host, b)]
+        test = tournament_is_module if isinstance(host, Tournament) else is_module
+        bad = [b for b in masks if not test(host, b)]
         if bad:
             raise PreconditionError(f"block {bit_list(bad[0])} is not a module")
         object.__setattr__(self, "host", host)
@@ -246,28 +302,11 @@ class ModularPartition:
         return f"ModularPartition({[bit_list(b) for b in self.blocks]})"
 
 
-def _pi_within(h: Hypergraph, w: int) -> list[int]:
-    """Maximal proper strong modules of H[w], as masks, in canonical order."""
-    mods = _modules_within(h, w)
-    strong = _strong_of(mods)
-    proper = [m for m in strong if m != 0 and m != w]
-    blocks = [m for m in proper
-              if not any(m != x and m & x == m for x in proper)]
-    blocks.sort(key=lambda m: (m & -m).bit_length())
-    union = 0
-    for b in blocks:
-        assert b & union == 0, "maximal proper strong modules must be disjoint"
-        union |= b
-    assert union == w, "maximal proper strong modules must cover"
-    return blocks
-
-
-def maximal_proper_strong_modules(h: Hypergraph, bound: int = DEFAULT_BOUND) -> ModularPartition:
+def maximal_proper_strong_modules(h: Hypergraph) -> ModularPartition:
     """The partition into maximal proper strong modules."""
     if h.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    _check_capacity(h.n, bound, "module enumeration")
-    return ModularPartition(h, _pi_within(h, full_mask(h.n)))
+    return ModularPartition(h, [c.members for c in decomposition_tree(h).root.children])
 
 
 def _quotient_edge_masks(edges: Iterable[int], blocks: tuple[int, ...]) -> frozenset[int]:
@@ -428,52 +467,33 @@ class DecompositionTree:
         return "\n".join(lines)
 
 
-def _classify_quotient(h: Hypergraph, w: int, blocks: list[int],
-                       bound: int) -> str:
-    qedges = _quotient_edge_masks(_edges_within(h, w), tuple(blocks))
+def _hypergraph_label(h: Hypergraph, w: int, blocks: list[int]) -> str:
+    qedges = _quotient_edge_masks([e for e in h.edges if e & ~w == 0], tuple(blocks))
     k = len(blocks)
     if not qedges:
         return LABEL_EMPTY
-    all_pairs = {(1 << i) | (1 << j) for i in range(k) for j in range(i + 1, k)}
-    if qedges == all_pairs:
+    if qedges == {(1 << i) | (1 << j) for i in range(k) for j in range(i + 1, k)}:
+        # a 3-edge meeting >= 2 blocks meets each exactly once, so the
+        # quotient of a 3-uniform hypergraph has no 2-edges
+        if h.is_3_uniform:
+            raise InvariantError("complete label unreachable for 3-uniform input")
         return LABEL_COMPLETE
-    q = Hypergraph._from_masks(k, qedges)
-    assert is_prime(q, bound), "quotient by maximal proper strong modules must be prime"
+    if not is_prime(Hypergraph._from_masks(k, qedges)):
+        raise InvariantError("quotient by maximal proper strong modules must be prime")
     return LABEL_PRIME
 
 
-def decomposition_tree(h: Hypergraph, bound: int = DEFAULT_BOUND) -> DecompositionTree:
+def decomposition_tree(h: Hypergraph) -> DecompositionTree:
     """The full labeled modular decomposition tree of ``h``."""
     if h.n < 1:
         raise PreconditionError("need at least 1 vertex")
-    _check_capacity(h.n, bound, "module enumeration")
-
-    def build(w: int) -> TreeNode:
-        if w & (w - 1) == 0:
-            return TreeNode(w, None, ())
-        blocks = _pi_within(h, w)
-        label = _classify_quotient(h, w, blocks, bound)
-        if h.is_3_uniform:
-            # a 3-edge meeting >= 2 blocks meets each exactly once, so the
-            # quotient of a 3-uniform hypergraph has no 2-edges
-            assert label != LABEL_COMPLETE, "complete label unreachable for 3-uniform input"
-        return TreeNode(w, label, tuple(build(b) for b in blocks))
-
-    return DecompositionTree(build(full_mask(h.n)), h.n, "hypergraph")
+    return _tree(h.n, _hypergraph_closure(h), partial(_hypergraph_label, h), "hypergraph")
 
 
-def smallest_strong_module_containing(h: Hypergraph, vertices: int | Iterable[int],
-                                      bound: int = DEFAULT_BOUND) -> VertexSet:
+def smallest_strong_module_containing(h: Hypergraph,
+                                      vertices: int | Iterable[int]) -> VertexSet:
     """The intersection of all strong modules containing the given set."""
-    s = as_mask(vertices)
-    if s == 0:
-        raise PreconditionError("need a nonempty vertex set")
-    _check_subset(h, s)
-    best = full_mask(h.n)
-    for m in strong_modules(h, bound):
-        if s & ~m == 0 and m.bit_count() < best.bit_count():
-            best = int(m)
-    return VertexSet(best)
+    return decomposition_tree(h).lowest_node_containing(vertices).members
 
 
 # --- tournament analogues ------------------------------------------------------
@@ -489,118 +509,48 @@ def tournament_is_module(t: Tournament, vertices: int | Iterable[int]) -> bool:
     return True
 
 
-def _t_modules_within(t: Tournament, w: int) -> list[int]:
-    out = []
-    for m in iter_submasks(w):
-        ok = True
-        for v in iter_bits(w & ~m):
-            s = t.succ[v] & m
-            if s != 0 and s != m:
-                ok = False
-                break
-        if ok:
-            out.append(m)
-    return out
-
-
 def tournament_modules(t: Tournament, bound: int = DEFAULT_BOUND) -> frozenset[VertexSet]:
-    _check_capacity(t.n, bound, "module enumeration")
-    return frozenset(VertexSet(m) for m in _t_modules_within(t, full_mask(t.n)))
+    return frozenset(VertexSet(m) for m in
+                     subsets_where(full_mask(t.n), partial(tournament_is_module, t), bound))
 
 
-def tournament_strong_modules(t: Tournament, bound: int = DEFAULT_BOUND) -> frozenset[VertexSet]:
-    _check_capacity(t.n, bound, "module enumeration")
-    mods = _t_modules_within(t, full_mask(t.n))
-    return frozenset(VertexSet(m) for m in _strong_of(mods))
+def tournament_strong_modules(t: Tournament) -> frozenset[VertexSet]:
+    return frozenset(VertexSet(m) for m in _strong_nodes(t.n, _tournament_closure(t)) | {0})
 
 
-def tournament_is_prime(t: Tournament, bound: int = DEFAULT_BOUND) -> bool:
-    if t.n < 3:
-        return False
-    _check_capacity(t.n, bound, "module enumeration")
-    for m in iter_submasks(full_mask(t.n)):
-        c = m.bit_count()
-        if c < 2 or c == t.n:
-            continue
-        ok = True
-        for v in iter_bits(full_mask(t.n) & ~m):
-            s = t.succ[v] & m
-            if s != 0 and s != m:
-                ok = False
-                break
-        if ok:
-            return False
-    return True
+def tournament_is_prime(t: Tournament) -> bool:
+    return _is_prime_by(t.n, _tournament_closure(t))
 
 
-def _t_pi_within(t: Tournament, w: int) -> list[int]:
-    mods = _t_modules_within(t, w)
-    strong = _strong_of(mods)
-    proper = [m for m in strong if m != 0 and m != w]
-    blocks = [m for m in proper
-              if not any(m != x and m & x == m for x in proper)]
-    blocks.sort(key=lambda m: (m & -m).bit_length())
-    union = 0
-    for b in blocks:
-        assert b & union == 0, "maximal proper strong modules must be disjoint"
-        union |= b
-    assert union == w, "maximal proper strong modules must cover"
-    return blocks
-
-
-def tournament_pi(t: Tournament, bound: int = DEFAULT_BOUND) -> ModularPartition:
+def tournament_pi(t: Tournament) -> ModularPartition:
     if t.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    _check_capacity(t.n, bound, "module enumeration")
-    return ModularPartition(t, _t_pi_within(t, full_mask(t.n)))
+    return ModularPartition(t, [c.members for c in tournament_decomposition_tree(t).root.children])
 
 
 def tournament_quotient(t: Tournament, partition: ModularPartition) -> Tournament:
-    """Quotient tournament on the blocks (arc direction via any representatives)."""
+    """Quotient tournament on the blocks (arc direction via any representatives).
+
+    The smallest vertex of each block represents it; blocks are in canonical
+    order, so the induced subtournament lists them in block order.
+    """
     if not isinstance(partition, ModularPartition) or partition.host is not t:
         partition = ModularPartition(t, list(partition))
-    reps = [(int(b) & -int(b)).bit_length() - 1 for b in partition.blocks]
-    k = len(reps)
-    succ = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if t.has_arc(reps[i], reps[j]):
-                succ[i] |= 1 << j
-            else:
-                succ[j] |= 1 << i
-    return Tournament._from_succ(k, tuple(succ))
+    return t.induced(sum(int(b) & -int(b) for b in partition.blocks))
 
 
-def _t_quotient_on(t: Tournament, blocks: list[int]) -> Tournament:
-    reps = [(b & -b).bit_length() - 1 for b in blocks]
-    k = len(reps)
-    succ = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if t.has_arc(reps[i], reps[j]):
-                succ[i] |= 1 << j
-            else:
-                succ[j] |= 1 << i
-    return Tournament._from_succ(k, tuple(succ))
+def _tournament_label(t: Tournament, w: int, blocks: list[int]) -> str:
+    q = t.induced(sum(b & -b for b in blocks))
+    if is_linear_order(q):
+        return LABEL_LINEAR
+    if not tournament_is_prime(q):
+        raise InvariantError(
+            "tournament quotient by maximal strong modules must be linear or prime")
+    return LABEL_PRIME
 
 
-def tournament_decomposition_tree(t: Tournament, bound: int = DEFAULT_BOUND) -> DecompositionTree:
+def tournament_decomposition_tree(t: Tournament) -> DecompositionTree:
     """Labeled decomposition tree of a tournament (labels: linear or prime)."""
     if t.n < 1:
         raise PreconditionError("need at least 1 vertex")
-    _check_capacity(t.n, bound, "module enumeration")
-
-    def build(w: int) -> TreeNode:
-        if w & (w - 1) == 0:
-            return TreeNode(w, None, ())
-        blocks = _t_pi_within(t, w)
-        q = _t_quotient_on(t, blocks)
-        if is_linear_order(q):
-            label = LABEL_LINEAR
-        else:
-            assert tournament_is_prime(q, bound), \
-                "tournament quotient by maximal strong modules must be linear or prime"
-            label = LABEL_PRIME
-        return TreeNode(w, label, tuple(build(b) for b in blocks))
-
-    return DecompositionTree(build(full_mask(t.n)), t.n, "tournament")
+    return _tree(t.n, _tournament_closure(t), partial(_tournament_label, t), "tournament")

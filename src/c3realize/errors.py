@@ -18,6 +18,10 @@ class CapacityError(C3RealizeError):
         super().__init__(f"{what}: size {size} exceeds brute-force bound {bound}")
 
 
+class InvariantError(C3RealizeError):
+    """A result failed the package's own check of it: a bug, not a bad input."""
+
+
 class ParseError(C3RealizeError, ValueError):
     """A file or stream could not be parsed; carries a source position."""
 

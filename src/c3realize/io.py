@@ -75,6 +75,12 @@ def parse_tournament(text: str, source: str = "<input>") -> Tournament:
     arcs = data["arcs"]
     if not isinstance(arcs, list):
         raise ParseError("expected a list of arcs", source=source, path="arcs")
+    # checked before anything of size n is built; with more arcs than pairs
+    # the loop below meets a repeated or invalid pair
+    expected = n * (n - 1) // 2
+    if len(arcs) < expected:
+        raise ParseError(f"need exactly one arc per pair: got {len(arcs)} of {expected}",
+                         source=source, path="arcs")
     succ = [0] * n
     seen_pairs = set()
     for k, arc in enumerate(arcs):
@@ -96,10 +102,6 @@ def parse_tournament(text: str, source: str = "<input>") -> Tournament:
                              source=source, path=path)
         seen_pairs.add(key)
         succ[u] |= 1 << v
-    expected = n * (n - 1) // 2
-    if len(seen_pairs) != expected:
-        raise ParseError(f"need exactly one arc per pair: got {len(seen_pairs)} of {expected}",
-                         source=source, path="arcs")
     try:
         return Tournament(n, succ)
     except PreconditionError as exc:  # unreachable given the checks above

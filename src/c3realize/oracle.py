@@ -1,29 +1,76 @@
 """Independent brute-force ground truth for tests and derived examples.
 
 Everything here avoids the decomposition/realization pipeline on purpose:
-realizations are found by scanning all orientations, and the set-family laws
-are checked directly from enumerated module sets.
+realizations are found by scanning all orientations, modules by scanning
+all vertex subsets, and the set-family laws are checked directly from
+enumerated module sets.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
-from .bitset import bit_list, full_mask, iter_bits
+from .bitset import bit_list, full_mask, iter_bits, iter_submasks
 from .core import Hypergraph, Tournament
-from .decomposition import DEFAULT_BOUND, _modules_within
 from .errors import CapacityError
 
 __all__ = [
-    "MAX_EXHAUSTIVE_ORDER",
+    "DEFAULT_BOUND", "MAX_EXHAUSTIVE_ORDER",
+    "subsets_where", "modules_within",
     "all_tournaments", "brute_force_realizations",
     "check_partitive", "check_covering_axioms", "AxiomReport",
     "random_tournament", "random_hypergraph",
 ]
 
+DEFAULT_BOUND = 20
 MAX_EXHAUSTIVE_ORDER = 7
+
+
+# --- brute-force module listing ------------------------------------------------
+
+def subsets_where(ground: int, keep: Callable[[int], bool],
+                  bound: int = DEFAULT_BOUND) -> list[int]:
+    """Every subset of ``ground`` that ``keep`` accepts, by testing all
+    2^|ground| of them; grounds of more than ``bound`` vertices are refused."""
+    size = ground.bit_count()
+    if size > bound:
+        raise CapacityError("module enumeration", size, bound)
+    return [m for m in iter_submasks(ground) if keep(m)]
+
+
+def _is_module_over(edges: Iterable[int], membership: frozenset[int], m: int) -> bool:
+    """Module test for ``m`` against a straddle-candidate edge collection.
+
+    ``membership`` may be any edge set whose restriction to the relevant
+    vertex span agrees with ``edges``; swapped edges stay within that span.
+    """
+    for e in edges:
+        inter = e & m
+        if inter == 0 or e & ~m == 0:
+            continue
+        if inter & (inter - 1):  # straddling edge meets m in >= 2 vertices
+            return False
+        base = e ^ inter
+        rest = m ^ inter
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if (base | b) not in membership:
+                return False
+    return True
+
+
+def modules_within(h: Hypergraph, w: int, bound: int = DEFAULT_BOUND) -> list[int]:
+    """All modules of the subhypergraph induced by ``w``, as masks within w.
+
+    No re-indexing: an edge of H[w] is an edge of H contained in w, and a
+    swap target stays inside w, so membership can be tested against h.edges.
+    """
+    edges = [e for e in h.edges if e & ~w == 0]
+    return subsets_where(w, partial(_is_module_over, edges, h.edges), bound)
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -155,7 +202,7 @@ def check_partitive(h: Hypergraph, bound: int = DEFAULT_BOUND) -> AxiomReport:
     """
     report = AxiomReport("partitive")
     full = full_mask(h.n)
-    mods = frozenset(_modules_within(h, full))
+    mods = frozenset(modules_within(h, full, bound))
     _closure_violations(report, mods, full)
     return report
 
@@ -184,7 +231,7 @@ def check_covering_axioms(h: Hypergraph, samples: int = 500, seed: int = 0,
     def modules_of(w: int) -> list[int]:
         got = cache.get(w)
         if got is None:
-            got = cache[w] = _modules_within(h, w)
+            got = cache[w] = modules_within(h, w, bound)
         return got
 
     for _ in range(samples):

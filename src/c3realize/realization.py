@@ -12,18 +12,16 @@ distinct realization and all arise this way, which also yields the count
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
-from math import factorial
+from itertools import combinations, permutations
+from math import factorial, prod
 from typing import Iterator, Mapping
 
 from .bitset import VertexSet, bit_list, full_mask, iter_bits
 from .core import Graph, Hypergraph, Tournament, c3_structure, critical_family
 from .decomposition import (
-    DEFAULT_BOUND, LABEL_EMPTY, LABEL_PRIME,
-    DecompositionTree, _edges_within, _quotient_edge_masks,
-    decomposition_tree, is_prime,
+    LABEL_EMPTY, LABEL_PRIME, DecompositionTree, TreeNode, decomposition_tree, is_prime,
 )
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 
 __all__ = [
     "STAGE_BASE", "STAGE_CRITICAL_MISMATCH", "STAGE_EXTENSION_M1", "STAGE_EXTENSION_M2",
@@ -221,8 +219,7 @@ def _unsqueeze(mask: int, x: int) -> int:
 
 
 def extension_certificate(h: Hypergraph, x: int, t_x: Tournament,
-                          _verified: bool = False,
-                          bound: int = DEFAULT_BOUND) -> ExtensionCertificate:
+                          _verified: bool = False) -> ExtensionCertificate:
     """Evaluate the extension conditions for adding ``x`` on top of ``t_x``.
 
     Builds the link graph at x (v,w adjacent iff {x,v,w} is an edge),
@@ -243,7 +240,7 @@ def extension_certificate(h: Hypergraph, x: int, t_x: Tournament,
         rest = full_mask(h.n) & ~(1 << x)
         if c3_structure(t_x) != h.induced(rest):
             raise PreconditionError("tournament does not realize the deleted hypergraph")
-        if not is_prime(h, bound) or not is_prime(h.induced(rest), bound):
+        if not is_prime(h) or not is_prime(h.induced(rest)):
             raise PreconditionError("extension requires both hypergraphs prime")
 
     m = h.n - 1
@@ -338,15 +335,14 @@ def extension_certificate(h: Hypergraph, x: int, t_x: Tournament,
 
 
 def extend_realization(h: Hypergraph, x: int, t_x: Tournament,
-                       _verified: bool = False,
-                       bound: int = DEFAULT_BOUND) -> Tournament | ExtensionCertificate:
+                       _verified: bool = False) -> Tournament | ExtensionCertificate:
     """Extend a realization of H-x to one of H, or explain why none exists.
 
     On success the result is the unique realization whose restriction away
     from ``x`` equals ``t_x``: x beats the minus sides and loses to the plus
     sides.  On failure the certificate carries the violated condition.
     """
-    cert = extension_certificate(h, x, t_x, _verified=_verified, bound=bound)
+    cert = extension_certificate(h, x, t_x, _verified=_verified)
     if not cert.ok:
         return cert
     n = h.n
@@ -357,14 +353,12 @@ def extend_realization(h: Hypergraph, x: int, t_x: Tournament,
     succ[x] = _unsqueeze(int(cert.x_minus | cert.y_minus), x)
     for z in iter_bits(_unsqueeze(int(cert.x_plus | cert.y_plus), x)):
         succ[z] |= 1 << x
-    t = Tournament(n, succ)
-    assert c3_structure(t) == h, "extension produced a non-realizing tournament"
-    return t
+    return _checked(Tournament(n, succ), h, "extension")
 
 
 # --- prime and critical realization ---------------------------------------------
 
-def realize_critical(h: Hypergraph, bound: int = DEFAULT_BOUND,
+def realize_critical(h: Hypergraph,
                      _assume_critical: bool = False) -> Tournament | NonRealizabilityWitness:
     """Realize a critical prime hypergraph by matching the three odd families.
 
@@ -377,11 +371,11 @@ def realize_critical(h: Hypergraph, bound: int = DEFAULT_BOUND,
     if h.n < 5:
         raise PreconditionError("critical realization needs at least 5 vertices")
     if not _assume_critical:
-        if not is_prime(h, bound):
+        if not is_prime(h):
             raise PreconditionError("input must be prime")
         full = full_mask(h.n)
         for x in range(h.n):
-            if is_prime(h.induced(full & ~(1 << x)), bound):
+            if is_prime(h.induced(full & ~(1 << x))):
                 raise PreconditionError(f"input is not critical: deleting {x} keeps it prime")
     if h.n % 2 == 0:
         return NonRealizabilityWitness(range(h.n), STAGE_BASE)
@@ -389,13 +383,11 @@ def realize_critical(h: Hypergraph, bound: int = DEFAULT_BOUND,
         gen = critical_family(kind, h.n)
         phi = hypergraph_isomorphism(c3_structure(gen), h)
         if phi is not None:
-            t = gen.relabel(phi)
-            assert c3_structure(t) == h
-            return t
+            return _checked(gen.relabel(phi), h, "critical-family match")
     return NonRealizabilityWitness(range(h.n), STAGE_CRITICAL_MISMATCH)
 
 
-def realize_prime(h: Hypergraph, bound: int = DEFAULT_BOUND,
+def realize_prime(h: Hypergraph,
                   _assume_prime: bool = False) -> Tournament | NonRealizabilityWitness:
     """Realize a prime 3-uniform hypergraph or produce a witness.
 
@@ -406,7 +398,7 @@ def realize_prime(h: Hypergraph, bound: int = DEFAULT_BOUND,
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
-    if not _assume_prime and not is_prime(h, bound):
+    if not _assume_prime and not is_prime(h):
         raise PreconditionError("input must be prime")
     if h.n == 3:
         # the only prime 3-uniform hypergraph on 3 vertices is the single triple
@@ -415,13 +407,13 @@ def realize_prime(h: Hypergraph, bound: int = DEFAULT_BOUND,
     for x in range(h.n):
         rest = full & ~(1 << x)
         sub = h.induced(rest)
-        if not is_prime(sub, bound):
+        if not is_prime(sub):
             continue
-        res = realize_prime(sub, bound, _assume_prime=True)
+        res = realize_prime(sub, _assume_prime=True)
         if isinstance(res, NonRealizabilityWitness):
             labels = bit_list(rest)
             return NonRealizabilityWitness((labels[v] for v in res.vertices), res.stage)
-        ext = extend_realization(h, x, res, _verified=True, bound=bound)
+        ext = extend_realization(h, x, res, _verified=True)
         if isinstance(ext, Tournament):
             return ext
         if ext.verdict in (VERDICT_ODD_CYCLE, VERDICT_E0):
@@ -429,29 +421,28 @@ def realize_prime(h: Hypergraph, bound: int = DEFAULT_BOUND,
         else:
             stage = STAGE_EXTENSION_M2
         return NonRealizabilityWitness(range(h.n), stage)
-    return realize_critical(h, bound, _assume_critical=True)
+    return realize_critical(h, _assume_critical=True)
 
 
 # --- whole-hypergraph pipeline ---------------------------------------------------
 
-def _prepare(h: Hypergraph, bound: int):
+def _prepare(h: Hypergraph, _unused: object = None):
     """Decomposition tree plus a realization of each prime quotient.
 
     The quotient at a prime node is realized through the transverse picking
     the smallest vertex of each child, whose induced subhypergraph is an
     isomorphic copy of the quotient in child order.  Returns a witness if
-    any prime quotient is not realizable.
+    any prime quotient is not realizable.  A second argument is ignored.
     """
-    tree = decomposition_tree(h, bound)
+    if not h.is_3_uniform:
+        raise PreconditionError("input must be 3-uniform")
+    tree = decomposition_tree(h)
     prime_base: dict[int, Tournament] = {}
     for node in tree.internal_nodes():
         if node.label != LABEL_PRIME:
             continue
-        t_mask = 0
-        for child in node.children:
-            t_mask |= int(child.members) & -int(child.members)
-        sub = h.induced(t_mask)
-        res = realize_prime(sub, bound, _assume_prime=True)
+        t_mask = _transverse(node)
+        res = realize_prime(h.induced(t_mask), _assume_prime=True)
         if isinstance(res, NonRealizabilityWitness):
             labels = bit_list(t_mask)
             return NonRealizabilityWitness((labels[v] for v in res.vertices), res.stage)
@@ -472,10 +463,10 @@ def default_choice(tree: DecompositionTree, prime_base: Mapping[int, Tournament]
     return RealizationChoice(perms, flags, prime_base)
 
 
-def _node_quotient(h: Hypergraph, node) -> Hypergraph:
-    blocks = tuple(int(c.members) for c in node.children)
-    return Hypergraph._from_masks(
-        len(blocks), _quotient_edge_masks(_edges_within(h, int(node.members)), blocks))
+def _transverse(node: TreeNode) -> int:
+    """The smallest vertex of each child.  The children are modules, so the
+    substructure induced there is the node's quotient, in child order."""
+    return sum(int(c.members) & -int(c.members) for c in node.children)
 
 
 def choice_to_tournament(h: Hypergraph, tree: DecompositionTree,
@@ -509,7 +500,7 @@ def choice_to_tournament(h: Hypergraph, tree: DecompositionTree,
             if base is None or flag is None or base.n != k:
                 raise PreconditionError(
                     f"choice needs a quotient realization at node {bit_list(key)}")
-            if c3_structure(base) != _node_quotient(h, node):
+            if c3_structure(base) != h.induced(_transverse(node)):
                 raise PreconditionError(
                     f"stored tournament does not realize the quotient at node {bit_list(key)}")
             r = base.dual() if flag else base
@@ -524,67 +515,66 @@ def choice_to_tournament(h: Hypergraph, tree: DecompositionTree,
     return Tournament(h.n, succ)
 
 
-def realize(h: Hypergraph, bound: int = DEFAULT_BOUND) -> Tournament | NonRealizabilityWitness:
-    """A realization of ``h`` (deterministic default), or a prime witness."""
-    if not h.is_3_uniform:
-        raise PreconditionError("input must be 3-uniform")
-    prep = _prepare(h, bound)
-    if isinstance(prep, NonRealizabilityWitness):
-        return prep
-    tree, prime_base = prep
-    t = choice_to_tournament(h, tree, default_choice(tree, prime_base))
-    assert c3_structure(t) == h, "constructed tournament does not realize the input"
+def _checked(t: Tournament, h: Hypergraph, what: str) -> Tournament:
+    """``t``, once its 3-cycle structure is seen to be ``h``."""
+    if c3_structure(t) != h:
+        raise InvariantError(f"{what} produced a tournament that does not realize the input")
     return t
 
 
-def count_realizations(h: Hypergraph, bound: int = DEFAULT_BOUND) -> int:
+def realize(h: Hypergraph) -> Tournament | NonRealizabilityWitness:
+    """A realization of ``h`` (deterministic default), or a prime witness."""
+    prep = _prepare(h)
+    if isinstance(prep, NonRealizabilityWitness):
+        return prep
+    tree, prime_base = prep
+    return _checked(choice_to_tournament(h, tree, default_choice(tree, prime_base)), h, "assembly")
+
+
+def count_realizations(h: Hypergraph) -> int:
     """The exact number of realizations (0 when not realizable)."""
-    res = realize(h, bound)
-    if isinstance(res, NonRealizabilityWitness):
+    prep = _prepare(h)
+    if isinstance(prep, NonRealizabilityWitness):
         return 0
-    count = 1
-    for node in decomposition_tree(h, bound).internal_nodes():
-        if node.label == LABEL_PRIME:
-            count *= 2
-        else:
-            count *= factorial(len(node.children))
-    return count
+    return prod(2 if node.label == LABEL_PRIME else factorial(len(node.children))
+                for node in prep[0].internal_nodes())
 
 
-def enumerate_realizations(h: Hypergraph, bound: int = DEFAULT_BOUND) -> Iterator[Tournament]:
+def enumerate_realizations(h: Hypergraph) -> Iterator[Tournament]:
     """All realizations, each exactly once, in mixed-radix choice order.
 
     Tree nodes are visited in preorder; a prime node contributes the stored
     realization then its dual, an empty node its child permutations in
     lexicographic order.  Yields nothing when ``h`` is not realizable.
     """
-    if not h.is_3_uniform:
-        raise PreconditionError("input must be 3-uniform")
-    prep = _prepare(h, bound)
+    prep = _prepare(h)
     if isinstance(prep, NonRealizabilityWitness):
         return iter(())
-    tree, prime_base = prep
-    return _enumerate(h, tree, prime_base)
+    return _enumerate(h, *prep)
 
 
 def _enumerate(h: Hypergraph, tree: DecompositionTree,
                prime_base: Mapping[int, Tournament]) -> Iterator[Tournament]:
+    """Choices are made node by node, so each permutation is built only when
+    its turn comes and the first item needs one value per node."""
     nodes = list(tree.internal_nodes())
-    value_lists = []
-    for node in nodes:
+    perms: dict[int, tuple[int, ...]] = {}
+    flags: dict[int, bool] = {}
+
+    def choose(i: int) -> Iterator[Tournament]:
+        if i == len(nodes):
+            t = choice_to_tournament(h, tree, RealizationChoice(perms, flags, prime_base))
+            yield _checked(t, h, "enumeration")
+            return
+        node = nodes[i]
+        key = int(node.members)
         if node.label == LABEL_PRIME:
-            value_lists.append((False, True))
+            for flag in (False, True):
+                flags[key] = flag
+                yield from choose(i + 1)
         else:
-            value_lists.append(tuple(permutations(range(len(node.children)))))
-    for combo in product(*value_lists):
-        perms = {}
-        flags = {}
-        for node, value in zip(nodes, combo):
-            key = int(node.members)
-            if node.label == LABEL_PRIME:
-                flags[key] = value
-            else:
-                perms[key] = value
-        t = choice_to_tournament(h, tree, RealizationChoice(perms, flags, prime_base))
-        assert c3_structure(t) == h
-        yield t
+            for perm in permutations(range(len(node.children))):
+                perms[key] = perm
+                yield from choose(i + 1)
+
+    return choose(0)

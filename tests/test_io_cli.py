@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import pytest
 
 from c3realize import (
     Hypergraph, ParseError, Tournament, c3_structure, critical_family, dual,
     dump_hypergraph, dump_tournament, parse_hypergraph, parse_tournament,
+    realization,
 )
 from c3realize.cli import main
 
@@ -219,3 +221,25 @@ class TestCli:
         code, _, err = run_cli(capsys, "modules", "-", stdin=big, monkeypatch=monkeypatch)
         assert code == 2
         assert "bound" in err
+
+
+class TestInputBounds:
+    def test_huge_claimed_order_is_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="exactly one arc per pair"):
+                parse_tournament('{"n": 1000000, "arcs": []}')
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+class TestInvariantExit:
+    def test_failed_output_check_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(realization, "c3_structure", lambda t: None)
+        code, out, err = run_cli(capsys, "realize", "-", stdin='{"n": 3, "edges": []}',
+                                 monkeypatch=monkeypatch)
+        assert code == 4
+        assert out == ""
+        assert "does not realize" in err

@@ -1,6 +1,7 @@
 """Structural laws checked over exhaustive small cases and random samples."""
 
 import random
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -11,13 +12,15 @@ from c3realize import (
     brute_force_realizations, c3_structure, check_covering_axioms,
     check_partitive, components, count_realizations, critical_family,
     decomposition_tree, dual, enumerate_modules, enumerate_realizations,
-    induced_subhypergraph, is_linear_order, is_module, is_prime,
+    induced_subhypergraph, is_linear_order, is_module, is_prime, linear_order,
     maximal_proper_strong_modules, quotient, random_hypergraph,
-    random_tournament, realize, strong_modules, tournament_decomposition_tree,
+    random_tournament, realize, smallest_strong_module_containing,
+    strong_modules, tournament_decomposition_tree, tournament_is_module,
     tournament_is_prime, tournament_modules, tournament_strong_modules,
 )
 from c3realize.bitset import bit_list, iter_bits
 from c3realize.decomposition import LABEL_COMPLETE, LABEL_EMPTY, LABEL_PRIME
+from c3realize.oracle import modules_within, subsets_where
 
 
 def tournament_from_code(n, code):
@@ -340,3 +343,83 @@ class TestRealizationLaws:
                     node = tree.lowest_node_containing(m)
                     assert node.label == LABEL_EMPTY
                     assert len(node.children) >= 3
+
+
+def brute_strong(mods):
+    """Members of a module family that overlap no other member."""
+    def overlaps(a, b):
+        return a & b and a & ~b and b & ~a
+    return {m for m in mods if not any(overlaps(m, x) for x in mods)}
+
+
+C3 = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def planted_tournament(n, rng):
+    """A tournament built by substitution: a linear or prime quotient on
+    k >= 2 vertices whose vertices are replaced by planted blocks, or a
+    random tournament; vertices are shuffled at the end."""
+    if n <= 2 or rng.random() < 0.3:
+        return random_tournament(n, rng)
+    if rng.random() < 0.5:
+        q = linear_order(rng.randint(2, n))
+    else:
+        q = rng.choice([k for k in (C3, critical_family("T", 5), critical_family("U", 5),
+                                    critical_family("W", 5)) if k.n <= n])
+    sizes = [1] * q.n
+    for _ in range(n - q.n):
+        sizes[rng.randrange(q.n)] += 1
+    starts = [sum(sizes[:i]) for i in range(q.n)]
+    blocks = [planted_tournament(s, rng) for s in sizes]
+    order = list(range(n))
+    rng.shuffle(order)
+    succ = [0] * n
+    for i, b in enumerate(blocks):
+        for a in range(b.n):
+            u = order[starts[i] + a]
+            for c in iter_bits(b.succ[a]):
+                succ[u] |= 1 << order[starts[i] + c]
+            for j in iter_bits(q.succ[i]):
+                for c in range(sizes[j]):
+                    succ[u] |= 1 << order[starts[j] + c]
+    return Tournament(n, succ)
+
+
+class TestEngineAgainstOracle:
+    """The closure engine against brute-force module listings, n <= 8."""
+
+    def check_hypergraph(self, h, rng):
+        full = h.vertex_mask
+        mods = modules_within(h, full)
+        strong = brute_strong(mods)
+        assert decomposition_tree(h).node_members() | {0} == strong, h
+        assert is_prime(h) == (h.n >= 3 and len(mods) == h.n + 2), h
+        for _ in range(4):
+            s = rng.randint(1, full)
+            expected = min((m for m in strong if s & ~m == 0), key=int.bit_count)
+            assert smallest_strong_module_containing(h, s) == expected, (h, s)
+
+    def check_tournament(self, t):
+        full = t.vertex_mask
+        mods = subsets_where(full, partial(tournament_is_module, t))
+        assert tournament_decomposition_tree(t).node_members() | {0} == brute_strong(mods), t
+        assert tournament_is_prime(t) == (t.n >= 3 and len(mods) == t.n + 2), t
+
+    def test_random_mixed_size_hypergraphs(self):
+        rng = random.Random(31)
+        for _ in range(400):
+            self.check_hypergraph(random_hypergraph(rng.randint(1, 8), rng), rng)
+
+    def test_random_tournaments_and_their_c3_structures(self):
+        rng = random.Random(32)
+        for _ in range(300):
+            t = random_tournament(rng.randint(1, 8), rng)
+            self.check_tournament(t)
+            self.check_hypergraph(c3_structure(t), rng)
+
+    def test_planted_substitutions(self):
+        rng = random.Random(33)
+        for _ in range(600):
+            t = planted_tournament(rng.randint(2, 8), rng)
+            self.check_tournament(t)
+            self.check_hypergraph(c3_structure(t), rng)

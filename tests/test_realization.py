@@ -1,15 +1,24 @@
-from itertools import combinations
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
+from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
+import c3realize
 from c3realize import (
-    Hypergraph, NonRealizabilityWitness, PreconditionError, RealizationChoice,
-    Tournament, brute_force_realizations, c3_structure, choice_to_tournament,
-    count_realizations, critical_family, decomposition_tree, default_choice,
-    dual, enumerate_realizations, extend_realization, extension_certificate,
-    hypergraph_isomorphism, is_prime, linear_order, realize, realize_critical,
-    realize_prime,
+    Hypergraph, InvariantError, NonRealizabilityWitness, PreconditionError,
+    RealizationChoice, Tournament, brute_force_realizations, c3_structure,
+    choice_to_tournament, count_realizations, critical_family,
+    decomposition_tree, default_choice, dual, enumerate_realizations,
+    extend_realization, extension_certificate, hypergraph_isomorphism,
+    is_prime, linear_order, random_tournament, realization, realize,
+    realize_critical, realize_prime,
 )
+from c3realize.decomposition import LABEL_PRIME
 from c3realize.realization import (
     STAGE_BASE, STAGE_CRITICAL_MISMATCH, STAGE_EXTENSION_M1,
     VERDICT_ODD_CYCLE, VERDICT_Y_NOT_COVERING, _prepare,
@@ -313,3 +322,87 @@ class TestHypergraphIsomorphism:
         assert phi is not None
         for e in h1.edge_lists():
             assert h2.has_edge([phi[v] for v in e])
+
+
+class TestBeyondTwentyVertices:
+    def test_random_24_vertex_c3_structure(self):
+        t = random_tournament(24, random.Random(2024))
+        h = c3_structure(t)
+        got = realize(h)
+        assert isinstance(got, Tournament)
+        assert c3_structure(got) == h
+        tree = decomposition_tree(h)
+        assert tree.root.members == t.vertex_mask
+        count = count_realizations(h)
+        assert count >= 2 and t in set(enumerate_realizations(h))
+
+
+class TestOneTreePerCount:
+    def test_count_builds_the_tree_once(self, monkeypatch):
+        calls = []
+
+        def spy(h):
+            calls.append(h)
+            return decomposition_tree(h)
+
+        monkeypatch.setattr(realization, "decomposition_tree", spy)
+        for h in (H4, Hypergraph(5, []), c3_structure(PRIME6)):
+            calls.clear()
+            count_realizations(h)
+            assert len(calls) == 1
+
+
+class TestLazyEnumeration:
+    def test_first_item_of_empty_nine_is_cheap(self):
+        h = Hypergraph(9, [])
+        tracemalloc.start()
+        try:
+            first = next(enumerate_realizations(h))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == linear_order(9)
+        assert peak < 5 * 2**20
+
+    def test_order_matches_mixed_radix_product(self):
+        # H4 with a vertex added below everything: an empty root with a
+        # prime child and a singleton, the prime child holding an empty node
+        t = Tournament.from_arcs(5, [
+            (0, 1), (1, 2), (1, 3), (2, 0), (3, 0), (2, 3),
+            (0, 4), (1, 4), (2, 4), (3, 4)])
+        h = c3_structure(t)
+        tree, base = _prepare(h)
+        nodes = list(tree.internal_nodes())
+        values = [(False, True) if x.label == LABEL_PRIME
+                  else tuple(permutations(range(len(x.children)))) for x in nodes]
+        expected = []
+        for combo in product(*values):
+            perms = {int(x.members): v for x, v in zip(nodes, combo) if x.label != LABEL_PRIME}
+            flags = {int(x.members): v for x, v in zip(nodes, combo) if x.label == LABEL_PRIME}
+            expected.append(choice_to_tournament(h, tree, RealizationChoice(perms, flags, base)))
+        assert list(enumerate_realizations(h)) == expected
+        assert len(expected) == count_realizations(h) == 8
+
+
+class TestOutputChecksAreNotAsserts:
+    def test_disagreeing_check_raises_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(realization, "c3_structure", lambda t: None)
+        with pytest.raises(InvariantError):
+            realize(Hypergraph(3, []))
+        with pytest.raises(InvariantError):
+            next(enumerate_realizations(Hypergraph(3, [])))
+
+    def test_check_survives_python_O(self):
+        code = (
+            "import sys\n"
+            "from c3realize import Hypergraph, InvariantError, realization\n"
+            "realization.c3_structure = lambda t: None\n"
+            "try:\n"
+            "    realization.realize(Hypergraph(3, []))\n"
+            "except InvariantError:\n"
+            "    print('InvariantError', sys.flags.optimize)\n"
+        )
+        src = str(Path(c3realize.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.split() == ["InvariantError", "1"], done.stderr
