@@ -46,7 +46,9 @@ LABEL_LINEAR = "linear"
 _HYPERGRAPH_SYMBOLS = {LABEL_PRIME: "△", LABEL_EMPTY: "◯",
                        LABEL_COMPLETE: "●"}
 
-Closure = Callable[[int], int]
+# close(s): the smallest module containing the nonempty vertex set s; the
+# hypergraph closure also takes close(s, w), the same within the set w
+Closure = Callable[..., int]
 
 
 def _check_subset(h, m: int) -> None:
@@ -120,7 +122,9 @@ def enumerate_usual_modules(h: Hypergraph, bound: int = DEFAULT_BOUND) -> frozen
 # --- the closure engine ------------------------------------------------------
 
 def _hypergraph_closure(h: Hypergraph) -> Closure:
-    """The map from a nonempty vertex set to the smallest module containing it.
+    """The map ``close(s, w)`` from a nonempty set s within w to the smallest
+    module of the induced subhypergraph H[w] containing s (w defaults to the
+    whole vertex set).
 
     An edge that leaves the set and meets it in two or more vertices, or in
     one vertex u whose swap for another member is not an edge, lies inside
@@ -130,6 +134,13 @@ def _hypergraph_closure(h: Hypergraph) -> Closure:
     it absorbs each link f (an edge minus u, or minus the first member r)
     that misses the set and is a link of only one of u and r.  Spanning is
     cheap and usually fills a prime structure before any linking.
+
+    The tables are built once for the whole of h and read within w: a span
+    ``spans[u][b]`` (the union of the edges through u and b) is cut to w,
+    and a link with a vertex outside w is skipped.  Cutting a span is exact
+    only when h is 3-uniform: an edge through u and b then leaves w exactly
+    when its third vertex does.  ``close.spans`` exposes the span table, so
+    that ``spans[x][v]`` minus x and v is the link of the pair x, v.
     """
     n = h.n
     links: list[set[int]] = [set() for _ in range(n)]
@@ -141,23 +152,28 @@ def _hypergraph_closure(h: Hypergraph) -> Closure:
                 spans[u][b] |= e
     full = full_mask(n)
 
-    def close(s: int) -> int:
+    def close(s: int, w: int = full) -> int:
         r_links = links[_lowest(s)]
-        m, spanned, linked = s, 0, 0
-        while m != full and m != linked:
+        m, spanned, order, linked = s, 0, [], 0
+        while m != w and m != linked:
             if m != spanned:
                 u = _lowest(m & ~spanned)
-                for b in iter_bits(spanned):
-                    m |= spans[u][b]
+                row = spans[u]
+                for b in order:
+                    m |= row[b]
+                m &= w
                 spanned |= 1 << u
+                order.append(u)
             else:
                 u = _lowest(m & ~linked)
+                outside = ~w
                 for f in links[u] ^ r_links:
-                    if not f & m:
+                    if not f & (m | outside):
                         m |= f
                 linked |= 1 << u
         return m
 
+    close.spans = spans
     return close
 
 
@@ -192,6 +208,13 @@ def _is_prime_by(n: int, close: Closure) -> bool:
     return n >= 3 and all(c == full for c in _pair_closures(n, close))
 
 
+def _is_prime_within(close: Closure, w: int) -> bool:
+    """H[w] is prime, read from the hypergraph closure ``close(s, w)``: at
+    least 3 vertices, and every pair of them closes to w."""
+    return w.bit_count() >= 3 and all(
+        close((1 << x) | (1 << y), w) == w for x, y in combinations(bit_list(w), 2))
+
+
 def _strong_nodes(n: int, close: Closure) -> set[int]:
     """The nonempty strong modules, which are the decomposition tree's nodes.
 
@@ -212,6 +235,18 @@ def _strong_nodes(n: int, close: Closure) -> set[int]:
                 node |= d
         nodes.add(node)
     return nodes
+
+
+def _maximal_proper(n: int, close: Closure) -> list[int]:
+    """The maximal proper strong modules: strong modules nest or are
+    disjoint, so, taken largest first, those meeting no earlier one."""
+    full = full_mask(n)
+    top, covered = [], 0
+    for m in sorted(_strong_nodes(n, close) - {full}, key=int.bit_count, reverse=True):
+        if not m & covered:
+            top.append(m)
+            covered |= m
+    return top
 
 
 def _tree(n: int, close: Closure, label: Callable[[int, list[int]], str],
@@ -306,7 +341,7 @@ def maximal_proper_strong_modules(h: Hypergraph) -> ModularPartition:
     """The partition into maximal proper strong modules."""
     if h.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    return ModularPartition(h, [c.members for c in decomposition_tree(h).root.children])
+    return ModularPartition(h, _maximal_proper(h.n, _hypergraph_closure(h)))
 
 
 def _quotient_edge_masks(edges: Iterable[int], blocks: tuple[int, ...]) -> frozenset[int]:
@@ -525,7 +560,7 @@ def tournament_is_prime(t: Tournament) -> bool:
 def tournament_pi(t: Tournament) -> ModularPartition:
     if t.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    return ModularPartition(t, [c.members for c in tournament_decomposition_tree(t).root.children])
+    return ModularPartition(t, _maximal_proper(t.n, _tournament_closure(t)))
 
 
 def tournament_quotient(t: Tournament, partition: ModularPartition) -> Tournament:

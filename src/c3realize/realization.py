@@ -8,6 +8,11 @@ a linear order for each empty quotient, and assemble arcs pairwise at the
 lowest common tree node.  Every choice of quotient realizations gives a
 distinct realization and all arise this way, which also yields the count
 ``2^(#prime nodes) * prod(children!)`` over empty-labelled nodes.
+
+A prime quotient is realized on one closure of its hypergraph
+(``decomposition._hypergraph_closure``): each vertex-deleted subhypergraph
+is a vertex mask read through that closure, not a hypergraph of its own,
+which is exact because the input is 3-uniform.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from typing import Iterator, Mapping
 from .bitset import VertexSet, bit_list, full_mask, iter_bits
 from .core import Graph, Hypergraph, Tournament, c3_structure, critical_family
 from .decomposition import (
-    LABEL_EMPTY, LABEL_PRIME, DecompositionTree, TreeNode, decomposition_tree, is_prime,
+    LABEL_EMPTY, LABEL_PRIME, DecompositionTree, TreeNode, _hypergraph_closure,
+    _is_prime_within, decomposition_tree,
 )
 from .errors import InvariantError, PreconditionError
 
@@ -207,6 +213,13 @@ def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
 
 
 # --- single-vertex extension --------------------------------------------------
+#
+# One copy of the extension conditions, on masks in the labels of h over the
+# span table of h's closure: ``realize_prime`` runs it on shrinking vertex
+# sets w, the two public functions once with w the whole vertex set.
+
+Extension = tuple[str, list[int], int, int, int, int, int]
+
 
 def _squeeze(mask: int, x: int) -> int:
     """Drop bit x and shift the higher bits down by one."""
@@ -216,6 +229,162 @@ def _squeeze(mask: int, x: int) -> int:
 def _unsqueeze(mask: int, x: int) -> int:
     """Insert a zero bit at position x."""
     return (mask & ((1 << x) - 1)) | ((mask >> x) << (x + 1))
+
+
+def _extension(spans: list[list[int]], succ: list[int], w: int, x: int) -> Extension:
+    """The conditions of ``extension_certificate`` for adding x to the
+    tournament on w - x held in ``succ``, with the link graph within w.
+    Returns the verdict, the link graph rows (indexed by vertex), I_x, X-,
+    X+, Y- and Y+."""
+    rest = w & ~(1 << x)
+    row = spans[x]
+    adj = [0] * len(succ)
+    i_x = 0
+    for v in iter_bits(rest):
+        adj[v] = row[v] & rest & ~(1 << v)
+        if not adj[v]:
+            i_x |= 1 << v
+
+    def result(verdict: str, x_minus: int = 0, x_plus: int = 0,
+               y_minus: int = 0, y_plus: int = 0) -> Extension:
+        return verdict, adj, i_x, x_minus, x_plus, y_minus, y_plus
+
+    # two-colour each non-singleton component, then orient via one edge
+    x_minus = x_plus = 0
+    colored = 0
+    side = [0] * len(succ)
+    for r in iter_bits(rest & ~i_x):
+        if (colored >> r) & 1:
+            continue
+        comp_sides = [1 << r, 0]
+        side[r] = 0
+        frontier = [r]
+        colored |= 1 << r
+        while frontier:
+            u = frontier.pop()
+            for v in iter_bits(adj[u]):
+                if (colored >> v) & 1:
+                    if side[v] == side[u]:
+                        return result(VERDICT_ODD_CYCLE)
+                    continue
+                side[v] = 1 - side[u]
+                comp_sides[side[v]] |= 1 << v
+                colored |= 1 << v
+                frontier.append(v)
+        nb = (adj[r] & -adj[r]).bit_length() - 1
+        minus = side[r] if (succ[r] >> nb) & 1 else side[nb]
+        x_minus |= comp_sides[minus]
+        x_plus |= comp_sides[1 - minus]
+
+    # adjacency between the sides must match arcs pointing minus -> plus
+    for v in iter_bits(x_minus):
+        if adj[v] & x_plus != succ[v] & x_plus:
+            return result(VERDICT_E0, x_minus, x_plus)
+
+    # forward closure of the minus side / backward closure of the plus side
+    y_minus = 0
+    frontier = x_minus
+    while frontier:
+        nxt = 0
+        for u in iter_bits(frontier):
+            nxt |= succ[u]
+        nxt &= i_x & ~y_minus
+        y_minus |= nxt
+        frontier = nxt
+    y_plus = 0
+    frontier = x_plus
+    while frontier:
+        nxt = 0
+        for u in iter_bits(frontier):
+            nxt |= rest & ~succ[u] & ~(1 << u)
+        nxt &= i_x & ~y_plus
+        y_plus |= nxt
+        frontier = nxt
+
+    sides = (x_minus, x_plus, y_minus, y_plus)
+    if y_minus & y_plus:
+        return result(VERDICT_Y_OVERLAP, *sides)
+    if y_minus | y_plus != i_x:
+        return result(VERDICT_Y_NOT_COVERING, *sides)
+    below = x_minus | y_minus
+    for u in iter_bits(y_plus):
+        if succ[u] & below != below:
+            return result(VERDICT_M2_ARC, *sides)
+    for u in iter_bits(x_plus):
+        if succ[u] & y_minus != y_minus:
+            return result(VERDICT_M2_ARC, *sides)
+    return result(VERDICT_OK, *sides)
+
+
+def _extend(spans: list[list[int]], succ: list[int], w: int, x: int,
+            ext: Extension) -> None:
+    """Write an accepted extension into ``succ``, where x beats the minus
+    sides and loses to the plus sides, and check that the result realizes
+    H[w]."""
+    _, _, _, x_minus, x_plus, y_minus, y_plus = ext
+    succ[x] = x_minus | y_minus
+    for z in iter_bits(x_plus | y_plus):
+        succ[z] |= 1 << x
+    if not _realizes_within(spans, succ, w):
+        raise InvariantError("extension produced a tournament that does not realize the input")
+
+
+def _realizes_within(spans: list[list[int]], succ: list[int], w: int) -> bool:
+    """True iff ``succ`` holds a tournament on w whose 3-cycles are exactly
+    the edges within w.
+
+    For an arc u -> v, the triple {u, v, z} is a 3-cycle iff v -> z -> u,
+    so the condition is that ``succ[v] & pred_w(u)`` is the link of u and v
+    within w for every arc; it takes O(|w|^2) mask operations and, with the
+    count of arcs, is the same test as ``c3_structure(t) == H[w]``.
+    """
+    arcs = 0
+    for u in iter_bits(w):
+        out = succ[u]
+        ub = 1 << u
+        if out & ~w or out & ub:
+            return False
+        pred = w & ~out & ~ub
+        row = spans[u]
+        for v in iter_bits(out):
+            if succ[v] & ub or succ[v] & pred != row[v] & w & ~(ub | 1 << v):
+                return False
+        arcs += out.bit_count()
+    k = w.bit_count()
+    return arcs == k * (k - 1) // 2
+
+
+def _extension_at(h: Hypergraph, x: int, t_x: Tournament,
+                  verified: bool) -> tuple[list[list[int]], list[int], Extension]:
+    """Check the preconditions, lift ``t_x`` into the labels of h (vertex j
+    of ``t_x`` is vertex j of h when j < x, else j+1) and evaluate the
+    extension with w the whole vertex set."""
+    if not (0 <= x < h.n):
+        raise PreconditionError(f"vertex {x} out of range")
+    if t_x.n != h.n - 1:
+        raise PreconditionError("tournament must have one vertex fewer than the hypergraph")
+    full = full_mask(h.n)
+    rest = full & ~(1 << x)
+    if not verified and not h.is_3_uniform:
+        raise PreconditionError("input must be 3-uniform")
+    close = _hypergraph_closure(h)
+    if not verified:
+        if c3_structure(t_x) != h.induced(rest):
+            raise PreconditionError("tournament does not realize the deleted hypergraph")
+        if not _is_prime_within(close, full) or not _is_prime_within(close, rest):
+            raise PreconditionError("extension requires both hypergraphs prime")
+    succ = [0] * h.n
+    for j, s in enumerate(t_x.succ):
+        succ[j if j < x else j + 1] = _unsqueeze(s, x)
+    return close.spans, succ, _extension(close.spans, succ, full, x)
+
+
+def _certificate(x: int, ext: Extension) -> ExtensionCertificate:
+    """The certificate of an evaluated extension, in the coordinates of H-x."""
+    verdict, adj, *masks = ext
+    g_x = Graph._from_adj(len(adj) - 1,
+                          tuple(_squeeze(a, x) for v, a in enumerate(adj) if v != x))
+    return ExtensionCertificate(x, g_x, *(_squeeze(m, x) for m in masks), verdict)
 
 
 def extension_certificate(h: Hypergraph, x: int, t_x: Tournament,
@@ -230,108 +399,7 @@ def extension_certificate(h: Hypergraph, x: int, t_x: Tournament,
     closure of the minus side and the backward closure of the plus side,
     with all remaining arcs agreeing.
     """
-    if not (0 <= x < h.n):
-        raise PreconditionError(f"vertex {x} out of range")
-    if t_x.n != h.n - 1:
-        raise PreconditionError("tournament must have one vertex fewer than the hypergraph")
-    if not _verified:
-        if not h.is_3_uniform:
-            raise PreconditionError("input must be 3-uniform")
-        rest = full_mask(h.n) & ~(1 << x)
-        if c3_structure(t_x) != h.induced(rest):
-            raise PreconditionError("tournament does not realize the deleted hypergraph")
-        if not is_prime(h) or not is_prime(h.induced(rest)):
-            raise PreconditionError("extension requires both hypergraphs prime")
-
-    m = h.n - 1
-    xbit = 1 << x
-    adj = [0] * m
-    for e in h.edges:
-        if e & xbit:
-            pair = _squeeze(e ^ xbit, x)
-            lo = (pair & -pair).bit_length() - 1
-            hi = pair.bit_length() - 1
-            adj[lo] |= 1 << hi
-            adj[hi] |= 1 << lo
-    g_x = Graph._from_adj(m, tuple(adj))
-    full_m = full_mask(m)
-    i_x = 0
-    for j in range(m):
-        if adj[j] == 0:
-            i_x |= 1 << j
-
-    def fail(verdict: str, x_minus: int = 0, x_plus: int = 0,
-             y_minus: int = 0, y_plus: int = 0) -> ExtensionCertificate:
-        return ExtensionCertificate(x, g_x, i_x, x_minus, x_plus, y_minus, y_plus, verdict)
-
-    # two-colour each non-singleton component, then orient via one edge
-    x_minus = x_plus = 0
-    colored = 0
-    side = [0] * m
-    for r in range(m):
-        if adj[r] == 0 or (colored >> r) & 1:
-            continue
-        comp_sides = [1 << r, 0]
-        side[r] = 0
-        frontier = [r]
-        colored |= 1 << r
-        while frontier:
-            u = frontier.pop()
-            for v in iter_bits(adj[u]):
-                if (colored >> v) & 1:
-                    if side[v] == side[u]:
-                        return fail(VERDICT_ODD_CYCLE)
-                    continue
-                side[v] = 1 - side[u]
-                comp_sides[side[v]] |= 1 << v
-                colored |= 1 << v
-                frontier.append(v)
-        nb = (adj[r] & -adj[r]).bit_length() - 1
-        if t_x.has_arc(r, nb):
-            minus = side[r]
-        else:
-            minus = side[nb]
-        x_minus |= comp_sides[minus]
-        x_plus |= comp_sides[1 - minus]
-
-    # adjacency between the sides must match arcs pointing minus -> plus
-    for v in iter_bits(x_minus):
-        if adj[v] & x_plus != t_x.succ[v] & x_plus:
-            return fail(VERDICT_E0, x_minus, x_plus)
-
-    # forward closure of the minus side / backward closure of the plus side
-    y_minus = 0
-    frontier = x_minus
-    while frontier:
-        nxt = 0
-        for u in iter_bits(frontier):
-            nxt |= t_x.succ[u]
-        nxt &= i_x & ~y_minus
-        y_minus |= nxt
-        frontier = nxt
-    y_plus = 0
-    frontier = x_plus
-    while frontier:
-        nxt = 0
-        for u in iter_bits(frontier):
-            nxt |= full_m & ~t_x.succ[u] & ~(1 << u)
-        nxt &= i_x & ~y_plus
-        y_plus |= nxt
-        frontier = nxt
-
-    if y_minus & y_plus:
-        return fail(VERDICT_Y_OVERLAP, x_minus, x_plus, y_minus, y_plus)
-    if y_minus | y_plus != i_x:
-        return fail(VERDICT_Y_NOT_COVERING, x_minus, x_plus, y_minus, y_plus)
-    below = x_minus | y_minus
-    for u in iter_bits(y_plus):
-        if t_x.succ[u] & below != below:
-            return fail(VERDICT_M2_ARC, x_minus, x_plus, y_minus, y_plus)
-    for u in iter_bits(x_plus):
-        if t_x.succ[u] & y_minus != y_minus:
-            return fail(VERDICT_M2_ARC, x_minus, x_plus, y_minus, y_plus)
-
-    return ExtensionCertificate(x, g_x, i_x, x_minus, x_plus, y_minus, y_plus, VERDICT_OK)
+    return _certificate(x, _extension_at(h, x, t_x, _verified)[2])
 
 
 def extend_realization(h: Hypergraph, x: int, t_x: Tournament,
@@ -342,18 +410,11 @@ def extend_realization(h: Hypergraph, x: int, t_x: Tournament,
     from ``x`` equals ``t_x``: x beats the minus sides and loses to the plus
     sides.  On failure the certificate carries the violated condition.
     """
-    cert = extension_certificate(h, x, t_x, _verified=_verified)
-    if not cert.ok:
-        return cert
-    n = h.n
-    succ = [0] * n
-    for j in range(t_x.n):
-        g = j if j < x else j + 1
-        succ[g] = _unsqueeze(t_x.succ[j], x)
-    succ[x] = _unsqueeze(int(cert.x_minus | cert.y_minus), x)
-    for z in iter_bits(_unsqueeze(int(cert.x_plus | cert.y_plus), x)):
-        succ[z] |= 1 << x
-    return _checked(Tournament(n, succ), h, "extension")
+    spans, succ, ext = _extension_at(h, x, t_x, _verified)
+    if ext[0] != VERDICT_OK:
+        return _certificate(x, ext)
+    _extend(spans, succ, full_mask(h.n), x, ext)
+    return Tournament._from_succ(h.n, tuple(succ))
 
 
 # --- prime and critical realization ---------------------------------------------
@@ -371,11 +432,12 @@ def realize_critical(h: Hypergraph,
     if h.n < 5:
         raise PreconditionError("critical realization needs at least 5 vertices")
     if not _assume_critical:
-        if not is_prime(h):
-            raise PreconditionError("input must be prime")
+        close = _hypergraph_closure(h)
         full = full_mask(h.n)
+        if not _is_prime_within(close, full):
+            raise PreconditionError("input must be prime")
         for x in range(h.n):
-            if is_prime(h.induced(full & ~(1 << x))):
+            if _is_prime_within(close, full & ~(1 << x)):
                 raise PreconditionError(f"input is not critical: deleting {x} keeps it prime")
     if h.n % 2 == 0:
         return NonRealizabilityWitness(range(h.n), STAGE_BASE)
@@ -391,48 +453,67 @@ def realize_prime(h: Hypergraph,
                   _assume_prime: bool = False) -> Tournament | NonRealizabilityWitness:
     """Realize a prime 3-uniform hypergraph or produce a witness.
 
-    Scans vertices in increasing order for the first x whose deletion stays
-    prime; realizes the rest recursively and extends back.  A failed
-    extension certifies that the whole hypergraph is not realizable.  When
-    no vertex qualifies the hypergraph is critical.
+    Deletes vertices one at a time from a live vertex set W, each time the
+    smallest x for which H[W - x] stays prime, until W has 3 vertices (a
+    single triple, realized by a 3-cycle) or no deletion stays prime (a
+    critical hypergraph, matched by ``realize_critical``).  Then it adds the
+    deleted vertices back in reverse order, extending the tournament one
+    vertex at a time; a failed extension certifies that H[W] is not
+    realizable, and W is the witness.  All of it runs on the labels of h
+    and one closure of h: a primality test reads the pair closures within
+    W - x, the link graph at x is a row of the span table, the extension is
+    written in place and checked against H[W] by mask comparison, and only
+    the critical set is built as a hypergraph of its own.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
-    if not _assume_prime and not is_prime(h):
-        raise PreconditionError("input must be prime")
-    if h.n == 3:
+    if h.n <= 3:
         # the only prime 3-uniform hypergraph on 3 vertices is the single triple
+        if not h.edges:
+            raise PreconditionError("input must be prime")
         return Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-    full = full_mask(h.n)
-    for x in range(h.n):
-        rest = full & ~(1 << x)
-        sub = h.induced(rest)
-        if not is_prime(sub):
-            continue
-        res = realize_prime(sub, _assume_prime=True)
-        if isinstance(res, NonRealizabilityWitness):
-            labels = bit_list(rest)
-            return NonRealizabilityWitness((labels[v] for v in res.vertices), res.stage)
-        ext = extend_realization(h, x, res, _verified=True)
-        if isinstance(ext, Tournament):
-            return ext
-        if ext.verdict in (VERDICT_ODD_CYCLE, VERDICT_E0):
-            stage = STAGE_EXTENSION_M1
-        else:
-            stage = STAGE_EXTENSION_M2
-        return NonRealizabilityWitness(range(h.n), stage)
-    return realize_critical(h, _assume_critical=True)
+    close = _hypergraph_closure(h)
+    w = full_mask(h.n)
+    if not _assume_prime and not _is_prime_within(close, w):
+        raise PreconditionError("input must be prime")
+    deleted = []
+    while w.bit_count() > 3:
+        x = next((x for x in iter_bits(w) if _is_prime_within(close, w & ~(1 << x))), None)
+        if x is None:
+            break
+        deleted.append(x)
+        w &= ~(1 << x)
+    succ = [0] * h.n
+    labels = bit_list(w)
+    if len(labels) == 3:
+        a, b, c = labels
+        succ[a], succ[b], succ[c] = 1 << b, 1 << c, 1 << a
+    else:
+        base = realize_critical(h.induced(w), _assume_critical=True)
+        if isinstance(base, NonRealizabilityWitness):
+            return NonRealizabilityWitness((labels[v] for v in base.vertices), base.stage)
+        for j, s in enumerate(base.succ):
+            succ[labels[j]] = sum(1 << labels[k] for k in iter_bits(s))
+    for x in reversed(deleted):
+        w |= 1 << x
+        ext = _extension(close.spans, succ, w, x)
+        if ext[0] != VERDICT_OK:
+            m1 = ext[0] in (VERDICT_ODD_CYCLE, VERDICT_E0)
+            return NonRealizabilityWitness(iter_bits(w),
+                                           STAGE_EXTENSION_M1 if m1 else STAGE_EXTENSION_M2)
+        _extend(close.spans, succ, w, x, ext)
+    return Tournament._from_succ(h.n, tuple(succ))
 
 
 # --- whole-hypergraph pipeline ---------------------------------------------------
 
-def _prepare(h: Hypergraph, _unused: object = None):
+def _prepare(h: Hypergraph):
     """Decomposition tree plus a realization of each prime quotient.
 
     The quotient at a prime node is realized through the transverse picking
     the smallest vertex of each child, whose induced subhypergraph is an
     isomorphic copy of the quotient in child order.  Returns a witness if
-    any prime quotient is not realizable.  A second argument is ignored.
+    any prime quotient is not realizable.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")

@@ -1,6 +1,7 @@
 """Structural laws checked over exhaustive small cases and random samples."""
 
 import random
+from collections import Counter
 from functools import partial
 from itertools import combinations, product
 
@@ -14,12 +15,15 @@ from c3realize import (
     decomposition_tree, dual, enumerate_modules, enumerate_realizations,
     induced_subhypergraph, is_linear_order, is_module, is_prime, linear_order,
     maximal_proper_strong_modules, quotient, random_hypergraph,
-    random_tournament, realize, smallest_strong_module_containing,
+    random_tournament, realize, realize_prime, smallest_strong_module_containing,
     strong_modules, tournament_decomposition_tree, tournament_is_module,
-    tournament_is_prime, tournament_modules, tournament_strong_modules,
+    tournament_is_prime, tournament_modules, tournament_pi, tournament_strong_modules,
 )
 from c3realize.bitset import bit_list, iter_bits
-from c3realize.decomposition import LABEL_COMPLETE, LABEL_EMPTY, LABEL_PRIME
+from c3realize import decomposition
+from c3realize.decomposition import (
+    LABEL_COMPLETE, LABEL_EMPTY, LABEL_PRIME, _hypergraph_closure, _is_prime_within,
+)
 from c3realize.oracle import modules_within, subsets_where
 
 
@@ -423,3 +427,88 @@ class TestEngineAgainstOracle:
             t = planted_tournament(rng.randint(2, 8), rng)
             self.check_tournament(t)
             self.check_hypergraph(c3_structure(t), rng)
+
+
+def three_uniform_inputs(rng, count, max_n):
+    """C3 structures of random tournaments, the same with one triple
+    toggled, and random 3-uniform hypergraphs, ``count`` of each."""
+    for _ in range(count):
+        n = rng.randint(3, max_n)
+        h = c3_structure(random_tournament(n, rng))
+        yield h
+        toggled = sum(1 << v for v in rng.sample(range(n), 3))
+        yield Hypergraph(n, [bit_list(e) for e in h.edges ^ {toggled}])
+        yield random_hypergraph(n, rng, max_edges=3 * n, sizes=(3,))
+
+
+class TestRestrictedClosure:
+    """``close(s, w)`` against the modules of H[w] listed by brute force, n <= 9."""
+
+    def test_pair_closures_are_smallest_modules_within(self):
+        rng = random.Random(61)
+        for h in three_uniform_inputs(rng, 120, 9):
+            close = _hypergraph_closure(h)
+            full = h.vertex_mask
+            for w in {full, rng.randint(1, full), rng.randint(1, full)}:
+                mods = modules_within(h, w)
+                for x, y in combinations(iter_bits(w), 2):
+                    s = (1 << x) | (1 << y)
+                    containing = [m for m in mods if s & ~m == 0]
+                    smallest = min(containing, key=int.bit_count)
+                    assert all(smallest & ~m == 0 for m in containing)
+                    assert close(s, w) == smallest, (h, w, s)
+
+    def test_primality_after_each_deletion(self):
+        rng = random.Random(62)
+        for h in three_uniform_inputs(rng, 150, 9):
+            close = _hypergraph_closure(h)
+            for x in range(h.n):
+                rest = h.vertex_mask & ~(1 << x)
+                assert _is_prime_within(close, rest) == is_prime(h.induced(rest)), (h, x)
+
+
+class TestRealizePrimeAgainstOracle:
+    """``realize_prime`` on random prime 3-uniform inputs against the
+    exhaustive realization list (2^15 tournaments at n = 6)."""
+
+    def test_tournaments_and_witnesses(self):
+        rng = random.Random(63)
+        quota = {4: 20, 5: 60, 6: 20}
+        outcomes = Counter()
+        for h in three_uniform_inputs(rng, 400, 6):
+            if h.n < 4 or not quota[h.n] or not is_prime(h):
+                continue
+            quota[h.n] -= 1
+            got = realize_prime(h)
+            if isinstance(got, Tournament):
+                assert got in brute_force_realizations(h), h
+            else:
+                assert brute_force_realizations(h.induced(got.vertices)) == [], (h, got)
+            outcomes[h.n, type(got).__name__] += 1
+        assert not any(quota.values())
+        for n in (5, 6):
+            assert outcomes[n, "Tournament"] and outcomes[n, "NonRealizabilityWitness"], outcomes
+
+
+class TestMaximalProperStrongModulesWithoutTree:
+    """The partition into maximal proper strong modules is read from the
+    strong modules, equal to the tree root's children, with no tree built."""
+
+    def test_equal_to_root_children(self, monkeypatch):
+        rng = random.Random(64)
+        cases = []
+        for _ in range(150):
+            n = rng.randint(2, 8)
+            t = planted_tournament(n, rng) if rng.random() < 0.5 else random_tournament(n, rng)
+            for host in (t, c3_structure(t), random_hypergraph(n, rng)):
+                tree = (tournament_decomposition_tree(host) if isinstance(host, Tournament)
+                        else decomposition_tree(host))
+                cases.append((host, [c.members for c in tree.root.children]))
+        trees = []
+        real = decomposition._tree
+        monkeypatch.setattr(decomposition, "_tree", lambda *a: trees.append(a) or real(*a))
+        for host, children in cases:
+            pi = (tournament_pi(host) if isinstance(host, Tournament)
+                  else maximal_proper_strong_modules(host))
+            assert list(pi.blocks) == children, host
+        assert trees == []

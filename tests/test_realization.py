@@ -12,7 +12,7 @@ import c3realize
 from c3realize import (
     Hypergraph, InvariantError, NonRealizabilityWitness, PreconditionError,
     RealizationChoice, Tournament, brute_force_realizations, c3_structure,
-    choice_to_tournament, count_realizations, critical_family,
+    choice_to_tournament, count_realizations, critical_family, decomposition,
     decomposition_tree, default_choice, dual, enumerate_realizations,
     extend_realization, extension_certificate, hypergraph_isomorphism,
     is_prime, linear_order, random_tournament, realization, realize,
@@ -251,14 +251,14 @@ class TestChoiceToTournament:
 
     def test_dual_flag_on_prime_root(self):
         h = c3_structure(critical_family("T", 5))
-        tree, base = _prepare(h, 20)
+        tree, base = _prepare(h)
         key = int(tree.root.members)
         as_computed = choice_to_tournament(h, tree, RealizationChoice({}, {key: False}, base))
         flipped = choice_to_tournament(h, tree, RealizationChoice({}, {key: True}, base))
         assert flipped == dual(as_computed)
 
     def test_nested_blowup_has_four_realizations(self):
-        tree, base = _prepare(H4, 20)
+        tree, base = _prepare(H4)
         root = int(tree.root.members)
         inner = next(int(x.members) for x in tree.internal_nodes() if x is not tree.root)
         got = set()
@@ -272,7 +272,7 @@ class TestChoiceToTournament:
         assert set(brute_force_realizations(H4)) == got
 
     def test_malformed_choice_rejected(self):
-        tree, base = _prepare(H4, 20)
+        tree, base = _prepare(H4)
         root = int(tree.root.members)
         inner = next(int(x.members) for x in tree.internal_nodes() if x is not tree.root)
         with pytest.raises(PreconditionError):
@@ -352,6 +352,27 @@ class TestOneTreePerCount:
             assert len(calls) == 1
 
 
+class TestOneClosurePerPrimeQuotient:
+    @pytest.mark.parametrize("n", [24, 40])
+    def test_table_builds_per_realize_and_count(self, monkeypatch, n):
+        # two builds for the tree (its own and the quotient's prime check)
+        # and one for the single prime quotient; none per deleted vertex
+        builds = []
+        real = decomposition._hypergraph_closure
+
+        def spy(h):
+            builds.append(h.n)
+            return real(h)
+
+        monkeypatch.setattr(decomposition, "_hypergraph_closure", spy)
+        monkeypatch.setattr(realization, "_hypergraph_closure", spy, raising=False)
+        h = c3_structure(random_tournament(n, random.Random(n)))
+        for run in (realize, count_realizations):
+            builds.clear()
+            run(h)
+            assert 1 <= len(builds) <= 3, (run.__name__, builds)
+
+
 class TestLazyEnumeration:
     def test_first_item_of_empty_nine_is_cheap(self):
         h = Hypergraph(9, [])
@@ -399,6 +420,28 @@ class TestOutputChecksAreNotAsserts:
             "realization.c3_structure = lambda t: None\n"
             "try:\n"
             "    realization.realize(Hypergraph(3, []))\n"
+            "except InvariantError:\n"
+            "    print('InvariantError', sys.flags.optimize)\n"
+        )
+        src = str(Path(c3realize.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.split() == ["InvariantError", "1"], done.stderr
+
+    def test_flipped_extension_arc_survives_python_O(self):
+        # the extension is evaluated correctly, then one arc between x and
+        # its lowest minus vertex is written the wrong way round
+        code = (
+            "import random, sys\n"
+            "from c3realize import InvariantError, c3_structure, random_tournament, realization\n"
+            "evaluate = realization._extension\n"
+            "def flipped(spans, succ, w, x):\n"
+            "    verdict, adj, i_x, x_minus, x_plus, *ys = evaluate(spans, succ, w, x)\n"
+            "    v = x_minus & -x_minus\n"
+            "    return (verdict, adj, i_x, x_minus ^ v, x_plus | v, *ys)\n"
+            "realization._extension = flipped\n"
+            "try:\n"
+            "    realization.realize(c3_structure(random_tournament(10, random.Random(3))))\n"
             "except InvariantError:\n"
             "    print('InvariantError', sys.flags.optimize)\n"
         )
