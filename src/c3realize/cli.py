@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from . import decomposition, oracle, realization
 from .core import Hypergraph, Tournament, c3_structure, critical_family, linear_order
@@ -111,11 +112,15 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _non_negative(value: int | None, flag: str) -> None:
+    if value is not None and value < 0:
+        raise PreconditionError(f"{flag} must be >= 0, got {value}")
+
+
 def _cmd_enumerate(args) -> int:
+    _non_negative(args.limit, "--limit")
     h = _hypergraph(args.input)
-    for k, t in enumerate(realization.enumerate_realizations(h)):
-        if args.limit is not None and k >= args.limit:
-            break
+    for t in islice(realization.enumerate_realizations(h), args.limit):
         print(dump_tournament(t))
     return EXIT_OK
 
@@ -134,6 +139,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check_axioms(args) -> int:
+    _non_negative(args.samples, "--samples")
     h = _hypergraph(args.input)
     partitive = oracle.check_partitive(h)
     covering = oracle.check_covering_axioms(h, samples=args.samples, seed=args.seed)

@@ -7,7 +7,10 @@ interval-style analogue for tournaments.  Primality, strong modules and the
 trees come from one closure engine (after Ehrenfeucht, Gabow, McConnell &
 Sullivan, J. Algorithms 1994, and McConnell & de Montgolfier, 2005): each
 structure supplies the smallest module containing a set, and the engine
-reads the rest from the closures of vertex pairs, in polynomial time.  Only
+reads the rest from the closures of vertex pairs, in polynomial time.  One
+bottom-up pass over the strong modules, smallest first, gives every node its
+children (``_children``) and builds the tree; each internal node keeps the
+quotient its label was read from, so later stages never rebuild it.  Only
 ``enumerate_modules``, ``enumerate_usual_modules`` and ``tournament_modules``
 list modules by brute force over vertex subsets, because their output can
 have 2^n members; they alone take a ``bound`` (``DEFAULT_BOUND``).
@@ -237,38 +240,35 @@ def _strong_nodes(n: int, close: Closure) -> set[int]:
     return nodes
 
 
-def _maximal_proper(n: int, close: Closure) -> list[int]:
-    """The maximal proper strong modules: strong modules nest or are
-    disjoint, so, taken largest first, those meeting no earlier one."""
-    full = full_mask(n)
-    top, covered = [], 0
-    for m in sorted(_strong_nodes(n, close) - {full}, key=int.bit_count, reverse=True):
-        if not m & covered:
-            top.append(m)
-            covered |= m
-    return top
+def _children(n: int, close: Closure) -> dict[int, list[int]]:
+    """Each strong module's children (its maximal proper strong modules, by
+    smallest vertex), smallest module first.  Strong modules nest or are
+    disjoint, so a module's children are the current tops of its vertices."""
+    out: dict[int, list[int]] = {1 << v: [] for v in range(n)}
+    tops = {v: 1 << v for v in range(n)}
+    for m in sorted(_strong_nodes(n, close) - out.keys(), key=int.bit_count):
+        blocks, rest = [], m
+        while rest:
+            b = tops.pop(_lowest(rest), -1)  # -1, every bit, fails the check below
+            if b & ~m:
+                raise InvariantError("maximal proper strong modules must partition their parent")
+            blocks.append(b)
+            rest &= ~b
+        tops[_lowest(m)] = m
+        out[m] = blocks
+    return out
 
 
-def _tree(n: int, close: Closure, label: Callable[[int, list[int]], str],
+def _tree(n: int, close: Closure,
+          label: Callable[[int, list[int]], tuple[str, Hypergraph | Tournament]],
           kind: str) -> DecompositionTree:
-    """The inclusion tree of the strong modules, labelled node by node."""
-    nodes = sorted(_strong_nodes(n, close), key=int.bit_count, reverse=True)
-    children: dict[int, list[int]] = {m: [] for m in nodes}
-    for i, m in enumerate(nodes[1:], 1):
-        children[next(p for p in reversed(nodes[:i]) if m & ~p == 0)].append(m)
-
-    def build(w: int) -> TreeNode:
-        if w & (w - 1) == 0:
-            return TreeNode(w, None, ())
-        blocks = sorted(children[w], key=_lowest)
-        union = 0
-        for b in blocks:
-            union |= b
-        if union != w or sum(map(int.bit_count, blocks)) != w.bit_count():
-            raise InvariantError("maximal proper strong modules must partition their parent")
-        return TreeNode(w, label(w, blocks), tuple(build(b) for b in blocks))
-
-    return DecompositionTree(build(full_mask(n)), n, kind)
+    """The inclusion tree of the strong modules, built bottom-up; ``label``
+    gives each internal node's label and quotient."""
+    built: dict[int, TreeNode] = {}
+    for m, blocks in _children(n, close).items():
+        name, q = label(m, blocks) if blocks else (None, None)
+        built[m] = TreeNode(m, name, tuple(built.pop(b) for b in blocks), q)
+    return DecompositionTree(built[full_mask(n)], n, kind)
 
 
 def is_strong_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
@@ -341,7 +341,7 @@ def maximal_proper_strong_modules(h: Hypergraph) -> ModularPartition:
     """The partition into maximal proper strong modules."""
     if h.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    return ModularPartition(h, _maximal_proper(h.n, _hypergraph_closure(h)))
+    return ModularPartition(h, _children(h.n, _hypergraph_closure(h))[full_mask(h.n)])
 
 
 def _quotient_edge_masks(edges: Iterable[int], blocks: tuple[int, ...]) -> frozenset[int]:
@@ -395,14 +395,17 @@ def components(h: Hypergraph) -> list[VertexSet]:
 # --- decomposition trees -------------------------------------------------------
 
 class TreeNode:
-    """A strong module with its children and, when internal, a quotient label."""
+    """A strong module with its children and, when internal, a quotient label
+    and the quotient (vertex i is child i; leaves hold None)."""
 
-    __slots__ = ("members", "label", "children")
+    __slots__ = ("members", "label", "children", "quotient")
 
-    def __init__(self, members: int, label: str | None, children: tuple["TreeNode", ...]):
+    def __init__(self, members: int, label: str | None, children: tuple["TreeNode", ...],
+                 quotient: Hypergraph | Tournament | None = None):
         object.__setattr__(self, "members", VertexSet(members))
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "children", children)
+        object.__setattr__(self, "quotient", quotient)
 
     def __setattr__(self, name, value):
         raise AttributeError("TreeNode is immutable")
@@ -469,53 +472,54 @@ class DecompositionTree:
 
     def to_json(self) -> dict:
         """Nested ``{"module": [...], "label": ..., "children": [...]}``."""
-        def conv(node: TreeNode) -> dict:
-            return {
-                "module": bit_list(node.members),
-                "label": None if node.is_leaf else self._display_label(node.label),
-                "children": [conv(c) for c in node.children],
-            }
-        return conv(self.root)
+        return _node_json(self.root, self._display_label)
 
     def to_dot(self) -> str:
         """Graphviz source; children are ordered by smallest contained vertex."""
         lines = ["digraph decomposition {", "  node [shape=box];"]
-        counter = 0
-
-        def visit(node: TreeNode) -> int:
-            nonlocal counter
-            ident = counter
-            counter += 1
-            vs = ",".join(map(str, bit_list(node.members)))
-            if node.is_leaf:
-                lines.append(f'  n{ident} [label="{vs}" shape=plaintext];')
-            else:
-                sym = self._display_label(node.label)
-                lines.append(f'  n{ident} [label="{sym} {{{vs}}}"];')
-            for child in node.children:
-                cid = visit(child)
-                lines.append(f"  n{ident} -> n{cid};")
-            return ident
-
-        visit(self.root)
+        _dot_lines(self.root, self._display_label, lines, 0)
         lines.append("}")
         return "\n".join(lines)
 
 
-def _hypergraph_label(h: Hypergraph, w: int, blocks: list[int]) -> str:
+def _node_json(node: TreeNode, display: Callable[[str], str]) -> dict:
+    return {
+        "module": bit_list(node.members),
+        "label": None if node.is_leaf else display(node.label),
+        "children": [_node_json(c, display) for c in node.children],
+    }
+
+
+def _dot_lines(node: TreeNode, display: Callable[[str], str], lines: list[str],
+               ident: int) -> int:
+    """Append the subtree at ``node``, numbered in preorder from ``ident``,
+    and return the next free number."""
+    vs = ",".join(map(str, bit_list(node.members)))
+    if node.is_leaf:
+        lines.append(f'  n{ident} [label="{vs}" shape=plaintext];')
+    else:
+        lines.append(f'  n{ident} [label="{display(node.label)} {{{vs}}}"];')
+    free = ident + 1
+    for child in node.children:
+        cid, free = free, _dot_lines(child, display, lines, free)
+        lines.append(f"  n{ident} -> n{cid};")
+    return free
+
+
+def _hypergraph_label(h: Hypergraph, w: int, blocks: list[int]) -> tuple[str, Hypergraph]:
     qedges = _quotient_edge_masks([e for e in h.edges if e & ~w == 0], tuple(blocks))
-    k = len(blocks)
+    q = Hypergraph._from_masks(len(blocks), qedges)
     if not qedges:
-        return LABEL_EMPTY
-    if qedges == {(1 << i) | (1 << j) for i in range(k) for j in range(i + 1, k)}:
+        return LABEL_EMPTY, q
+    if qedges == {(1 << i) | (1 << j) for i, j in combinations(range(q.n), 2)}:
         # a 3-edge meeting >= 2 blocks meets each exactly once, so the
         # quotient of a 3-uniform hypergraph has no 2-edges
         if h.is_3_uniform:
             raise InvariantError("complete label unreachable for 3-uniform input")
-        return LABEL_COMPLETE
-    if not is_prime(Hypergraph._from_masks(k, qedges)):
+        return LABEL_COMPLETE, q
+    if not is_prime(q):
         raise InvariantError("quotient by maximal proper strong modules must be prime")
-    return LABEL_PRIME
+    return LABEL_PRIME, q
 
 
 def decomposition_tree(h: Hypergraph) -> DecompositionTree:
@@ -560,7 +564,7 @@ def tournament_is_prime(t: Tournament) -> bool:
 def tournament_pi(t: Tournament) -> ModularPartition:
     if t.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    return ModularPartition(t, _maximal_proper(t.n, _tournament_closure(t)))
+    return ModularPartition(t, _children(t.n, _tournament_closure(t))[full_mask(t.n)])
 
 
 def tournament_quotient(t: Tournament, partition: ModularPartition) -> Tournament:
@@ -574,14 +578,14 @@ def tournament_quotient(t: Tournament, partition: ModularPartition) -> Tournamen
     return t.induced(sum(int(b) & -int(b) for b in partition.blocks))
 
 
-def _tournament_label(t: Tournament, w: int, blocks: list[int]) -> str:
+def _tournament_label(t: Tournament, w: int, blocks: list[int]) -> tuple[str, Tournament]:
     q = t.induced(sum(b & -b for b in blocks))
     if is_linear_order(q):
-        return LABEL_LINEAR
+        return LABEL_LINEAR, q
     if not tournament_is_prime(q):
         raise InvariantError(
             "tournament quotient by maximal strong modules must be linear or prime")
-    return LABEL_PRIME
+    return LABEL_PRIME, q
 
 
 def tournament_decomposition_tree(t: Tournament) -> DecompositionTree:

@@ -9,6 +9,8 @@ lowest common tree node.  Every choice of quotient realizations gives a
 distinct realization and all arise this way, which also yields the count
 ``2^(#prime nodes) * prod(children!)`` over empty-labelled nodes.
 
+The prime quotients are the ones the tree keeps at its nodes
+(``TreeNode.quotient``); neither realization nor assembly builds them again.
 A prime quotient is realized on one closure of its hypergraph
 (``decomposition._hypergraph_closure``): each vertex-deleted subhypergraph
 is a vertex mask read through that closure, not a hypergraph of its own,
@@ -144,13 +146,6 @@ def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
     if h2.n != n or len(h1.edges) != len(h2.edges):
         return None
 
-    def degrees(h: Hypergraph) -> list[int]:
-        d = [0] * h.n
-        for e in h.edges:
-            for v in iter_bits(e):
-                d[v] += 1
-        return d
-
     def codegrees(h: Hypergraph) -> list[list[int]]:
         cd = [[0] * h.n for _ in range(h.n)]
         for e in h.edges:
@@ -160,10 +155,9 @@ def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
                 cd[b][a] += 1
         return cd
 
-    deg1, deg2 = degrees(h1), degrees(h2)
-    if sorted(deg1) != sorted(deg2):
-        return None
     cd1, cd2 = codegrees(h1), codegrees(h2)
+    # each edge through v adds 1 to two entries of row v
+    deg1, deg2 = [sum(row) // 2 for row in cd1], [sum(row) // 2 for row in cd2]
     prof1 = [(deg1[v], sorted(cd1[v])) for v in range(n)]
     prof2 = [(deg2[v], sorted(cd2[v])) for v in range(n)]
     if sorted(prof1) != sorted(prof2):
@@ -207,9 +201,9 @@ def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
             phi[v] = -1
         return False
 
-    if backtrack(0):
-        return phi
-    return None
+    found = backtrack(0)
+    del backtrack  # the recursive closure holds itself through its cell
+    return phi if found else None
 
 
 # --- single-vertex extension --------------------------------------------------
@@ -510,10 +504,10 @@ def realize_prime(h: Hypergraph,
 def _prepare(h: Hypergraph):
     """Decomposition tree plus a realization of each prime quotient.
 
-    The quotient at a prime node is realized through the transverse picking
-    the smallest vertex of each child, whose induced subhypergraph is an
-    isomorphic copy of the quotient in child order.  Returns a witness if
-    any prime quotient is not realizable.
+    Each prime node's stored quotient is realized; a witness there is mapped
+    back through each child's smallest vertex, which together induce a copy
+    of the quotient.  Returns a witness if any prime quotient is not
+    realizable.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
@@ -522,11 +516,10 @@ def _prepare(h: Hypergraph):
     for node in tree.internal_nodes():
         if node.label != LABEL_PRIME:
             continue
-        t_mask = _transverse(node)
-        res = realize_prime(h.induced(t_mask), _assume_prime=True)
+        res = realize_prime(node.quotient, _assume_prime=True)
         if isinstance(res, NonRealizabilityWitness):
-            labels = bit_list(t_mask)
-            return NonRealizabilityWitness((labels[v] for v in res.vertices), res.stage)
+            firsts = [next(iter(c.members)) for c in node.children]
+            return NonRealizabilityWitness((firsts[v] for v in res.vertices), res.stage)
         prime_base[int(node.members)] = res
     return tree, prime_base
 
@@ -544,19 +537,15 @@ def default_choice(tree: DecompositionTree, prime_base: Mapping[int, Tournament]
     return RealizationChoice(perms, flags, prime_base)
 
 
-def _transverse(node: TreeNode) -> int:
-    """The smallest vertex of each child.  The children are modules, so the
-    substructure induced there is the node's quotient, in child order."""
-    return sum(int(c.members) & -int(c.members) for c in node.children)
-
-
 def choice_to_tournament(h: Hypergraph, tree: DecompositionTree,
                          choice: RealizationChoice) -> Tournament:
     """Assemble the tournament selected by a realization choice.
 
     Each vertex pair is oriented at the lowest tree node containing both,
     by the chosen linear order (empty label) or quotient realization (prime
-    label) between their child blocks.
+    label) between their child blocks.  A stored quotient realization is
+    checked against the quotient the tree keeps at its node, so ``tree``
+    must be ``decomposition_tree(h)``.
     """
     if tree.n != h.n or int(tree.root.members) != full_mask(h.n):
         raise PreconditionError("tree does not match the hypergraph")
@@ -581,7 +570,7 @@ def choice_to_tournament(h: Hypergraph, tree: DecompositionTree,
             if base is None or flag is None or base.n != k:
                 raise PreconditionError(
                     f"choice needs a quotient realization at node {bit_list(key)}")
-            if c3_structure(base) != h.induced(_transverse(node)):
+            if c3_structure(base) != node.quotient:
                 raise PreconditionError(
                     f"stored tournament does not realize the quotient at node {bit_list(key)}")
             r = base.dual() if flag else base
@@ -631,31 +620,28 @@ def enumerate_realizations(h: Hypergraph) -> Iterator[Tournament]:
     prep = _prepare(h)
     if isinstance(prep, NonRealizabilityWitness):
         return iter(())
-    return _enumerate(h, *prep)
+    tree, prime_base = prep
+    return _enumerate(h, tree, prime_base, list(tree.internal_nodes()), 0, {}, {})
 
 
-def _enumerate(h: Hypergraph, tree: DecompositionTree,
-               prime_base: Mapping[int, Tournament]) -> Iterator[Tournament]:
-    """Choices are made node by node, so each permutation is built only when
-    its turn comes and the first item needs one value per node."""
-    nodes = list(tree.internal_nodes())
-    perms: dict[int, tuple[int, ...]] = {}
-    flags: dict[int, bool] = {}
-
-    def choose(i: int) -> Iterator[Tournament]:
-        if i == len(nodes):
-            t = choice_to_tournament(h, tree, RealizationChoice(perms, flags, prime_base))
-            yield _checked(t, h, "enumeration")
-            return
-        node = nodes[i]
-        key = int(node.members)
-        if node.label == LABEL_PRIME:
-            for flag in (False, True):
-                flags[key] = flag
-                yield from choose(i + 1)
-        else:
-            for perm in permutations(range(len(node.children))):
-                perms[key] = perm
-                yield from choose(i + 1)
-
-    return choose(0)
+def _enumerate(h: Hypergraph, tree: DecompositionTree, prime_base: Mapping[int, Tournament],
+               nodes: list[TreeNode], i: int, perms: dict[int, tuple[int, ...]],
+               flags: dict[int, bool]) -> Iterator[Tournament]:
+    """The realizations with the choices at ``nodes[:i]`` fixed in ``perms``
+    and ``flags``.  Choices are made node by node, so each permutation is
+    built only when its turn comes and the first item needs one value per
+    node."""
+    if i == len(nodes):
+        t = choice_to_tournament(h, tree, RealizationChoice(perms, flags, prime_base))
+        yield _checked(t, h, "enumeration")
+        return
+    node = nodes[i]
+    key = int(node.members)
+    if node.label == LABEL_PRIME:
+        for flag in (False, True):
+            flags[key] = flag
+            yield from _enumerate(h, tree, prime_base, nodes, i + 1, perms, flags)
+    else:
+        for perm in permutations(range(len(node.children))):
+            perms[key] = perm
+            yield from _enumerate(h, tree, prime_base, nodes, i + 1, perms, flags)

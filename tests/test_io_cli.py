@@ -168,6 +168,26 @@ class TestCli:
                                stdin=stdin, monkeypatch=monkeypatch)
         assert len(out.strip().splitlines()) == 2
 
+    def test_negative_counts_exit_2(self, capsys, monkeypatch):
+        stdin = '{"n": 3, "edges": []}'
+        code, out, err = run_cli(capsys, "enumerate", "-", "--limit", "-1",
+                                 stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert "--limit" in err
+        code, out, err = run_cli(capsys, "check-axioms", "-", "--samples", "-1",
+                                 stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert "--samples" in err
+
+    def test_enumerate_limit_0_assembles_nothing(self, capsys, monkeypatch):
+        calls = []
+        real = realization.choice_to_tournament
+        monkeypatch.setattr(realization, "choice_to_tournament",
+                            lambda *a: calls.append(a) or real(*a))
+        code, out, _ = run_cli(capsys, "enumerate", "-", "--limit", "0",
+                               stdin='{"n": 3, "edges": []}', monkeypatch=monkeypatch)
+        assert (code, out, calls) == (0, "", [])
+
     def test_oracle_modes(self, capsys, monkeypatch):
         stdin = '{"n": 3, "edges": [[0, 1, 2]]}'
         code, out, _ = run_cli(capsys, "oracle", "count", "-",

@@ -17,7 +17,8 @@ from c3realize import (
     maximal_proper_strong_modules, quotient, random_hypergraph,
     random_tournament, realize, realize_prime, smallest_strong_module_containing,
     strong_modules, tournament_decomposition_tree, tournament_is_module,
-    tournament_is_prime, tournament_modules, tournament_pi, tournament_strong_modules,
+    tournament_is_prime, tournament_modules, tournament_pi, tournament_quotient,
+    tournament_strong_modules,
 )
 from c3realize.bitset import bit_list, iter_bits
 from c3realize import decomposition
@@ -512,3 +513,66 @@ class TestMaximalProperStrongModulesWithoutTree:
                   else maximal_proper_strong_modules(host))
             assert list(pi.blocks) == children, host
         assert trees == []
+
+
+class TestNodeQuotients:
+    """Each internal node keeps its quotient, vertex i being child i, n <= 8."""
+
+    def check_hypergraph(self, h):
+        tree = decomposition_tree(h)
+        for node in tree.nodes():
+            if node.is_leaf:
+                assert node.quotient is None
+                continue
+            q, blocks = node.quotient, [int(c.members) for c in node.children]
+            assert q.n == len(blocks)
+            met = set()
+            for e in h.edges:
+                if e & ~node.members == 0:
+                    hit = sum(1 << i for i, b in enumerate(blocks) if e & b)
+                    if hit.bit_count() >= 2:
+                        met.add(hit)
+            assert q.edges == met, (h, node)
+            if h.is_3_uniform:
+                assert q == h.induced(sum(b & -b for b in blocks)), (h, node)
+            if node.label == LABEL_PRIME:
+                assert is_prime(q), (h, node)
+        if h.n >= 2:
+            assert tree.root.quotient == quotient(h, maximal_proper_strong_modules(h)), h
+
+    def check_tournament(self, t):
+        tree = tournament_decomposition_tree(t)
+        for node in tree.nodes():
+            if node.is_leaf:
+                assert node.quotient is None
+                continue
+            q, blocks = node.quotient, [int(c.members) for c in node.children]
+            assert q.n == len(blocks)
+            assert q == t.induced(sum(b & -b for b in blocks)), (t, node)
+            for i, j in combinations(range(q.n), 2):
+                beats = (q.succ[i] >> j) & 1
+                assert all((t.succ[u] >> v) & 1 == beats
+                           for u in iter_bits(blocks[i]) for v in iter_bits(blocks[j])), (t, node)
+            if node.label == LABEL_PRIME:
+                assert tournament_is_prime(q), (t, node)
+        if t.n >= 2:
+            assert tree.root.quotient == tournament_quotient(t, tournament_pi(t)), t
+
+    def test_random_mixed_size_hypergraphs(self):
+        rng = random.Random(81)
+        for _ in range(300):
+            self.check_hypergraph(random_hypergraph(rng.randint(1, 8), rng))
+
+    def test_random_tournaments_and_their_c3_structures(self):
+        rng = random.Random(82)
+        for _ in range(200):
+            t = random_tournament(rng.randint(1, 8), rng)
+            self.check_tournament(t)
+            self.check_hypergraph(c3_structure(t))
+
+    def test_planted_substitutions(self):
+        rng = random.Random(83)
+        for _ in range(400):
+            t = planted_tournament(rng.randint(2, 8), rng)
+            self.check_tournament(t)
+            self.check_hypergraph(c3_structure(t))

@@ -1,19 +1,22 @@
+import gc
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from pathlib import Path
 
 import pytest
 
 import c3realize
+from c3realize import core
 from c3realize import (
     Hypergraph, InvariantError, NonRealizabilityWitness, PreconditionError,
     RealizationChoice, Tournament, brute_force_realizations, c3_structure,
     choice_to_tournament, count_realizations, critical_family, decomposition,
     decomposition_tree, default_choice, dual, enumerate_realizations,
+    tournament_decomposition_tree,
     extend_realization, extension_certificate, hypergraph_isomorphism,
     is_prime, linear_order, random_tournament, realization, realize,
     realize_critical, realize_prime,
@@ -449,3 +452,74 @@ class TestOutputChecksAreNotAsserts:
         done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                               text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
         assert done.stdout.split() == ["InvariantError", "1"], done.stderr
+
+
+def planted_blocks(sizes, rng):
+    """The C3 structure of a linear order of blocks, each a 3-cycle or one
+    vertex, on randomly relabelled vertices."""
+    n = sum(sizes)
+    arcs, start = [], 0
+    for size in sizes:
+        if size == 3:
+            arcs.append((start + 2, start))  # turns start < start+1 < start+2 into a 3-cycle
+        start += size
+    reversed_arcs = {(b, a) for a, b in arcs}
+    arcs += [(a, b) for a, b in combinations(range(n), 2) if (a, b) not in reversed_arcs]
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return c3_structure(Tournament.from_arcs(n, [(labels[a], labels[b]) for a, b in arcs]))
+
+
+class TestNoQuotientCopiesPerOutput:
+    def test_enumeration_builds_no_induced_subhypergraph_per_item(self, monkeypatch):
+        h = planted_blocks((1, 3, 1, 1, 3, 1), random.Random(71))
+        assert count_realizations(h) == 4 * 720
+        real = core.induced_subhypergraph
+        calls = []
+        monkeypatch.setattr(core, "induced_subhypergraph",
+                            lambda *a: calls.append(a) or real(*a))
+        seen = []
+        for limit in (1, 50):
+            calls.clear()
+            items = list(islice(enumerate_realizations(h), limit))
+            assert len(items) == limit
+            assert all(c3_structure(t) == h for t in items)
+            seen.append(len(calls))
+        assert seen[0] == seen[1], seen
+
+
+class TestNoCyclicGarbage:
+    """The public operations free everything they build by reference
+    counting: with the cyclic collector off, nothing is left for it."""
+
+    def run_all(self):
+        rng = random.Random(72)
+        t = random_tournament(11, rng)
+        h = c3_structure(t)
+        bad = h
+        while isinstance(realize(bad), Tournament):
+            bad = Hypergraph(11, h.edges ^ {sum(1 << v for v in rng.sample(range(11), 3))})
+        planted = planted_blocks((3, 1, 3, 1), rng)
+        for host in (h, bad, planted):
+            tree = decomposition_tree(host)
+            tree.to_json()
+            tree.to_dot()
+        tournament_decomposition_tree(t).to_json()
+        assert isinstance(realize(h), Tournament)
+        assert isinstance(realize(bad), NonRealizabilityWitness)
+        assert hypergraph_isomorphism(h, h) is not None
+        assert len(list(enumerate_realizations(planted))) == count_realizations(planted)
+        it = enumerate_realizations(planted)
+        next(it)
+        del it
+
+    def test_collector_finds_nothing(self):
+        self.run_all()  # first calls may fill caches
+        gc.collect()
+        gc.disable()
+        try:
+            self.run_all()
+            left = gc.collect()
+        finally:
+            gc.enable()
+        assert left == 0
