@@ -7,7 +7,6 @@ construction, so values can be shared and hashed freely.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .bitset import as_mask, bit_list, full_mask, iter_bits
@@ -259,16 +258,29 @@ class Graph:
 def c3_structure(t: Tournament) -> Hypergraph:
     """The 3-uniform hypergraph of vertex triples inducing a directed 3-cycle.
 
-    A triple {u,v,w} is cyclic iff the three pair orientations chain around:
-    counting u->v, v->w, w->u gives 3 or 0 exactly for the two cyclic
-    orientations, 1 or 2 for the transitive ones.
+    A 3-cycle u -> v -> z -> u leaves its smallest vertex u by exactly one
+    arc, so it is found once, from that arc: the third vertices of the
+    cycles through an arc u -> v with u < v are the z > u in
+    ``succ[v] & pred(u)``.  That takes O(n^2) mask operations plus one step
+    per edge, instead of a scan of all C(n, 3) triples.
     """
     succ = t.succ
     edges = []
-    for u, v, w in combinations(range(t.n), 3):
-        k = ((succ[u] >> v) & 1) + ((succ[v] >> w) & 1) + ((succ[w] >> u) & 1)
-        if k == 0 or k == 3:
-            edges.append((1 << u) | (1 << v) | (1 << w))
+    above = full_mask(t.n)
+    for u, out in enumerate(succ):
+        ub = 1 << u
+        above &= ~ub
+        pred_above = above & ~out
+        heads = out & above
+        while heads:
+            vb = heads & -heads
+            heads ^= vb
+            arc = ub | vb
+            thirds = succ[vb.bit_length() - 1] & pred_above
+            while thirds:
+                zb = thirds & -thirds
+                thirds ^= zb
+                edges.append(arc | zb)
     return Hypergraph._from_masks(t.n, frozenset(edges))
 
 

@@ -10,10 +10,14 @@ structure supplies the smallest module containing a set, and the engine
 reads the rest from the closures of vertex pairs, in polynomial time.  One
 bottom-up pass over the strong modules, smallest first, gives every node its
 children (``_children``) and builds the tree; each internal node keeps the
-quotient its label was read from, so later stages never rebuild it.  Only
-``enumerate_modules``, ``enumerate_usual_modules`` and ``tournament_modules``
-list modules by brute force over vertex subsets, because their output can
-have 2^n members; they alone take a ``bound`` (``DEFAULT_BOUND``).
+quotient its label was read from, and the tree keeps the closure it was read
+from, so later stages rebuild neither.  On 3-uniform input a prime label is
+re-checked within the node's transverse on that closure, the realization of
+a prime quotient reads the same tables, and an input needs one closure
+table.  Only ``enumerate_modules``, ``enumerate_usual_modules`` and
+``tournament_modules`` list modules by brute force over vertex subsets,
+because their output can have 2^n members; they alone take a ``bound``
+(``DEFAULT_BOUND``).
 """
 
 from __future__ import annotations
@@ -138,7 +142,8 @@ def _hypergraph_closure(h: Hypergraph) -> Closure:
     that misses the set and is a link of only one of u and r.  Spanning is
     cheap and usually fills a prime structure before any linking.
 
-    The tables are built once for the whole of h and read within w: a span
+    The tables are built in one pass over the edges, decoding each edge
+    once, for the whole of h, and read within w: a span
     ``spans[u][b]`` (the union of the edges through u and b) is cut to w,
     and a link with a vertex outside w is skipped.  Cutting a span is exact
     only when h is 3-uniform: an edge through u and b then leaves w exactly
@@ -149,10 +154,16 @@ def _hypergraph_closure(h: Hypergraph) -> Closure:
     links: list[set[int]] = [set() for _ in range(n)]
     spans = [[0] * n for _ in range(n)]
     for e in h.edges:
-        for u in iter_bits(e):
+        members, rest = [], e
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
+        for u in members:
             links[u].add(e ^ (1 << u))
-            for b in iter_bits(e):
-                spans[u][b] |= e
+            row = spans[u]
+            for b in members:
+                row[b] |= e
     full = full_mask(n)
 
     def close(s: int, w: int = full) -> int:
@@ -263,12 +274,13 @@ def _tree(n: int, close: Closure,
           label: Callable[[int, list[int]], tuple[str, Hypergraph | Tournament]],
           kind: str) -> DecompositionTree:
     """The inclusion tree of the strong modules, built bottom-up; ``label``
-    gives each internal node's label and quotient."""
+    gives each internal node's label and quotient, and the tree keeps
+    ``close``."""
     built: dict[int, TreeNode] = {}
     for m, blocks in _children(n, close).items():
         name, q = label(m, blocks) if blocks else (None, None)
         built[m] = TreeNode(m, name, tuple(built.pop(b) for b in blocks), q)
-    return DecompositionTree(built[full_mask(n)], n, kind)
+    return DecompositionTree(built[full_mask(n)], n, kind, close)
 
 
 def is_strong_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
@@ -291,7 +303,8 @@ def is_prime(h: Hypergraph) -> bool:
 # --- modular partitions and quotients ----------------------------------------
 
 class ModularPartition:
-    """A partition of the host's vertices into modules, validated on construction.
+    """A partition of the host's vertices into modules, validated on construction
+    (the engine's own partitions come through ``_of_children`` unchecked).
 
     Blocks are kept in canonical order (by smallest contained vertex).  The
     host may be a hypergraph or a tournament.
@@ -318,6 +331,15 @@ class ModularPartition:
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "blocks", tuple(VertexSet(b) for b in masks))
 
+    @classmethod
+    def _of_children(cls, host: Hypergraph | Tournament, blocks: list[int]) -> "ModularPartition":
+        """The engine's own children of the root, already sorted and
+        checked to partition it by ``_children``; not re-tested as modules."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "host", host)
+        object.__setattr__(p, "blocks", tuple(VertexSet(b) for b in blocks))
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("ModularPartition is immutable")
 
@@ -341,7 +363,8 @@ def maximal_proper_strong_modules(h: Hypergraph) -> ModularPartition:
     """The partition into maximal proper strong modules."""
     if h.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    return ModularPartition(h, _children(h.n, _hypergraph_closure(h))[full_mask(h.n)])
+    blocks = _children(h.n, _hypergraph_closure(h))[full_mask(h.n)]
+    return ModularPartition._of_children(h, blocks)
 
 
 def _quotient_edge_masks(edges: Iterable[int], blocks: tuple[int, ...]) -> frozenset[int]:
@@ -425,15 +448,19 @@ class DecompositionTree:
 
     The root is the full vertex set, leaves are singletons, and the children
     of an internal node are the maximal proper strong modules of the induced
-    substructure, ordered by smallest contained vertex.
+    substructure, ordered by smallest contained vertex.  A tree built by
+    ``decomposition_tree`` or ``tournament_decomposition_tree`` also keeps
+    the closure it was read from (``_close``), so later stages reuse its
+    tables instead of building them again.
     """
 
-    __slots__ = ("root", "n", "kind")
+    __slots__ = ("root", "n", "kind", "_close")
 
-    def __init__(self, root: TreeNode, n: int, kind: str):
+    def __init__(self, root: TreeNode, n: int, kind: str, close: Closure | None = None):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_close", close)
 
     def __setattr__(self, name, value):
         raise AttributeError("DecompositionTree is immutable")
@@ -506,7 +533,12 @@ def _dot_lines(node: TreeNode, display: Callable[[str], str], lines: list[str],
     return free
 
 
-def _hypergraph_label(h: Hypergraph, w: int, blocks: list[int]) -> tuple[str, Hypergraph]:
+def _hypergraph_label(h: Hypergraph, close: Closure, w: int,
+                      blocks: list[int]) -> tuple[str, Hypergraph]:
+    """The label of the node w and its quotient.  A prime label is checked
+    once more: on 3-uniform input the quotient is H[transverse] (the
+    smallest vertex of each block), so ``close`` answers within the
+    transverse; other input builds the quotient's own closure."""
     qedges = _quotient_edge_masks([e for e in h.edges if e & ~w == 0], tuple(blocks))
     q = Hypergraph._from_masks(len(blocks), qedges)
     if not qedges:
@@ -517,7 +549,9 @@ def _hypergraph_label(h: Hypergraph, w: int, blocks: list[int]) -> tuple[str, Hy
         if h.is_3_uniform:
             raise InvariantError("complete label unreachable for 3-uniform input")
         return LABEL_COMPLETE, q
-    if not is_prime(q):
+    prime = (_is_prime_within(close, sum(b & -b for b in blocks)) if h.is_3_uniform
+             else is_prime(q))
+    if not prime:
         raise InvariantError("quotient by maximal proper strong modules must be prime")
     return LABEL_PRIME, q
 
@@ -526,7 +560,8 @@ def decomposition_tree(h: Hypergraph) -> DecompositionTree:
     """The full labeled modular decomposition tree of ``h``."""
     if h.n < 1:
         raise PreconditionError("need at least 1 vertex")
-    return _tree(h.n, _hypergraph_closure(h), partial(_hypergraph_label, h), "hypergraph")
+    close = _hypergraph_closure(h)
+    return _tree(h.n, close, partial(_hypergraph_label, h, close), "hypergraph")
 
 
 def smallest_strong_module_containing(h: Hypergraph,
@@ -564,7 +599,8 @@ def tournament_is_prime(t: Tournament) -> bool:
 def tournament_pi(t: Tournament) -> ModularPartition:
     if t.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    return ModularPartition(t, _children(t.n, _tournament_closure(t))[full_mask(t.n)])
+    blocks = _children(t.n, _tournament_closure(t))[full_mask(t.n)]
+    return ModularPartition._of_children(t, blocks)
 
 
 def tournament_quotient(t: Tournament, partition: ModularPartition) -> Tournament:

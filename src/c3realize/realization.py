@@ -9,12 +9,19 @@ lowest common tree node.  Every choice of quotient realizations gives a
 distinct realization and all arise this way, which also yields the count
 ``2^(#prime nodes) * prod(children!)`` over empty-labelled nodes.
 
-The prime quotients are the ones the tree keeps at its nodes
-(``TreeNode.quotient``); neither realization nor assembly builds them again.
-A prime quotient is realized on one closure of its hypergraph
-(``decomposition._hypergraph_closure``): each vertex-deleted subhypergraph
-is a vertex mask read through that closure, not a hypergraph of its own,
-which is exact because the input is 3-uniform.
+A prime node's quotient is the subhypergraph induced by its transverse
+(the smallest vertex of each child), so it is realized on the closure the
+tree was read from (``decomposition._hypergraph_closure``), within the
+transverse and in the input's labels: each vertex-deleted subhypergraph is a
+vertex mask read through that closure, not a hypergraph of its own, which is
+exact because the input is 3-uniform.  So one closure table serves the whole
+input.  The quotient the tree keeps at the node (``TreeNode.quotient``) is
+what a stored realization is checked against.
+
+Enumeration sets up each node once per tree and checks each stored
+realization there; an item then ORs the chosen parts into successor masks,
+builds the tournament with the validating constructor and checks its
+3-cycle structure against the input, each step in O(n^2 + |E|).
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Iterator, Mapping
 from .bitset import VertexSet, bit_list, full_mask, iter_bits
 from .core import Graph, Hypergraph, Tournament, c3_structure, critical_family
 from .decomposition import (
-    LABEL_EMPTY, LABEL_PRIME, DecompositionTree, TreeNode, _hypergraph_closure,
+    LABEL_EMPTY, LABEL_PRIME, Closure, DecompositionTree, _hypergraph_closure,
     _is_prime_within, decomposition_tree,
 )
 from .errors import InvariantError, PreconditionError
@@ -453,11 +460,8 @@ def realize_prime(h: Hypergraph,
     critical hypergraph, matched by ``realize_critical``).  Then it adds the
     deleted vertices back in reverse order, extending the tournament one
     vertex at a time; a failed extension certifies that H[W] is not
-    realizable, and W is the witness.  All of it runs on the labels of h
-    and one closure of h: a primality test reads the pair closures within
-    W - x, the link graph at x is a row of the span table, the extension is
-    written in place and checked against H[W] by mask comparison, and only
-    the critical set is built as a hypergraph of its own.
+    realizable, and W is the witness.  This builds one closure of h and runs
+    the scan of ``_realize_within`` on it.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
@@ -467,9 +471,25 @@ def realize_prime(h: Hypergraph,
             raise PreconditionError("input must be prime")
         return Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     close = _hypergraph_closure(h)
-    w = full_mask(h.n)
-    if not _assume_prime and not _is_prime_within(close, w):
+    full = full_mask(h.n)
+    if not _assume_prime and not _is_prime_within(close, full):
         raise PreconditionError("input must be prime")
+    res = _realize_within(h, close, full)
+    if isinstance(res, NonRealizabilityWitness):
+        return res
+    return Tournament._from_succ(h.n, tuple(res))
+
+
+def _realize_within(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizabilityWitness:
+    """The scan of ``realize_prime`` on H[w], which must be prime, run on
+    the labels of h and a closure ``close`` of h: the successor masks of a
+    realization of H[w] (0 outside w), or a witness in the labels of h.
+
+    A primality test reads the pair closures within W - x, the link graph
+    at x is a row of the span table, the extension is written in place and
+    checked against H[W] by mask comparison, and only the critical set is
+    built as a hypergraph of its own.
+    """
     deleted = []
     while w.bit_count() > 3:
         x = next((x for x in iter_bits(w) if _is_prime_within(close, w & ~(1 << x))), None)
@@ -496,7 +516,7 @@ def realize_prime(h: Hypergraph,
             return NonRealizabilityWitness(iter_bits(w),
                                            STAGE_EXTENSION_M1 if m1 else STAGE_EXTENSION_M2)
         _extend(close.spans, succ, w, x, ext)
-    return Tournament._from_succ(h.n, tuple(succ))
+    return succ
 
 
 # --- whole-hypergraph pipeline ---------------------------------------------------
@@ -504,9 +524,10 @@ def realize_prime(h: Hypergraph,
 def _prepare(h: Hypergraph):
     """Decomposition tree plus a realization of each prime quotient.
 
-    Each prime node's stored quotient is realized; a witness there is mapped
-    back through each child's smallest vertex, which together induce a copy
-    of the quotient.  Returns a witness if any prime quotient is not
+    A prime node's quotient is H[transverse], with the smallest vertex of
+    each child standing for it, so it is realized on the tree's closure
+    within the transverse, in the labels of h; the result is squeezed to
+    child order.  Returns a witness if any prime quotient is not
     realizable.
     """
     if not h.is_3_uniform:
@@ -516,11 +537,13 @@ def _prepare(h: Hypergraph):
     for node in tree.internal_nodes():
         if node.label != LABEL_PRIME:
             continue
-        res = realize_prime(node.quotient, _assume_prime=True)
+        firsts = [c.members & -c.members for c in node.children]
+        res = _realize_within(h, tree._close, sum(firsts))
         if isinstance(res, NonRealizabilityWitness):
-            firsts = [next(iter(c.members)) for c in node.children]
-            return NonRealizabilityWitness((firsts[v] for v in res.vertices), res.stage)
-        prime_base[int(node.members)] = res
+            return res
+        rows = (res[f.bit_length() - 1] for f in firsts)
+        prime_base[int(node.members)] = Tournament._from_succ(len(firsts), tuple(
+            sum(1 << j for j, f in enumerate(firsts) if row & f) for row in rows))
     return tree, prime_base
 
 
@@ -537,33 +560,63 @@ def default_choice(tree: DecompositionTree, prime_base: Mapping[int, Tournament]
     return RealizationChoice(perms, flags, prime_base)
 
 
+# A node's share of the arcs, as parts (members, out): every member beats
+# every vertex of the out-mask.
+Parts = list[tuple[int, int]]
+
+
+def _order_parts(ordered: list[int]) -> Parts:
+    """A linear order of blocks: each block beats every later one."""
+    parts, later = [], 0
+    for b in reversed(ordered):
+        parts.append((b, later))
+        later |= b
+    return parts
+
+
+def _prime_parts(blocks: list[int], r: Tournament) -> Parts:
+    """Block a beats the blocks that quotient vertex a beats in ``r``."""
+    return [(b, sum(blocks[j] for j in iter_bits(r.succ[a]))) for a, b in enumerate(blocks)]
+
+
+def _assemble(n: int, chosen: list[Parts]) -> Tournament:
+    """The tournament whose arcs are the chosen parts, built by the
+    validating constructor."""
+    succ = [0] * n
+    for parts in chosen:
+        for members, out in parts:
+            while members:
+                low = members & -members
+                succ[low.bit_length() - 1] |= out
+                members ^= low
+    return Tournament(n, succ)
+
+
 def choice_to_tournament(h: Hypergraph, tree: DecompositionTree,
                          choice: RealizationChoice) -> Tournament:
     """Assemble the tournament selected by a realization choice.
 
     Each vertex pair is oriented at the lowest tree node containing both,
     by the chosen linear order (empty label) or quotient realization (prime
-    label) between their child blocks.  A stored quotient realization is
-    checked against the quotient the tree keeps at its node, so ``tree``
-    must be ``decomposition_tree(h)``.
+    label) between their child blocks: each node contributes its parts, and
+    ``_assemble`` ORs them into the successor masks and builds the
+    tournament with the validating constructor.  A stored quotient
+    realization is checked against the quotient the tree keeps at its node,
+    so ``tree`` must be ``decomposition_tree(h)``.
     """
     if tree.n != h.n or int(tree.root.members) != full_mask(h.n):
         raise PreconditionError("tree does not match the hypergraph")
-    succ = [0] * h.n
+    chosen = []
     for node in tree.internal_nodes():
         key = int(node.members)
-        children = node.children
-        k = len(children)
+        blocks = [int(c.members) for c in node.children]
+        k = len(blocks)
         if node.label == LABEL_EMPTY:
             perm = choice.perms.get(key)
             if perm is None or sorted(perm) != list(range(k)):
                 raise PreconditionError(
                     f"choice needs a permutation of {k} children at node {bit_list(key)}")
-            ordered = [int(children[i].members) for i in perm]
-            for a in range(k):
-                for b in range(a + 1, k):
-                    for u in iter_bits(ordered[a]):
-                        succ[u] |= ordered[b]
+            chosen.append(_order_parts([blocks[i] for i in perm]))
         elif node.label == LABEL_PRIME:
             base = choice.prime_base.get(key)
             flag = choice.prime_flags.get(key)
@@ -573,16 +626,10 @@ def choice_to_tournament(h: Hypergraph, tree: DecompositionTree,
             if c3_structure(base) != node.quotient:
                 raise PreconditionError(
                     f"stored tournament does not realize the quotient at node {bit_list(key)}")
-            r = base.dual() if flag else base
-            for a in range(k):
-                block_a = int(children[a].members)
-                for b in iter_bits(r.succ[a]):
-                    block_b = int(children[b].members)
-                    for u in iter_bits(block_a):
-                        succ[u] |= block_b
+            chosen.append(_prime_parts(blocks, base.dual() if flag else base))
         else:
             raise PreconditionError("complete-labelled nodes admit no realization")
-    return Tournament(h.n, succ)
+    return _assemble(h.n, chosen)
 
 
 def _checked(t: Tournament, h: Hypergraph, what: str) -> Tournament:
@@ -616,32 +663,40 @@ def enumerate_realizations(h: Hypergraph) -> Iterator[Tournament]:
     Tree nodes are visited in preorder; a prime node contributes the stored
     realization then its dual, an empty node its child permutations in
     lexicographic order.  Yields nothing when ``h`` is not realizable.
+
+    Each node is set up once per tree: its child blocks and, for a prime
+    node, the parts of both orientations, whose stored base is checked
+    against the node's quotient here.  An item then only ORs the chosen
+    parts together, builds the tournament with the validating constructor
+    and checks its 3-cycle structure against ``h``.
     """
     prep = _prepare(h)
     if isinstance(prep, NonRealizabilityWitness):
         return iter(())
     tree, prime_base = prep
-    return _enumerate(h, tree, prime_base, list(tree.internal_nodes()), 0, {}, {})
+    nodes = []
+    for node in tree.internal_nodes():
+        blocks = [int(c.members) for c in node.children]
+        oriented = None
+        if node.label == LABEL_PRIME:
+            base = _checked(prime_base[int(node.members)], node.quotient, "prime realization")
+            oriented = (_prime_parts(blocks, base), _prime_parts(blocks, base.dual()))
+        nodes.append((blocks, oriented))
+    return _enumerate(h, nodes, [])
 
 
-def _enumerate(h: Hypergraph, tree: DecompositionTree, prime_base: Mapping[int, Tournament],
-               nodes: list[TreeNode], i: int, perms: dict[int, tuple[int, ...]],
-               flags: dict[int, bool]) -> Iterator[Tournament]:
-    """The realizations with the choices at ``nodes[:i]`` fixed in ``perms``
-    and ``flags``.  Choices are made node by node, so each permutation is
-    built only when its turn comes and the first item needs one value per
-    node."""
-    if i == len(nodes):
-        t = choice_to_tournament(h, tree, RealizationChoice(perms, flags, prime_base))
-        yield _checked(t, h, "enumeration")
+def _enumerate(h: Hypergraph, nodes: list[tuple[list[int], tuple[Parts, Parts] | None]],
+               chosen: list[Parts]) -> Iterator[Tournament]:
+    """The realizations with the parts of the first ``len(chosen)`` nodes
+    fixed.  Choices are made node by node, so each permutation is built
+    only when its turn comes and the first item needs one value per node."""
+    if len(chosen) == len(nodes):
+        yield _checked(_assemble(h.n, chosen), h, "enumeration")
         return
-    node = nodes[i]
-    key = int(node.members)
-    if node.label == LABEL_PRIME:
-        for flag in (False, True):
-            flags[key] = flag
-            yield from _enumerate(h, tree, prime_base, nodes, i + 1, perms, flags)
-    else:
-        for perm in permutations(range(len(node.children))):
-            perms[key] = perm
-            yield from _enumerate(h, tree, prime_base, nodes, i + 1, perms, flags)
+    blocks, oriented = nodes[len(chosen)]
+    options = oriented or (_order_parts([blocks[i] for i in perm])
+                           for perm in permutations(range(len(blocks))))
+    for parts in options:
+        chosen.append(parts)
+        yield from _enumerate(h, nodes, chosen)
+        chosen.pop()

@@ -576,3 +576,71 @@ class TestNodeQuotients:
             t = planted_tournament(rng.randint(2, 8), rng)
             self.check_tournament(t)
             self.check_hypergraph(c3_structure(t))
+
+
+class TestEnginePartitionsAreNotRevalidated:
+    """The engine's own children of the root reach ``ModularPartition``
+    without a module re-test; a caller's partition is still validated."""
+
+    def test_no_module_test_per_block(self, monkeypatch):
+        rng = random.Random(65)
+        hosts = []
+        for _ in range(150):
+            n = rng.randint(2, 8)
+            t = planted_tournament(n, rng) if rng.random() < 0.5 else random_tournament(n, rng)
+            hosts += [t, c3_structure(t), random_hypergraph(n, rng)]
+        calls = []
+        for name in ("is_module", "tournament_is_module"):
+            real = getattr(decomposition, name)
+            monkeypatch.setattr(decomposition, name,
+                                lambda *a, real=real: calls.append(a) or real(*a))
+        for host in hosts:
+            pi = (tournament_pi(host) if isinstance(host, Tournament)
+                  else maximal_proper_strong_modules(host))
+            assert len(pi) >= 2 and sum(map(int, pi.blocks)) == host.vertex_mask
+        assert calls == []
+
+    def test_caller_partition_with_non_module_block_rejected(self):
+        from c3realize import PreconditionError
+        h = Hypergraph(4, [[0, 1, 2], [0, 1, 3]])
+        with pytest.raises(PreconditionError, match="not a module"):
+            ModularPartition(h, [[0, 2], [1], [3]])
+        with pytest.raises(PreconditionError, match="not a module"):
+            quotient(h, [[0, 2], [1], [3]])
+        t = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(PreconditionError, match="not a module"):
+            tournament_quotient(t, [[0, 1], [2]])
+
+
+def three_cycles_by_triple_scan(t):
+    """The cyclic triples of ``t``, read pair by pair from its successor
+    masks: a triple u < v < z is cyclic iff u -> v, v -> z and z -> u all
+    hold or none does."""
+    arc = [[(t.succ[a] >> b) & 1 for b in range(t.n)] for a in range(t.n)]
+    return frozenset((1 << u) | (1 << v) | (1 << z) for u, v, z in combinations(range(t.n), 3)
+                     if arc[u][v] + arc[v][z] + arc[z][u] in (0, 3))
+
+
+class TestC3StructureAgainstTripleScan:
+    """``c3_structure`` (arc by arc, third vertices by mask) against a scan
+    of every triple."""
+
+    def check(self, t):
+        h = c3_structure(t)
+        assert h.n == t.n and h.edges == three_cycles_by_triple_scan(t), t
+
+    def test_every_tournament_up_to_five(self):
+        for n in range(6):
+            for t in all_tournaments(n):
+                self.check(t)
+
+    def test_random_tournaments_up_to_sixteen(self):
+        rng = random.Random(66)
+        for _ in range(300):
+            self.check(random_tournament(rng.randint(0, 16), rng))
+
+    def test_tiny_orders(self):
+        for n in (0, 1, 2):
+            t = Tournament.from_arcs(n, [(0, 1)] if n == 2 else [])
+            assert c3_structure(t) == Hypergraph(n, [])
+            self.check(t)

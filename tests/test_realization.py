@@ -523,3 +523,84 @@ class TestNoCyclicGarbage:
         finally:
             gc.enable()
         assert left == 0
+
+
+class TestOneClosurePerInput:
+    """``realize``, ``count_realizations`` and enumeration read every prime
+    quotient and the label re-check off the tree's closure tables."""
+
+    @pytest.mark.parametrize("n", [24, 40])
+    def test_one_table_build_per_call(self, monkeypatch, n):
+        builds = []
+        real = decomposition._hypergraph_closure
+
+        def spy(h):
+            builds.append(h.n)
+            return real(h)
+
+        monkeypatch.setattr(decomposition, "_hypergraph_closure", spy)
+        monkeypatch.setattr(realization, "_hypergraph_closure", spy)
+        h = c3_structure(random_tournament(n, random.Random(n)))
+        runs = (realize, count_realizations,
+                lambda h: list(islice(enumerate_realizations(h), 5)))
+        for run in runs:
+            builds.clear()
+            run(h)
+            assert builds == [n], builds
+
+    def test_witness_from_the_tree_closure(self, monkeypatch):
+        # a non-realizable prime g on 1..9 with vertex 0 added as a twin of
+        # k + 1: the root's quotient is g, read within the transverse, and
+        # the witness comes back in the input's labels
+        rng = random.Random(73)
+        g = c3_structure(random_tournament(9, rng))
+        while not is_prime(g) or isinstance(realize_prime(g), Tournament):
+            g = Hypergraph(9, g.edges ^ {sum(1 << v for v in rng.sample(range(9), 3))})
+        k = 4
+        label = [v + 1 if v != k else 0 for v in range(9)]
+        edges = [[label[v] for v in e] for e in g.edge_lists()]
+        edges += [[k + 1 if v == 0 else v for v in e] for e in edges if 0 in e]
+        h = Hypergraph(10, edges)
+        expected = sorted(label[v] for v in realize_prime(g).vertices)
+        builds = []
+        real = decomposition._hypergraph_closure
+
+        def spy(x):
+            builds.append(x.n)
+            return real(x)
+
+        monkeypatch.setattr(decomposition, "_hypergraph_closure", spy)
+        monkeypatch.setattr(realization, "_hypergraph_closure", spy)
+        got = realize(h)
+        assert isinstance(got, NonRealizabilityWitness)
+        assert list(got.vertices) == expected
+        assert builds == [10]
+
+
+class TestOneOutputCheckPerItem:
+    def test_bases_checked_once_per_tree(self, monkeypatch):
+        h = planted_blocks((1, 3, 1, 1, 3, 1), random.Random(71))
+        real = realization.c3_structure
+        calls = []
+        monkeypatch.setattr(realization, "c3_structure", lambda t: calls.append(t) or real(t))
+        seen = []
+        for limit in (1, 50):
+            calls.clear()
+            items = list(islice(enumerate_realizations(h), limit))
+            assert len(items) == limit and len(set(items)) == limit
+            seen.append(len(calls))
+        assert seen[1] - seen[0] == 49, seen
+
+    def test_bad_stored_base_caught_at_set_up(self, monkeypatch):
+        # a transitive base does not realize a 3-cycle quotient; enumeration
+        # refuses it before any item
+        h = planted_blocks((3, 1, 3), random.Random(74))
+        real = realization._prepare
+
+        def spoiled(g):
+            tree, base = real(g)
+            return tree, {key: linear_order(3) for key in base}
+
+        monkeypatch.setattr(realization, "_prepare", spoiled)
+        with pytest.raises(InvariantError):
+            enumerate_realizations(h)
