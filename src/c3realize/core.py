@@ -122,14 +122,16 @@ class Tournament:
         if n < 0 or len(succ) != n:
             raise PreconditionError(f"need {n} out-neighbour masks, got {len(succ)}")
         full = full_mask(n)
+        arcs = 0
         for i, s in enumerate(succ):
             if s & ~full or (s >> i) & 1:
                 raise PreconditionError(f"invalid out-neighbour mask for vertex {i}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if ((succ[i] >> j) & 1) == ((succ[j] >> i) & 1):
-                    raise PreconditionError(
-                        f"pair {{{i},{j}}} must have exactly one arc")
+            arcs += s.bit_count()
+        # no pair has two arcs, and there are n(n-1)/2 arcs: so every pair has one
+        if arcs != n * (n - 1) // 2 or _two_way_arc(succ):
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                        if (succ[i] >> j) & 1 == (succ[j] >> i) & 1)
+            raise PreconditionError(f"pair {{{i},{j}}} must have exactly one arc")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "succ", succ)
 
@@ -205,6 +207,19 @@ class Tournament:
 
     def __repr__(self) -> str:
         return f"Tournament({self.n}, arcs={sorted(self.arcs())})"
+
+
+def _two_way_arc(succ: tuple[int, ...]) -> bool:
+    """Some arc i -> j with j > i has its reverse j -> i too."""
+    for i, s in enumerate(succ):
+        bit = 1 << i
+        up = s & -bit
+        while up:
+            low = up & -up
+            if succ[low.bit_length() - 1] & bit:
+                return True
+            up ^= low
+    return False
 
 
 class Graph:

@@ -12,11 +12,25 @@ distinct realization and all arise this way, which also yields the count
 A prime node's quotient is the subhypergraph induced by its transverse
 (the smallest vertex of each child), so it is realized on the closure the
 tree was read from (``decomposition._hypergraph_closure``), within the
-transverse and in the input's labels: each vertex-deleted subhypergraph is a
-vertex mask read through that closure, not a hypergraph of its own, which is
-exact because the input is 3-uniform.  So one closure table serves the whole
-input.  The quotient the tree keeps at the node (``TreeNode.quotient``) is
-what a stored realization is checked against.
+transverse and in the input's labels: each vertex set on the way is a mask
+read through that closure's span table, not a hypergraph of its own, which
+is exact because the input is 3-uniform.  So one closure table serves the
+whole input.  The quotient the tree keeps at the node (``TreeNode.quotient``)
+is what a stored realization is checked against.
+
+A prime quotient is realized by growing a chain of prime vertex sets upward,
+one vertex at a time.  A module of H[X + y] meets a prime X in nothing, one
+vertex or X, so whether H[X + y] stays prime is a twin test on y against X
+in O(|X|) mask operations, with no closure.  The realization of H[X] extends
+in at most one way to H[X + y], and a failed extension makes X + y a
+witness.  A realizable triple never grows by one vertex, so the chain starts
+at the first edge and jumps to the first prime 5-set containing it, which
+the T5/U5/W5 match settles.  When no single vertex extends the chain (always
+so on a critical input), an odd quotient is matched against the T/U/W
+families of its order, and failing that it is realized top-down by the
+vertex-deletion scan.  Of the two realizations of a prime quotient, the one
+kept is the one in which its first vertex beats its second, whichever path
+found it.
 
 Enumeration sets up each node once per tree and checks each stored
 realization there; an item then ORs the chosen parts into successor masks,
@@ -30,7 +44,7 @@ from itertools import combinations, permutations
 from math import factorial, prod
 from typing import Iterator, Mapping
 
-from .bitset import VertexSet, bit_list, full_mask, iter_bits
+from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits
 from .core import Graph, Hypergraph, Tournament, c3_structure, critical_family
 from .decomposition import (
     LABEL_EMPTY, LABEL_PRIME, Closure, DecompositionTree, _hypergraph_closure,
@@ -216,8 +230,8 @@ def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
 # --- single-vertex extension --------------------------------------------------
 #
 # One copy of the extension conditions, on masks in the labels of h over the
-# span table of h's closure: ``realize_prime`` runs it on shrinking vertex
-# sets w, the two public functions once with w the whole vertex set.
+# span table of h's closure: ``realize_prime`` runs it on each vertex set of
+# its chain, the two public functions once with w the whole vertex set.
 
 Extension = tuple[str, list[int], int, int, int, int, int]
 
@@ -454,14 +468,24 @@ def realize_prime(h: Hypergraph,
                   _assume_prime: bool = False) -> Tournament | NonRealizabilityWitness:
     """Realize a prime 3-uniform hypergraph or produce a witness.
 
-    Deletes vertices one at a time from a live vertex set W, each time the
-    smallest x for which H[W - x] stays prime, until W has 3 vertices (a
-    single triple, realized by a 3-cycle) or no deletion stays prime (a
-    critical hypergraph, matched by ``realize_critical``).  Then it adds the
-    deleted vertices back in reverse order, extending the tournament one
-    vertex at a time; a failed extension certifies that H[W] is not
-    realizable, and W is the witness.  This builds one closure of h and runs
-    the scan of ``_realize_within`` on it.
+    Grows a chain of prime vertex sets X upward from the first edge through
+    vertex 0, adding one vertex y at a time (the smallest for which H[X + y]
+    stays prime, found by a twin test in O(|X|) mask operations) and
+    extending the tournament by y; a failed extension certifies that
+    H[X + y] is not realizable, and X + y is the witness.  A realizable
+    triple never grows by one vertex (no prime 4-vertex hypergraph is
+    realizable), so growth jumps from the first edge to the first prime
+    5-set containing it, settled by matching T5, U5 and W5.  When growth
+    stalls, an odd input of at least 5 vertices is matched against the
+    T/U/W families of its order, and failing that the input is realized by
+    deleting vertices top-down (see ``_realize_within``).  A witness that
+    holds a 4-set with three or more edges is replaced by the first such
+    4-set.
+
+    A prime realizable hypergraph has exactly two realizations, a
+    tournament and its dual; the one returned is the one in which vertex 0
+    beats vertex 1, whichever path found it.  This builds one closure of h
+    and runs ``_realize_within`` on it.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
@@ -481,14 +505,167 @@ def realize_prime(h: Hypergraph,
 
 
 def _realize_within(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizabilityWitness:
-    """The scan of ``realize_prime`` on H[w], which must be prime, run on
-    the labels of h and a closure ``close`` of h: the successor masks of a
-    realization of H[w] (0 outside w), or a witness in the labels of h.
+    """``realize_prime`` on H[w], which must be prime, run on the labels of
+    h and a closure ``close`` of h: the successor masks of a realization of
+    H[w] (0 outside w), or a witness in the labels of h.
 
-    A primality test reads the pair closures within W - x, the link graph
-    at x is a row of the span table, the extension is written in place and
-    checked against H[W] by mask comparison, and only the critical set is
-    built as a hypergraph of its own.
+    Three paths, the first that settles H[w] wins: upward growth
+    (``_grow``); on a stall, for odd |w| >= 5, a match against the T/U/W
+    families of order |w| (a miss proves nothing, since H[w] need not be
+    critical); and the top-down deletion scan (``_delete_scan``).  The
+    realization is then oriented so that the smallest vertex of w beats the
+    second smallest, taking the dual within w otherwise.  A witness that
+    holds a 4-set with three or more edges gives way to the first such
+    4-set (``_dense_four``), the smallest witness there is, reported as
+    growth reports it on that 4-set.
+    """
+    res = _grow(h, close, w)
+    if res is None:
+        k = w.bit_count()
+        if k % 2 and k >= 5:
+            succ = [0] * h.n
+            if _critical_within(h, w, succ) is None:
+                res = succ
+        if res is None:
+            res = _delete_scan(h, close, w)
+    if isinstance(res, NonRealizabilityWitness):
+        if len(res.vertices) > 4:
+            four = _dense_four(close.spans, as_mask(res.vertices))
+            if four is not None:
+                return _grow(h, close, four)
+        return res
+    first = w & -w
+    second = (w ^ first) & -(w ^ first)
+    if not res[first.bit_length() - 1] & second:
+        for u in iter_bits(w):
+            res[u] = w & ~res[u] & ~(1 << u)
+    return res
+
+
+def _stays_prime(spans: list[list[int]], x: int, y: int) -> bool:
+    """H[x + y] is prime, given that H[x] is prime and y lies outside x.
+
+    A module of H[x + y] meets x in a module of H[x]: the empty set, one
+    vertex or x.  So H[x + y] is prime iff y lies in an edge within x + y
+    (else x is a module) and no {a, y} with a in x is a module, which is to
+    say that a and y lie in no common edge and, for every other v in x, the
+    links of a, v and of y, v agree within x - a.
+    """
+    row_y = spans[y]
+    in_edge = False
+    for a in iter_bits(x):
+        ab = 1 << a
+        if row_y[a] & x & ~ab:
+            in_edge = True
+            continue
+        row_a = spans[a]
+        rest = x & ~ab
+        for v in iter_bits(rest):
+            if (row_y[v] ^ row_a[v]) & rest & ~(1 << v):
+                break
+        else:
+            return False
+    return in_edge
+
+
+def _dense_four(spans: list[list[int]], w: int) -> int | None:
+    """The first 4-set within w that holds three or more edges, or None.
+
+    Such a set is prime and not realizable, since a 4-vertex tournament has
+    at most two 3-cycles.  Two of its edges share a pair {u, v} and the third
+    holds u or v, so it is found from the links of the pairs within w.
+    """
+    for u, v in combinations(bit_list(w), 2):
+        pair = (1 << u) | (1 << v)
+        link = spans[u][v] & w & ~pair
+        if link & (link - 1):
+            for p in iter_bits(link):
+                q = (spans[u][p] | spans[v][p]) & link & ~(1 << p)
+                if q:
+                    return pair | (1 << p) | (q & -q)
+    return None
+
+
+def _grow(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizabilityWitness | None:
+    """Upward growth on H[w]: the successor masks of a realization, a
+    witness, or None when growth stalls.
+
+    The base is the first edge {a, b, c} through the smallest vertex a of
+    w, realized as the 3-cycle a -> b -> c -> a.  Each step adds the
+    smallest y outside the prime set x for which ``_stays_prime`` holds and
+    extends the realization by y.  A triple that grows by one vertex gives
+    a prime 4-set, which the extension rejects; a triple that does not
+    grows to the first prime 5-set containing it, found by pair closures
+    and settled by ``realize_critical``, which is exact on any prime 5-set
+    since every prime 5-vertex tournament is T5, U5 or W5.  Growth stalls
+    when no single vertex extends x (always so on a critical input) or when
+    no prime 5-set contains the base.
+    """
+    spans = close.spans
+    a = (w & -w).bit_length() - 1
+    row = spans[a]
+    pairs = w & ~(1 << a)
+    b = next(v for v in iter_bits(pairs) if row[v] & pairs & ~(1 << v))
+    third = row[b] & pairs & ~(1 << b)
+    c = (third & -third).bit_length() - 1
+    succ = [0] * h.n
+    succ[a], succ[b], succ[c] = 1 << b, 1 << c, 1 << a
+    x = (1 << a) | (1 << b) | (1 << c)
+    while x != w:
+        y = next((y for y in iter_bits(w & ~x) if _stays_prime(spans, x, y)), None)
+        if y is None:
+            if x.bit_count() > 3:
+                return None
+            for p, q in combinations(bit_list(w & ~x), 2):
+                five = x | (1 << p) | (1 << q)
+                if _is_prime_within(close, five):
+                    break
+            else:
+                return None
+            failed = _critical_within(h, five, succ)
+            if failed is not None:
+                return failed
+            x = five
+            continue
+        x |= 1 << y
+        ext = _extension(spans, succ, x, y)
+        if ext[0] != VERDICT_OK:
+            return _extension_witness(x, ext[0])
+        _extend(spans, succ, x, y, ext)
+    return succ
+
+
+def _critical_within(h: Hypergraph, w: int, succ: list[int]) -> NonRealizabilityWitness | None:
+    """Match the prime set w against the critical families with
+    ``realize_critical``, which checks a match against H[w]: write the
+    realization into ``succ``, or return the witness in the labels of h,
+    which proves H[w] not realizable when H[w] is critical or has 5
+    vertices."""
+    labels = bit_list(w)
+    base = realize_critical(h.induced(w), _assume_critical=True)
+    if isinstance(base, NonRealizabilityWitness):
+        return NonRealizabilityWitness((labels[v] for v in base.vertices), base.stage)
+    for j, s in enumerate(base.succ):
+        succ[labels[j]] = sum(1 << labels[k] for k in iter_bits(s))
+    return None
+
+
+def _extension_witness(w: int, verdict: str) -> NonRealizabilityWitness:
+    """The witness of a failed extension onto the prime set w."""
+    m1 = verdict in (VERDICT_ODD_CYCLE, VERDICT_E0)
+    return NonRealizabilityWitness(iter_bits(w), STAGE_EXTENSION_M1 if m1 else STAGE_EXTENSION_M2)
+
+
+def _delete_scan(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizabilityWitness:
+    """The top-down path of ``_realize_within``, taken when growth stalls.
+
+    Deletes vertices one at a time from W, each time the smallest x for
+    which H[W - x] stays prime (read from the pair closures within W - x),
+    until W has 3 vertices (a single triple, realized by a 3-cycle) or no
+    deletion stays prime (a critical set, matched by ``realize_critical``);
+    then adds the deleted vertices back in reverse order, extending the
+    tournament one vertex at a time.  A failed extension certifies that
+    H[W] is not realizable, and W is the witness.
     """
     deleted = []
     while w.bit_count() > 3:
@@ -498,23 +675,18 @@ def _realize_within(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRea
         deleted.append(x)
         w &= ~(1 << x)
     succ = [0] * h.n
-    labels = bit_list(w)
-    if len(labels) == 3:
-        a, b, c = labels
+    if w.bit_count() == 3:
+        a, b, c = iter_bits(w)
         succ[a], succ[b], succ[c] = 1 << b, 1 << c, 1 << a
     else:
-        base = realize_critical(h.induced(w), _assume_critical=True)
-        if isinstance(base, NonRealizabilityWitness):
-            return NonRealizabilityWitness((labels[v] for v in base.vertices), base.stage)
-        for j, s in enumerate(base.succ):
-            succ[labels[j]] = sum(1 << labels[k] for k in iter_bits(s))
+        failed = _critical_within(h, w, succ)
+        if failed is not None:
+            return failed
     for x in reversed(deleted):
         w |= 1 << x
         ext = _extension(close.spans, succ, w, x)
         if ext[0] != VERDICT_OK:
-            m1 = ext[0] in (VERDICT_ODD_CYCLE, VERDICT_E0)
-            return NonRealizabilityWitness(iter_bits(w),
-                                           STAGE_EXTENSION_M1 if m1 else STAGE_EXTENSION_M2)
+            return _extension_witness(w, ext[0])
         _extend(close.spans, succ, w, x, ext)
     return succ
 
@@ -661,8 +833,10 @@ def enumerate_realizations(h: Hypergraph) -> Iterator[Tournament]:
     """All realizations, each exactly once, in mixed-radix choice order.
 
     Tree nodes are visited in preorder; a prime node contributes the stored
-    realization then its dual, an empty node its child permutations in
-    lexicographic order.  Yields nothing when ``h`` is not realizable.
+    realization, in which its first child beats its second (the rule of
+    ``realize_prime``), then its dual, and an empty node its child
+    permutations in lexicographic order.  Yields nothing when ``h`` is not
+    realizable.
 
     Each node is set up once per tree: its child blocks and, for a prime
     node, the parts of both orientations, whose stored base is checked

@@ -1,9 +1,13 @@
+import random
+import re
+from itertools import combinations, permutations
+
 import pytest
 
 from c3realize import (
     Graph, Hypergraph, PreconditionError, Tournament, VertexSet,
     c3_structure, critical_family, dual, induced_subhypergraph,
-    is_linear_order, linear_order,
+    is_linear_order, linear_order, random_tournament,
 )
 
 C3 = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -172,6 +176,58 @@ class TestTournament:
 
     def test_scores(self):
         assert linear_order(4).scores() == [3, 2, 1, 0]
+
+
+def first_bad_pair(succ):
+    """The first pair {i, j}, i < j, without exactly one arc, or None."""
+    n = len(succ)
+    return next(((i, j) for i, j in combinations(range(n), 2)
+                 if (succ[i] >> j) & 1 == (succ[j] >> i) & 1), None)
+
+
+class TestTournamentValidation:
+    """The arc count and the walk over upward arcs give the same verdict,
+    and the same message, as a check of every pair."""
+
+    def check(self, succ):
+        bad = first_bad_pair(succ)
+        if bad is None:
+            assert Tournament(len(succ), succ).succ == tuple(succ)
+        else:
+            with pytest.raises(PreconditionError,
+                               match=re.escape(f"pair {{{bad[0]},{bad[1]}}} must")):
+                Tournament(len(succ), succ)
+
+    def test_every_loopless_digraph_up_to_four_vertices(self):
+        for n in range(5):
+            arcs = list(permutations(range(n), 2))
+            for code in range(1 << len(arcs)):
+                succ = [0] * n
+                for k, (u, v) in enumerate(arcs):
+                    if (code >> k) & 1:
+                        succ[u] |= 1 << v
+                self.check(succ)
+
+    def test_near_tournaments(self):
+        rng = random.Random(81)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(2, 14)
+            succ = list(random_tournament(n, rng).succ)
+            u, v = rng.sample(range(n), 2)
+            if not (succ[u] >> v) & 1:
+                u, v = v, u
+            how = rng.choice(("flipped", "doubled", "dropped"))
+            if how == "flipped":
+                succ[u] ^= 1 << v
+                succ[v] |= 1 << u
+            elif how == "doubled":
+                succ[v] |= 1 << u
+            else:
+                succ[u] ^= 1 << v
+            self.check(succ)
+            seen.add((how, first_bad_pair(succ) is None))
+        assert seen == {("flipped", True), ("doubled", False), ("dropped", False)}
 
 
 class TestGraph:

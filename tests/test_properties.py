@@ -21,7 +21,7 @@ from c3realize import (
     tournament_strong_modules,
 )
 from c3realize.bitset import bit_list, iter_bits
-from c3realize import decomposition
+from c3realize import decomposition, realization
 from c3realize.decomposition import (
     LABEL_COMPLETE, LABEL_EMPTY, LABEL_PRIME, _hypergraph_closure, _is_prime_within,
 )
@@ -644,3 +644,105 @@ class TestC3StructureAgainstTripleScan:
             t = Tournament.from_arcs(n, [(0, 1)] if n == 2 else [])
             assert c3_structure(t) == Hypergraph(n, [])
             self.check(t)
+
+
+class TestOneVertexPrimality:
+    """The twin test ``realization._stays_prime`` against the pair closures
+    within X + y, for every prime X and every y outside it, n <= 9."""
+
+    def test_agrees_with_pair_closures(self):
+        rng = random.Random(65)
+        seen = Counter()
+        for h in three_uniform_inputs(rng, 40, 9):
+            close = _hypergraph_closure(h)
+            full = h.vertex_mask
+            for x in range(full + 1):
+                if x.bit_count() < 3 or not _is_prime_within(close, x):
+                    continue
+                for y in iter_bits(full & ~x):
+                    expected = _is_prime_within(close, x | (1 << y))
+                    assert realization._stays_prime(close.spans, x, y) == expected, (h, x, y)
+                    seen[expected] += 1
+        assert seen[True] and seen[False], seen
+
+
+class TestGrowthAgainstOracle:
+    """``realize_prime`` on random prime 3-uniform inputs with n <= 6 against
+    the exhaustive realization list.  A spy on ``_grow`` sees the growth
+    path, the 4-set witness of a triple grown by one vertex and the stall
+    (which falls back to the deletion scan); a spy on ``_dense_four`` sees a
+    larger witness give way to a 4-set holding three edges."""
+
+    def test_each_path_against_brute_force(self, monkeypatch):
+        grown, shrunk = [], []
+        real_grow, real_four = realization._grow, realization._dense_four
+
+        def grow_spy(h, close, w):
+            res = real_grow(h, close, w)
+            grown.append((w, res))
+            return res
+
+        def four_spy(spans, w):
+            four = real_four(spans, w)
+            shrunk.append((w, four))
+            return four
+
+        monkeypatch.setattr(realization, "_grow", grow_spy)
+        monkeypatch.setattr(realization, "_dense_four", four_spy)
+
+        def path():
+            first = grown[0][1]
+            if first is None:
+                return "stall"
+            if isinstance(first, list):
+                return "grown"
+            return "4-set" if len(first.vertices) == 4 else "witness"
+
+        rng = random.Random(66)
+        quota = Counter({(n, p): 3 for n in (5, 6) for p in ("grown", "4-set", "witness")})
+        quota.update({(6, "stall"): 3, (4, "4-set"): 2, "shrunk": 3})
+        for h in three_uniform_inputs(rng, 1500, 6):
+            if not +quota:
+                break
+            if h.n < 4 or not is_prime(h):
+                continue
+            grown.clear()
+            shrunk.clear()
+            got = realize_prime(h)
+            replaced = [(w, four) for w, four in shrunk if four is not None]
+            key = "shrunk" if replaced else (h.n, path())
+            if quota[key] <= 0:
+                continue
+            quota[key] -= 1
+            if isinstance(got, Tournament):
+                assert got in brute_force_realizations(h), h
+                assert got.has_arc(0, 1), (h, got)
+                continue
+            sub = h.induced(got.vertices)
+            assert is_prime(sub), (h, got)
+            assert brute_force_realizations(sub) == [], (h, got)
+            if replaced:
+                (w, four), = replaced
+                assert four & ~w == 0 and list(iter_bits(four)) == list(got.vertices)
+                assert len(sub.edges) >= 3 and grown[-1][0] == four, (h, got)
+        assert not +quota, quota
+
+
+class TestDenseFour:
+    """``realization._dense_four`` against every 4-subset, n <= 8."""
+
+    def test_finds_a_four_set_with_three_edges_iff_one_exists(self):
+        rng = random.Random(67)
+        seen = Counter()
+        for h in three_uniform_inputs(rng, 60, 8):
+            spans = _hypergraph_closure(h).spans
+            for w in {h.vertex_mask, rng.randint(0, h.vertex_mask)}:
+                dense = [q for q in combinations(iter_bits(w), 4)
+                         if sum(h.has_edge(t) for t in combinations(q, 3)) >= 3]
+                four = realization._dense_four(spans, w)
+                if dense:
+                    assert four is not None and tuple(iter_bits(four)) in dense, (h, w)
+                else:
+                    assert four is None, (h, w)
+                seen[bool(dense)] += 1
+        assert seen[True] and seen[False], seen

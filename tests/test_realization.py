@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import combinations, islice, permutations, product
 from pathlib import Path
 
@@ -604,3 +605,98 @@ class TestOneOutputCheckPerItem:
         monkeypatch.setattr(realization, "_prepare", spoiled)
         with pytest.raises(InvariantError):
             enumerate_realizations(h)
+
+
+def critical_plus_one(kind, m, rng):
+    """The critical tournament of the kind and odd order m with one vertex of
+    random arcs added, randomly relabelled."""
+    succ = list(critical_family(kind, m).succ) + [0]
+    for u in range(m):
+        if rng.random() < 0.5:
+            succ[u] |= 1 << m
+        else:
+            succ[m] |= 1 << u
+    perm = list(range(m + 1))
+    rng.shuffle(perm)
+    return Tournament(m + 1, succ).relabel(perm)
+
+
+class TestUpwardGrowth:
+    """``realize_prime`` grows a prime chain upward; the deletion scan runs
+    only when growth stalls and no critical family matches."""
+
+    def test_closures_per_realize(self, monkeypatch):
+        n = 40
+        calls = []
+        real = decomposition._hypergraph_closure
+
+        def spy(h):
+            close = real(h)
+
+            def counted(*args):
+                calls.append(args)
+                return close(*args)
+
+            counted.spans = close.spans
+            return counted
+
+        monkeypatch.setattr(decomposition, "_hypergraph_closure", spy)
+        monkeypatch.setattr(realization, "_hypergraph_closure", spy)
+        h = c3_structure(random_tournament(n, random.Random(1)))
+        assert isinstance(realize(h), Tournament)
+        assert len(calls) <= n * (n - 1) + 200, len(calls)
+
+    @pytest.mark.parametrize("kind", ["T", "U", "W"])
+    def test_critical_families_matched_before_the_scan(self, monkeypatch, kind):
+        n = 31
+        perm = list(range(n))
+        random.Random(91).shuffle(perm)
+        src = critical_family(kind, n).relabel(perm)
+        h = c3_structure(src)
+        sizes, matched = [], []
+        real_prime, real_match = realization._is_prime_within, realization.realize_critical
+        monkeypatch.setattr(realization, "_is_prime_within",
+                            lambda close, w: sizes.append(w.bit_count()) or real_prime(close, w))
+        monkeypatch.setattr(realization, "realize_critical",
+                            lambda g, **kw: matched.append(g.n) or real_match(g, **kw))
+        t = realize(h)
+        assert t in (src, dual(src)) and t.has_arc(0, 1)
+        assert matched.count(n) == 1
+        assert max(sizes, default=0) <= 5, sizes
+
+    def test_canonical_orientation_on_every_path(self, monkeypatch):
+        # growth on C3 structures of random tournaments, the family match on
+        # relabelled critical tournaments, the deletion scan on critical
+        # tournaments with one vertex added
+        rng = random.Random(92)
+        sources = [random_tournament(rng.randint(5, 12), rng) for _ in range(30)]
+        for kind in "TUW":
+            perm = list(range(9))
+            rng.shuffle(perm)
+            sources.append(critical_family(kind, 9).relabel(perm))
+            sources += [critical_plus_one(kind, m, rng) for m in (7, 9) for _ in range(3)]
+        events = []
+        spies = {name: getattr(realization, name)
+                 for name in ("_grow", "_critical_within", "_delete_scan")}
+
+        def spying(name):
+            def spy(*args):
+                res = spies[name](*args)
+                events.append(name)
+                return res
+            return spy
+
+        for name in spies:
+            monkeypatch.setattr(realization, name, spying(name))
+        paths = Counter()
+        for src in sources:
+            h = c3_structure(src)
+            if not is_prime(h):
+                continue
+            events.clear()
+            got = realize_prime(h)
+            assert got in (src, dual(src)) and got.has_arc(0, 1), src
+            assert realize(h) == got
+            assert next(enumerate_realizations(h)) == got
+            paths[events[-1]] += 1  # the path that settled h
+        assert paths["_grow"] and paths["_critical_within"] and paths["_delete_scan"], paths
