@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits
 from .core import Hypergraph, Tournament, is_linear_order
@@ -367,13 +367,26 @@ def maximal_proper_strong_modules(h: Hypergraph) -> ModularPartition:
     return ModularPartition._of_children(h, blocks)
 
 
-def _quotient_edge_masks(edges: Iterable[int], blocks: tuple[int, ...]) -> frozenset[int]:
+def _quotient_edge_masks(edges: Collection[int], blocks: tuple[int, ...]) -> frozenset[int]:
+    """The sets of two or more blocks that the edges meet.  Every vertex of
+    an edge lies in some block, and is mapped to its block's bit once."""
+    covered = 0
+    for e in edges:
+        covered |= e
+    bit = [0] * covered.bit_length()
+    for i, b in enumerate(blocks):
+        b &= covered
+        while b:
+            low = b & -b
+            bit[low.bit_length() - 1] = 1 << i
+            b ^= low
     out = set()
     for e in edges:
         hit = 0
-        for i, b in enumerate(blocks):
-            if e & b:
-                hit |= 1 << i
+        while e:
+            low = e & -e
+            hit |= bit[low.bit_length() - 1]
+            e ^= low
         if hit.bit_count() >= 2:
             out.add(hit)
     return frozenset(out)

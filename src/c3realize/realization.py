@@ -2,10 +2,10 @@
 
 A tournament realizes a 3-uniform hypergraph when its 3-cycle triples are
 exactly the hypergraph's edges.  The pipeline: build the modular
-decomposition tree, realize each prime quotient (bottoming out in the three
-critical families of odd order, extending vertex by vertex otherwise), pick
-a linear order for each empty quotient, and assemble arcs pairwise at the
-lowest common tree node.  Every choice of quotient realizations gives a
+decomposition tree, realize each prime quotient (growing it from an edge
+by one or two vertices at a time, extending the realization), pick a linear
+order for each empty quotient, and assemble arcs pairwise at the lowest
+common tree node.  Every choice of quotient realizations gives a
 distinct realization and all arise this way, which also yields the count
 ``2^(#prime nodes) * prod(children!)`` over empty-labelled nodes.
 
@@ -18,19 +18,15 @@ is exact because the input is 3-uniform.  So one closure table serves the
 whole input.  The quotient the tree keeps at the node (``TreeNode.quotient``)
 is what a stored realization is checked against.
 
-A prime quotient is realized by growing a chain of prime vertex sets upward,
-one vertex at a time.  A module of H[X + y] meets a prime X in nothing, one
-vertex or X, so whether H[X + y] stays prime is a twin test on y against X
-in O(|X|) mask operations, with no closure.  The realization of H[X] extends
-in at most one way to H[X + y], and a failed extension makes X + y a
-witness.  A realizable triple never grows by one vertex, so the chain starts
-at the first edge and jumps to the first prime 5-set containing it, which
-the T5/U5/W5 match settles.  When no single vertex extends the chain (always
-so on a critical input), an odd quotient is matched against the T/U/W
-families of its order, and failing that it is realized top-down by the
-vertex-deletion scan.  Of the two realizations of a prime quotient, the one
-kept is the one in which its first vertex beats its second, whichever path
-found it.
+A prime quotient is realized on one path, growing a chain of prime vertex
+sets X upward from an edge.  A module of H[X + y] meets the prime X in
+nothing, one vertex or X, so a twin test on y against X in O(|X|) mask
+operations says whether H[X + y] stays prime, and the realization of H[X]
+extends to it in at most one way.  Failing a single vertex, the first pair
+p, q that keeps X prime is added (2-4 closures per pair), trying both
+realizations of H[X + p] that extend the one of H[X].  A failed extension
+makes the set reached a witness.  Of the two realizations of a prime
+quotient, the one kept is the one in which its first vertex beats its second.
 
 Enumeration sets up each node once per tree and checks each stored
 realization there; an item then ORs the chosen parts into successor masks,
@@ -54,6 +50,7 @@ from .errors import InvariantError, PreconditionError
 
 __all__ = [
     "STAGE_BASE", "STAGE_CRITICAL_MISMATCH", "STAGE_EXTENSION_M1", "STAGE_EXTENSION_M2",
+    "STAGE_STALL",
     "VERDICT_OK", "VERDICT_ODD_CYCLE", "VERDICT_E0", "VERDICT_Y_OVERLAP",
     "VERDICT_Y_NOT_COVERING", "VERDICT_M2_ARC",
     "NonRealizabilityWitness", "ExtensionCertificate", "RealizationChoice",
@@ -68,6 +65,7 @@ STAGE_BASE = "base"
 STAGE_CRITICAL_MISMATCH = "critical-mismatch"
 STAGE_EXTENSION_M1 = "extension-M1"
 STAGE_EXTENSION_M2 = "extension-M2"
+STAGE_STALL = "stall"
 
 VERDICT_OK = "ok"
 VERDICT_ODD_CYCLE = "odd-cycle"
@@ -469,23 +467,21 @@ def realize_prime(h: Hypergraph,
     """Realize a prime 3-uniform hypergraph or produce a witness.
 
     Grows a chain of prime vertex sets X upward from the first edge through
-    vertex 0, adding one vertex y at a time (the smallest for which H[X + y]
-    stays prime, found by a twin test in O(|X|) mask operations) and
-    extending the tournament by y; a failed extension certifies that
-    H[X + y] is not realizable, and X + y is the witness.  A realizable
-    triple never grows by one vertex (no prime 4-vertex hypergraph is
-    realizable), so growth jumps from the first edge to the first prime
-    5-set containing it, settled by matching T5, U5 and W5.  When growth
-    stalls, an odd input of at least 5 vertices is matched against the
-    T/U/W families of its order, and failing that the input is realized by
-    deleting vertices top-down (see ``_realize_within``).  A witness that
-    holds a 4-set with three or more edges is replaced by the first such
-    4-set.
+    vertex 0 (see ``_grow``).  A one-vertex step adds the smallest y for
+    which H[X + y] stays prime, found by a twin test in O(|X|) mask
+    operations, and extends the tournament by y.  When there is none, a
+    two-vertex step adds the first pair p, q for which H[X + p + q] is prime
+    and extends each of the two realizations of H[X + p] that agree with the
+    tournament on X by q.  A failed step certifies that the set it reached
+    is not realizable, and that set is the witness (stage ``extension-M1``
+    or ``extension-M2``); when no pair keeps X prime, h is not realizable
+    and all of it is the witness (stage ``stall``).  A witness that holds a
+    4-set with three or more edges is replaced by the first such 4-set.
 
     A prime realizable hypergraph has exactly two realizations, a
     tournament and its dual; the one returned is the one in which vertex 0
-    beats vertex 1, whichever path found it.  This builds one closure of h
-    and runs ``_realize_within`` on it.
+    beats vertex 1.  This builds one closure of h and runs
+    ``_realize_within`` on it.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
@@ -509,25 +505,12 @@ def _realize_within(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRea
     h and a closure ``close`` of h: the successor masks of a realization of
     H[w] (0 outside w), or a witness in the labels of h.
 
-    Three paths, the first that settles H[w] wins: upward growth
-    (``_grow``); on a stall, for odd |w| >= 5, a match against the T/U/W
-    families of order |w| (a miss proves nothing, since H[w] need not be
-    critical); and the top-down deletion scan (``_delete_scan``).  The
-    realization is then oriented so that the smallest vertex of w beats the
-    second smallest, taking the dual within w otherwise.  A witness that
-    holds a 4-set with three or more edges gives way to the first such
-    4-set (``_dense_four``), the smallest witness there is, reported as
-    growth reports it on that 4-set.
+    Growth (``_grow``) settles H[w]; the realization is then oriented so
+    that the smallest vertex of w beats the second smallest.  A witness
+    that holds a 4-set with three or more edges gives way to the first such
+    4-set (``_dense_four``), reported as growth reports it on that 4-set.
     """
     res = _grow(h, close, w)
-    if res is None:
-        k = w.bit_count()
-        if k % 2 and k >= 5:
-            succ = [0] * h.n
-            if _critical_within(h, w, succ) is None:
-                res = succ
-        if res is None:
-            res = _delete_scan(h, close, w)
     if isinstance(res, NonRealizabilityWitness):
         if len(res.vertices) > 4:
             four = _dense_four(close.spans, as_mask(res.vertices))
@@ -542,14 +525,17 @@ def _realize_within(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRea
     return res
 
 
-def _stays_prime(spans: list[list[int]], x: int, y: int) -> bool:
-    """H[x + y] is prime, given that H[x] is prime and y lies outside x.
+def _twin(spans: list[list[int]], x: int, y: int) -> int | None:
+    """How y outside the prime set x joins it: y's twin in x, -1 when y lies
+    in no edge within x + y, or None when H[x + y] is prime.
 
     A module of H[x + y] meets x in a module of H[x]: the empty set, one
-    vertex or x.  So H[x + y] is prime iff y lies in an edge within x + y
-    (else x is a module) and no {a, y} with a in x is a module, which is to
-    say that a and y lie in no common edge and, for every other v in x, the
-    links of a, v and of y, v agree within x - a.
+    vertex or x.  So H[x + y] is not prime iff x is a module (y lies in no
+    edge within x + y) or some {a, y} with a in x is one (a is y's twin: a
+    and y lie in no common edge and, for every other v in x, the links of
+    a, v and of y, v agree within x - a).  A twin is unique, since two
+    would make a 2-set of x a module of H[x]; when x is a module, no a is a
+    twin, since a lies in an edge within x.
     """
     row_y = spans[y]
     in_edge = False
@@ -564,8 +550,8 @@ def _stays_prime(spans: list[list[int]], x: int, y: int) -> bool:
             if (row_y[v] ^ row_a[v]) & rest & ~(1 << v):
                 break
         else:
-            return False
-    return in_edge
+            return a
+    return None if in_edge else -1
 
 
 def _dense_four(spans: list[list[int]], w: int) -> int | None:
@@ -586,20 +572,54 @@ def _dense_four(spans: list[list[int]], w: int) -> int | None:
     return None
 
 
-def _grow(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizabilityWitness | None:
-    """Upward growth on H[w]: the successor masks of a realization, a
-    witness, or None when growth stalls.
+def _pair_keeps_prime(close: Closure, x: int, twins: dict[int, int], p: int, q: int) -> bool:
+    """H[x + p + q] is prime, given that H[x] is prime and that neither
+    H[x + p] nor H[x + q] is (``twins`` maps each to its ``_twin``).
+
+    A module of H[x + p + q] meets x in nothing, one vertex or x.  So a
+    proper one with two or more vertices holds {p, q}, or two vertices of x
+    (and then all of x), or is {a, p} or {a, q} for a in x, which is then a
+    module of H[x + p] or H[x + q], so a is p's or q's twin: 2-4 closures
+    within x + p + q settle it.
+    """
+    z = x | (1 << p) | (1 << q)
+    low = x & -x
+    seeds = [(1 << p) | (1 << q), low | ((x ^ low) & -(x ^ low))]
+    seeds += [(1 << v) | (1 << twins[v]) for v in (p, q) if twins[v] >= 0]
+    return all(close(s, z) == z for s in seeds)
+
+
+def _grow(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizabilityWitness:
+    """Upward growth on H[w]: the successor masks of a realization, or a
+    witness.
 
     The base is the first edge {a, b, c} through the smallest vertex a of
-    w, realized as the 3-cycle a -> b -> c -> a.  Each step adds the
-    smallest y outside the prime set x for which ``_stays_prime`` holds and
-    extends the realization by y.  A triple that grows by one vertex gives
-    a prime 4-set, which the extension rejects; a triple that does not
-    grows to the first prime 5-set containing it, found by pair closures
-    and settled by ``realize_critical``, which is exact on any prime 5-set
-    since every prime 5-vertex tournament is T5, U5 or W5.  Growth stalls
-    when no single vertex extends x (always so on a critical input) or when
-    no prime 5-set contains the base.
+    w, realized as the 3-cycle a -> b -> c -> a.  Each step keeps x prime
+    and a realization of H[x] in ``succ``.  A one-vertex step adds the
+    smallest y for which H[x + y] is prime (``_twin``) and extends the
+    realization by y; a failed extension proves H[x + y] not realizable.
+    Failing that, a two-vertex step takes the first pair p < q for which
+    H[x + p + q] is prime (``_pair_keeps_prime``) and extends by q each of
+    the two realizations of H[x + p] that agree with ``succ`` on x: p
+    copies its twin a and sits just below or just above it, or, when p
+    lies in no edge within x + p, below or above all of x.  These are all,
+    since H[x + p] has the strong modules {a, p} (or x) and singletons.
+    A realization of the prime H[x + p + q], dualized if need be to agree
+    with ``succ`` on x, extends one of them, and ``_extension`` finds it:
+    the link-graph sides and their closures are forced, and the isolated
+    link vertices that neither closure reaches would form, with q, a module
+    of that extension and so of H[x + p + q], so there are none and the
+    verdict is ok.  So when both fail, x + p + q is the witness, with the
+    stage of the second failure.  No prime 4-set is realizable, so a
+    realizable H[w] first grows by a two-vertex step.
+
+    Growth stops short of w (a ``stall``, witnessed by all of w) only when
+    H[w] is not realizable: a realization of the prime H[w] is a prime
+    tournament, whose prime subtournament on x extends to a prime one on x
+    plus one or two outside vertices (Ehrenfeucht and Rozenberg, Theoret.
+    Comput. Sci. 1990; Schmerl and Trotter, Discrete Math. 1993), and the
+    3-cycles of a prime tournament form a prime hypergraph (checked on
+    1,322 random prime tournaments with n <= 10).
     """
     spans = close.spans
     a = (w & -w).bit_length() - 1
@@ -612,83 +632,44 @@ def _grow(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizability
     succ[a], succ[b], succ[c] = 1 << b, 1 << c, 1 << a
     x = (1 << a) | (1 << b) | (1 << c)
     while x != w:
-        y = next((y for y in iter_bits(w & ~x) if _stays_prime(spans, x, y)), None)
-        if y is None:
-            if x.bit_count() > 3:
-                return None
-            for p, q in combinations(bit_list(w & ~x), 2):
-                five = x | (1 << p) | (1 << q)
-                if _is_prime_within(close, five):
-                    break
-            else:
-                return None
-            failed = _critical_within(h, five, succ)
-            if failed is not None:
-                return failed
-            x = five
-            continue
-        x |= 1 << y
-        ext = _extension(spans, succ, x, y)
-        if ext[0] != VERDICT_OK:
-            return _extension_witness(x, ext[0])
-        _extend(spans, succ, x, y, ext)
+        outside = bit_list(w & ~x)
+        twins = {}
+        for y in outside:
+            twins[y] = _twin(spans, x, y)
+            if twins[y] is None:
+                z, q, trials = x | (1 << y), y, [succ]
+                break
+        else:
+            pair = next(((p, q) for p, q in combinations(outside, 2)
+                         if _pair_keeps_prime(close, x, twins, p, q)), None)
+            if pair is None:
+                return NonRealizabilityWitness(iter_bits(w), STAGE_STALL)
+            p, q = pair
+            z = x | (1 << p) | (1 << q)
+            twin = twins[p]
+            beaten, mid = (0, x) if twin < 0 else (succ[twin], 1 << twin)
+            trials = []
+            for out in (beaten, beaten | mid):
+                trial = succ[:]
+                trial[p] = out
+                for v in iter_bits(x & ~out):
+                    trial[v] |= 1 << p
+                trials.append(trial)
+        for trial in trials:
+            ext = _extension(spans, trial, z, q)
+            if ext[0] == VERDICT_OK:
+                break
+        else:
+            return _extension_witness(z, ext[0])
+        _extend(spans, trial, z, q, ext)
+        succ, x = trial, z
     return succ
-
-
-def _critical_within(h: Hypergraph, w: int, succ: list[int]) -> NonRealizabilityWitness | None:
-    """Match the prime set w against the critical families with
-    ``realize_critical``, which checks a match against H[w]: write the
-    realization into ``succ``, or return the witness in the labels of h,
-    which proves H[w] not realizable when H[w] is critical or has 5
-    vertices."""
-    labels = bit_list(w)
-    base = realize_critical(h.induced(w), _assume_critical=True)
-    if isinstance(base, NonRealizabilityWitness):
-        return NonRealizabilityWitness((labels[v] for v in base.vertices), base.stage)
-    for j, s in enumerate(base.succ):
-        succ[labels[j]] = sum(1 << labels[k] for k in iter_bits(s))
-    return None
 
 
 def _extension_witness(w: int, verdict: str) -> NonRealizabilityWitness:
     """The witness of a failed extension onto the prime set w."""
     m1 = verdict in (VERDICT_ODD_CYCLE, VERDICT_E0)
     return NonRealizabilityWitness(iter_bits(w), STAGE_EXTENSION_M1 if m1 else STAGE_EXTENSION_M2)
-
-
-def _delete_scan(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizabilityWitness:
-    """The top-down path of ``_realize_within``, taken when growth stalls.
-
-    Deletes vertices one at a time from W, each time the smallest x for
-    which H[W - x] stays prime (read from the pair closures within W - x),
-    until W has 3 vertices (a single triple, realized by a 3-cycle) or no
-    deletion stays prime (a critical set, matched by ``realize_critical``);
-    then adds the deleted vertices back in reverse order, extending the
-    tournament one vertex at a time.  A failed extension certifies that
-    H[W] is not realizable, and W is the witness.
-    """
-    deleted = []
-    while w.bit_count() > 3:
-        x = next((x for x in iter_bits(w) if _is_prime_within(close, w & ~(1 << x))), None)
-        if x is None:
-            break
-        deleted.append(x)
-        w &= ~(1 << x)
-    succ = [0] * h.n
-    if w.bit_count() == 3:
-        a, b, c = iter_bits(w)
-        succ[a], succ[b], succ[c] = 1 << b, 1 << c, 1 << a
-    else:
-        failed = _critical_within(h, w, succ)
-        if failed is not None:
-            return failed
-    for x in reversed(deleted):
-        w |= 1 << x
-        ext = _extension(close.spans, succ, w, x)
-        if ext[0] != VERDICT_OK:
-            return _extension_witness(w, ext[0])
-        _extend(close.spans, succ, w, x, ext)
-    return succ
 
 
 # --- whole-hypergraph pipeline ---------------------------------------------------

@@ -20,7 +20,7 @@ from c3realize import (
     tournament_is_prime, tournament_modules, tournament_pi, tournament_quotient,
     tournament_strong_modules,
 )
-from c3realize.bitset import bit_list, iter_bits
+from c3realize.bitset import as_mask, bit_list, iter_bits
 from c3realize import decomposition, realization
 from c3realize.decomposition import (
     LABEL_COMPLETE, LABEL_EMPTY, LABEL_PRIME, _hypergraph_closure, _is_prime_within,
@@ -647,8 +647,8 @@ class TestC3StructureAgainstTripleScan:
 
 
 class TestOneVertexPrimality:
-    """The twin test ``realization._stays_prime`` against the pair closures
-    within X + y, for every prime X and every y outside it, n <= 9."""
+    """The classifier ``realization._twin`` against the pair closures within
+    X + y, for every prime X and every y outside it, n <= 9."""
 
     def test_agrees_with_pair_closures(self):
         rng = random.Random(65)
@@ -660,8 +660,38 @@ class TestOneVertexPrimality:
                 if x.bit_count() < 3 or not _is_prime_within(close, x):
                     continue
                 for y in iter_bits(full & ~x):
-                    expected = _is_prime_within(close, x | (1 << y))
-                    assert realization._stays_prime(close.spans, x, y) == expected, (h, x, y)
+                    z = x | (1 << y)
+                    twin = realization._twin(close.spans, x, y)
+                    assert (twin is None) == _is_prime_within(close, z), (h, x, y)
+                    if twin == -1:
+                        assert close(x, z) == x, (h, x, y)
+                    elif twin is not None:
+                        pair = (1 << twin) | (1 << y)
+                        assert twin in iter_bits(x) and close(pair, z) == pair, (h, x, y)
+                    seen["prime" if twin is None else "module" if twin < 0 else "twin"] += 1
+        assert seen["prime"] and seen["module"] and seen["twin"], seen
+
+
+class TestTwoVertexPrimality:
+    """``realization._pair_keeps_prime`` against the pair closures within
+    X + p + q, for every prime X and every pair p, q outside it that no
+    single vertex keeps prime, n <= 8."""
+
+    def test_agrees_with_pair_closures(self):
+        rng = random.Random(68)
+        seen = Counter()
+        for h in three_uniform_inputs(rng, 150, 8):
+            close = _hypergraph_closure(h)
+            full = h.vertex_mask
+            for x in range(full + 1):
+                if x.bit_count() < 3 or not _is_prime_within(close, x):
+                    continue
+                twins = {y: realization._twin(close.spans, x, y) for y in iter_bits(full & ~x)}
+                stalled = [y for y, twin in twins.items() if twin is not None]
+                for p, q in combinations(stalled, 2):
+                    expected = _is_prime_within(close, x | (1 << p) | (1 << q))
+                    got = realization._pair_keeps_prime(close, x, twins, p, q)
+                    assert got == expected, (h, x, p, q)
                     seen[expected] += 1
         assert seen[True] and seen[False], seen
 
@@ -670,12 +700,15 @@ class TestGrowthAgainstOracle:
     """``realize_prime`` on random prime 3-uniform inputs with n <= 6 against
     the exhaustive realization list.  A spy on ``_grow`` sees the growth
     path, the 4-set witness of a triple grown by one vertex and the stall
-    (which falls back to the deletion scan); a spy on ``_dense_four`` sees a
-    larger witness give way to a 4-set holding three edges."""
+    (no pair keeps the base prime); a spy on ``_pair_keeps_prime`` sees a
+    two-vertex step end in a realization and in a witness; a spy on
+    ``_dense_four`` sees a larger witness give way to a 4-set holding three
+    edges."""
 
     def test_each_path_against_brute_force(self, monkeypatch):
-        grown, shrunk = [], []
+        grown, shrunk, steps = [], [], []
         real_grow, real_four = realization._grow, realization._dense_four
+        real_pair = realization._pair_keeps_prime
 
         def grow_spy(h, close, w):
             res = real_grow(h, close, w)
@@ -687,20 +720,37 @@ class TestGrowthAgainstOracle:
             shrunk.append((w, four))
             return four
 
+        def pair_spy(close, x, twins, p, q):
+            kept = real_pair(close, x, twins, p, q)
+            if kept:
+                steps.append(x | (1 << p) | (1 << q))
+            return kept
+
         monkeypatch.setattr(realization, "_grow", grow_spy)
         monkeypatch.setattr(realization, "_dense_four", four_spy)
+        monkeypatch.setattr(realization, "_pair_keeps_prime", pair_spy)
 
         def path():
             first = grown[0][1]
-            if first is None:
-                return "stall"
             if isinstance(first, list):
                 return "grown"
+            if first.stage == "stall":
+                return "stall"
             return "4-set" if len(first.vertices) == 4 else "witness"
+
+        def two_step():
+            first = grown[0][1]
+            if not steps:
+                return None
+            if isinstance(first, list):
+                return "two-step realization"
+            return "two-step witness" if as_mask(first.vertices) == steps[-1] else None
 
         rng = random.Random(66)
         quota = Counter({(n, p): 3 for n in (5, 6) for p in ("grown", "4-set", "witness")})
         quota.update({(6, "stall"): 3, (4, "4-set"): 2, "shrunk": 3})
+        quota.update({(n, p): 3 for n in (5, 6)
+                      for p in ("two-step realization", "two-step witness")})
         for h in three_uniform_inputs(rng, 1500, 6):
             if not +quota:
                 break
@@ -708,12 +758,16 @@ class TestGrowthAgainstOracle:
                 continue
             grown.clear()
             shrunk.clear()
+            steps.clear()
             got = realize_prime(h)
             replaced = [(w, four) for w, four in shrunk if four is not None]
-            key = "shrunk" if replaced else (h.n, path())
-            if quota[key] <= 0:
+            keys = ["shrunk"] if replaced else [(h.n, path())]
+            if not replaced and two_step():
+                keys.append((h.n, two_step()))
+            if all(quota[key] <= 0 for key in keys):
                 continue
-            quota[key] -= 1
+            for key in keys:
+                quota[key] -= 1
             if isinstance(got, Tournament):
                 assert got in brute_force_realizations(h), h
                 assert got.has_arc(0, 1), (h, got)
@@ -745,4 +799,33 @@ class TestDenseFour:
                 else:
                     assert four is None, (h, w)
                 seen[bool(dense)] += 1
+        assert seen[True] and seen[False], seen
+
+
+class TestExhaustiveSmallOrders:
+    """Every C3 structure of every tournament with n <= 6 is realized and
+    counted once per source tournament, and each 3-uniform hypergraph on 5
+    vertices is realized or gives a prime witness that has no realization."""
+
+    def test_every_small_input(self):
+        sources = Counter()
+        for n in range(1, 7):
+            for t in all_tournaments(n):
+                sources[c3_structure(t)] += 1
+        assert len(sources) == 8786
+        for h, k in sources.items():
+            t = realize(h)
+            assert isinstance(t, Tournament) and c3_structure(t) == h, h
+            assert count_realizations(h) == k, h
+        triples = list(combinations(range(5), 3))
+        seen = Counter()
+        for code in range(1 << len(triples)):
+            h = Hypergraph(5, [e for i, e in enumerate(triples) if (code >> i) & 1])
+            got = realize(h)
+            if isinstance(got, Tournament):
+                assert c3_structure(got) == h and h in sources, h
+            else:
+                sub = h.induced(got.vertices)
+                assert h not in sources and is_prime(sub) and sub not in sources, (h, got)
+            seen[isinstance(got, Tournament)] += 1
         assert seen[True] and seen[False], seen

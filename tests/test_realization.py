@@ -622,8 +622,9 @@ def critical_plus_one(kind, m, rng):
 
 
 class TestUpwardGrowth:
-    """``realize_prime`` grows a prime chain upward; the deletion scan runs
-    only when growth stalls and no critical family matches."""
+    """``realize_prime`` grows a prime chain upward by one or two vertices
+    at a time, the one path for every prime node: no critical-family match
+    and no deletion scan."""
 
     def test_closures_per_realize(self, monkeypatch):
         n = 40
@@ -661,13 +662,49 @@ class TestUpwardGrowth:
                             lambda g, **kw: matched.append(g.n) or real_match(g, **kw))
         t = realize(h)
         assert t in (src, dual(src)) and t.has_arc(0, 1)
-        assert matched.count(n) == 1
+        assert matched == []  # growth by two-vertex steps settles the family
         assert max(sizes, default=0) <= 5, sizes
 
+    @pytest.mark.parametrize("kind", ["T", "U", "W"])
+    def test_closures_per_realize_critical_plus_one(self, monkeypatch, kind):
+        # a critical tournament of order 31 with one vertex added: one
+        # two-vertex step after another, with no deletion scan behind them
+        calls = []
+        real = decomposition._hypergraph_closure
+
+        def spy(h):
+            close = real(h)
+
+            def counted(*args):
+                calls.append(args)
+                return close(*args)
+
+            counted.spans = close.spans
+            return counted
+
+        monkeypatch.setattr(decomposition, "_hypergraph_closure", spy)
+        monkeypatch.setattr(realization, "_hypergraph_closure", spy)
+        src = critical_plus_one(kind, 31, random.Random(93))
+        h = c3_structure(src)
+        n = h.n
+        t = realize(h)
+        assert t in (src, dual(src)) and t.has_arc(0, 1)
+        assert len(calls) <= n * (n - 1) + 200, len(calls)
+
+    def test_stall_witness(self):
+        # no vertex and no pair keeps the base triple {0, 1, 5} prime
+        h = Hypergraph(6, [[0, 1, 5], [0, 2, 3], [1, 2, 5], [1, 3, 5], [2, 3, 4]])
+        assert is_prime(h)
+        got = realize_prime(h)
+        assert isinstance(got, NonRealizabilityWitness)
+        assert got.vertices == tuple(range(6)) and got.stage == "stall"
+        assert brute_force_realizations(h) == []
+
     def test_canonical_orientation_on_every_path(self, monkeypatch):
-        # growth on C3 structures of random tournaments, the family match on
-        # relabelled critical tournaments, the deletion scan on critical
-        # tournaments with one vertex added
+        # growth on C3 structures of random tournaments (one two-vertex step,
+        # from the base triple), on relabelled critical tournaments and on
+        # critical tournaments with one vertex added (two-vertex steps from
+        # larger sets)
         rng = random.Random(92)
         sources = [random_tournament(rng.randint(5, 12), rng) for _ in range(30)]
         for kind in "TUW":
@@ -675,28 +712,25 @@ class TestUpwardGrowth:
             rng.shuffle(perm)
             sources.append(critical_family(kind, 9).relabel(perm))
             sources += [critical_plus_one(kind, m, rng) for m in (7, 9) for _ in range(3)]
-        events = []
-        spies = {name: getattr(realization, name)
-                 for name in ("_grow", "_critical_within", "_delete_scan")}
+        steps = []
+        real_pair = realization._pair_keeps_prime
 
-        def spying(name):
-            def spy(*args):
-                res = spies[name](*args)
-                events.append(name)
-                return res
-            return spy
+        def spy(close, x, twins, p, q):
+            kept = real_pair(close, x, twins, p, q)
+            if kept:
+                steps.append(x.bit_count())
+            return kept
 
-        for name in spies:
-            monkeypatch.setattr(realization, name, spying(name))
+        monkeypatch.setattr(realization, "_pair_keeps_prime", spy)
         paths = Counter()
         for src in sources:
             h = c3_structure(src)
             if not is_prime(h):
                 continue
-            events.clear()
+            steps.clear()
             got = realize_prime(h)
+            paths["from larger sets" if max(steps) > 3 else "from the base"] += 1
             assert got in (src, dual(src)) and got.has_arc(0, 1), src
             assert realize(h) == got
             assert next(enumerate_realizations(h)) == got
-            paths[events[-1]] += 1  # the path that settled h
-        assert paths["_grow"] and paths["_critical_within"] and paths["_delete_scan"], paths
+        assert paths["from the base"] and paths["from larger sets"], paths
