@@ -8,8 +8,9 @@ trees come from one closure engine (after Ehrenfeucht, Gabow, McConnell &
 Sullivan, J. Algorithms 1994, and McConnell & de Montgolfier, 2005): each
 structure supplies the smallest module containing a set, and the engine
 reads the rest from the closures of vertex pairs, in polynomial time.  One
-bottom-up pass over the strong modules, smallest first, gives every node its
-children (``_children``) and builds the tree; each internal node keeps the
+sweep over the distinct pair closures, smallest first, finds every strong
+module and its children (``_children``) with no comparison of two closures,
+and the tree is built bottom-up from it; each internal node keeps the
 quotient its label was read from, and the tree keeps the closure it was read
 from, so later stages rebuild neither.  On 3-uniform input a prime label is
 re-checked within the node's transverse on that closure, the realization of
@@ -212,14 +213,11 @@ def _tournament_closure(t: Tournament) -> Closure:
     return close
 
 
-def _pair_closures(n: int, close: Closure) -> Iterator[int]:
-    return (close((1 << x) | (1 << y)) for x, y in combinations(range(n), 2))
-
-
 def _is_prime_by(n: int, close: Closure) -> bool:
     """At least 3 vertices, and every vertex pair closes to the whole set."""
     full = full_mask(n)
-    return n >= 3 and all(c == full for c in _pair_closures(n, close))
+    return n >= 3 and all(close((1 << x) | (1 << y)) == full
+                          for x, y in combinations(range(n), 2))
 
 
 def _is_prime_within(close: Closure, w: int) -> bool:
@@ -229,44 +227,42 @@ def _is_prime_within(close: Closure, w: int) -> bool:
         close((1 << x) | (1 << y), w) == w for x, y in combinations(bit_list(w), 2))
 
 
-def _strong_nodes(n: int, close: Closure) -> set[int]:
-    """The nonempty strong modules, which are the decomposition tree's nodes.
-
-    A pair closure that overlaps no other pair closure is strong: a module
-    it overlapped would contain a pair whose closure overlaps it.  Every
-    other pair closure is a union of children of a node whose quotient is
-    degenerate (empty, complete or linear) with three or more children; the
-    closures of that node's pairs are overlap-connected, and one of them
-    together with those it overlaps covers the node.  Singletons and the
-    whole set complete the list.
-    """
-    closures = set(_pair_closures(n, close))
-    nodes = {1 << v for v in range(n)} | {full_mask(n)}
-    for c in closures:
-        node = c
-        for d in closures:
-            if c & d and c & ~d and d & ~c:
-                node |= d
-        nodes.add(node)
-    return nodes
-
-
 def _children(n: int, close: Closure) -> dict[int, list[int]]:
-    """Each strong module's children (its maximal proper strong modules, by
-    smallest vertex), smallest module first.  Strong modules nest or are
-    disjoint, so a module's children are the current tops of its vertices."""
+    """Each nonempty strong module's children (its maximal proper strong
+    modules, by smallest vertex), every child before its parent.
+
+    A pair closure is a strong module, or a union of two or more (not all)
+    children of a node whose quotient is degenerate (empty, complete or
+    linear); no strong module overlaps a module; and a node of two or more
+    vertices is itself a pair closure unless it is degenerate with three or
+    more children, which its smaller closures join.  So the distinct pair
+    closures, smallest first, are swept once, keeping ``top[v]``, the
+    largest node built so far that contains v; the tops partition the
+    vertex set.  A closure inside the top of its smallest vertex adds
+    nothing.  Otherwise each top it meets becomes a child of a new node,
+    except a top that sticks out of it: that top is a union of children of
+    a degenerate node, so it stops being a node and the new node takes its
+    children.  When the sweep ends, each such union has grown to its whole
+    node and the only top is the whole set.
+    """
     out: dict[int, list[int]] = {1 << v: [] for v in range(n)}
-    tops = {v: 1 << v for v in range(n)}
-    for m in sorted(_strong_nodes(n, close) - out.keys(), key=int.bit_count):
-        blocks, rest = [], m
+    top = [1 << v for v in range(n)]
+    closures = {close((1 << x) | (1 << y)) for x, y in combinations(range(n), 2)}
+    for c in sorted(closures, key=int.bit_count):
+        if c & ~top[_lowest(c)] == 0:
+            continue
+        node, blocks, rest = c, [], c
         while rest:
-            b = tops.pop(_lowest(rest), -1)  # -1, every bit, fails the check below
-            if b & ~m:
-                raise InvariantError("maximal proper strong modules must partition their parent")
-            blocks.append(b)
-            rest &= ~b
-        tops[_lowest(m)] = m
-        out[m] = blocks
+            t = top[_lowest(rest)]
+            if t & ~c:
+                node |= t
+                blocks += out.pop(t)
+            else:
+                blocks.append(t)
+            rest &= ~t
+        out[node] = sorted(blocks, key=_lowest)
+        for v in iter_bits(node):
+            top[v] = node
     return out
 
 
@@ -292,7 +288,7 @@ def is_strong_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
 
 def strong_modules(h: Hypergraph) -> frozenset[VertexSet]:
     """All strong modules of ``h`` (the tree nodes, plus the empty set)."""
-    return frozenset(VertexSet(m) for m in _strong_nodes(h.n, _hypergraph_closure(h)) | {0})
+    return frozenset(VertexSet(m) for m in _children(h.n, _hypergraph_closure(h)).keys() | {0})
 
 
 def is_prime(h: Hypergraph) -> bool:
@@ -333,8 +329,9 @@ class ModularPartition:
 
     @classmethod
     def _of_children(cls, host: Hypergraph | Tournament, blocks: list[int]) -> "ModularPartition":
-        """The engine's own children of the root, already sorted and
-        checked to partition it by ``_children``; not re-tested as modules."""
+        """The engine's own children of the root, already sorted, and a
+        partition of it as ``_children`` builds them; not re-tested as
+        modules."""
         p = object.__new__(cls)
         object.__setattr__(p, "host", host)
         object.__setattr__(p, "blocks", tuple(VertexSet(b) for b in blocks))
@@ -602,7 +599,7 @@ def tournament_modules(t: Tournament, bound: int = DEFAULT_BOUND) -> frozenset[V
 
 
 def tournament_strong_modules(t: Tournament) -> frozenset[VertexSet]:
-    return frozenset(VertexSet(m) for m in _strong_nodes(t.n, _tournament_closure(t)) | {0})
+    return frozenset(VertexSet(m) for m in _children(t.n, _tournament_closure(t)).keys() | {0})
 
 
 def tournament_is_prime(t: Tournament) -> bool:

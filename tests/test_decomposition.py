@@ -1,8 +1,13 @@
+import time
+from itertools import combinations
+from math import factorial
+
 import pytest
 
 from c3realize import (
-    CapacityError, Hypergraph, ModularPartition, PreconditionError, Tournament,
-    VertexSet, c3_structure, components, critical_family, decomposition_tree,
+    CapacityError, Hypergraph, InvariantError, ModularPartition, PreconditionError,
+    Tournament, VertexSet, c3_structure, components, count_realizations,
+    critical_family, decomposition, decomposition_tree,
     enumerate_modules, enumerate_usual_modules, is_module, is_prime,
     is_strong_module, is_usual_module, linear_order,
     maximal_proper_strong_modules, module_violation, quotient,
@@ -305,3 +310,62 @@ class TestTournamentTree:
     def test_json_uses_word_labels(self):
         got = tournament_decomposition_tree(linear_order(2)).to_json()
         assert got["label"] == "linear"
+
+
+def flat(n, label):
+    """The JSON of a root over n leaves."""
+    return {"module": list(range(n)), "label": label,
+            "children": [{"module": [v], "label": None, "children": []} for v in range(n)]}
+
+
+class TestWideNodes:
+    """Empty, complete and linear nodes with many children.  The pair closures
+    of such a node are about k^2/2 distinct sets, which a comparison of every
+    closure with every other would pay for in O(k^4)."""
+
+    def test_empty_root_over_200_leaves(self):
+        start = time.perf_counter()
+        tree = decomposition_tree(Hypergraph(200, []))
+        assert time.perf_counter() - start < 3
+        assert tree.to_json() == flat(200, "◯")
+
+    def test_complete_2_uniform_on_60(self):
+        tree = decomposition_tree(Hypergraph(60, combinations(range(60), 2)))
+        assert tree.to_json() == flat(60, "●")
+
+    def test_linear_order_100(self):
+        start = time.perf_counter()
+        tree = tournament_decomposition_tree(linear_order(100))
+        assert time.perf_counter() - start < 3
+        assert tree.to_json() == flat(100, "linear")
+
+    def test_linear_order_of_40_three_cycles(self):
+        k = 40
+        arcs = [(3 * i + a, 3 * i + (a + 1) % 3) for i in range(k) for a in range(3)]
+        arcs += [(u, v) for u in range(3 * k) for v in range(3 * (u // 3 + 1), 3 * k)]
+        t = Tournament.from_arcs(3 * k, arcs)
+        h = c3_structure(t)
+        blocks = [[3 * i, 3 * i + 1, 3 * i + 2] for i in range(k)]
+        tree = decomposition_tree(h)
+        assert tree.root.label == LABEL_EMPTY
+        assert [list(c.members) for c in tree.root.children] == blocks
+        assert all(c.label == LABEL_PRIME and len(c.children) == 3 for c in tree.root.children)
+        ttree = tournament_decomposition_tree(t)
+        assert ttree.root.label == LABEL_LINEAR
+        assert [list(c.members) for c in ttree.root.children] == blocks
+        assert count_realizations(h) == factorial(k) * 2 ** k
+
+
+class TestLabelGuard:
+    """With closures that return their argument every pair looks like a
+    module, the sweep puts every vertex under one root, and only the prime
+    label's re-check can notice."""
+
+    def test_broken_closures_raise(self, monkeypatch):
+        monkeypatch.setattr(decomposition, "_hypergraph_closure", lambda h: lambda s, w=0: s)
+        monkeypatch.setattr(decomposition, "_tournament_closure", lambda t: lambda s: s)
+        t = critical_family("T", 5)
+        with pytest.raises(InvariantError, match="must be prime"):
+            decomposition_tree(c3_structure(t))
+        with pytest.raises(InvariantError, match="linear or prime"):
+            tournament_decomposition_tree(t)

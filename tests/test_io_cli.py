@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -102,6 +103,18 @@ class TestCli:
                                stdin='{"n": 3, "edges": []}', monkeypatch=monkeypatch)
         assert code == 0
         assert out.strip() == "6"
+
+    def test_wide_empty_inputs(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, "decompose", "-", stdin='{"n": 200, "edges": []}',
+                               monkeypatch=monkeypatch)
+        assert code == 0
+        tree = json.loads(out)
+        assert tree["module"] == list(range(200))
+        assert [c["module"] for c in tree["children"]] == [[v] for v in range(200)]
+        code, out, _ = run_cli(capsys, "count", "-", stdin='{"n": 30, "edges": []}',
+                               monkeypatch=monkeypatch)
+        assert code == 0
+        assert out.strip() == str(math.factorial(30))
 
     def test_realize_not_realizable_exits_3(self, capsys, monkeypatch):
         stdin = '{"n":4,"edges":[[0,1,2],[0,1,3],[0,2,3],[1,2,3]]}'

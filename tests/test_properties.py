@@ -390,6 +390,46 @@ def planted_tournament(n, rng):
     return Tournament(n, succ)
 
 
+def random_prime_hypergraph(k, rng):
+    """A random mixed-size hypergraph on k vertices whose only modules, listed
+    by brute force, are the trivial ones."""
+    while True:
+        h = random_hypergraph(k, rng)
+        if len(modules_within(h, h.vertex_mask)) == k + 2:
+            return h
+
+
+def planted_hypergraph(n, rng):
+    """A hypergraph built by substitution: an empty, complete (2-edges) or
+    prime quotient on k >= 2 vertices whose vertices are replaced by planted
+    blocks, or a random hypergraph; vertices are shuffled at the end.  Each
+    quotient edge becomes every edge taking one vertex from each of its
+    blocks, so every block is a module."""
+    if n <= 2 or rng.random() < 0.25:
+        return random_hypergraph(n, rng)
+    kind = rng.choice(("empty", "complete", "prime"))
+    if kind == "prime":
+        primes = [Hypergraph(3, [[0, 1, 2]]),
+                  random_prime_hypergraph(rng.randint(3, min(n, 5)), rng)]
+        if n >= 5:
+            primes.append(c3_structure(critical_family("T", 5)))
+        q = rng.choice(primes)
+    else:
+        k = rng.randint(2, n)
+        q = Hypergraph(k, list(combinations(range(k), 2)) if kind == "complete" else [])
+    sizes = [1] * q.n
+    for _ in range(n - q.n):
+        sizes[rng.randrange(q.n)] += 1
+    order = list(range(n))
+    rng.shuffle(order)
+    members = [[order.pop() for _ in range(s)] for s in sizes]
+    edges = [[members[i][v] for v in bit_list(e)]
+             for i, s in enumerate(sizes) for e in planted_hypergraph(s, rng).edges]
+    for e in q.edges:
+        edges += product(*(members[i] for i in bit_list(e)))
+    return Hypergraph(n, edges)
+
+
 class TestEngineAgainstOracle:
     """The closure engine against brute-force module listings, n <= 8."""
 
@@ -428,6 +468,24 @@ class TestEngineAgainstOracle:
             t = planted_tournament(rng.randint(2, 8), rng)
             self.check_tournament(t)
             self.check_hypergraph(c3_structure(t), rng)
+
+    def test_planted_hypergraph_substitutions(self):
+        """Empty, complete and prime quotients nested either way, with mixed
+        edge sizes: wide complete nodes are rare among random hypergraphs."""
+        rng = random.Random(34)
+        wide, nested, mixed = Counter(), Counter(), 0
+        for _ in range(500):
+            h = planted_hypergraph(rng.randint(2, 8), rng)
+            self.check_hypergraph(h, rng)
+            mixed += len({e.bit_count() for e in h.edges}) > 1
+            for node in decomposition_tree(h).internal_nodes():
+                wide[node.label] += len(node.children) >= 3
+                for child in node.children:
+                    if not child.is_leaf:
+                        nested[node.label == LABEL_PRIME, child.label == LABEL_PRIME] += 1
+        assert min(wide[LABEL_EMPTY], wide[LABEL_COMPLETE], wide[LABEL_PRIME]) >= 20, wide
+        assert nested[True, False] >= 20 and nested[False, True] >= 20, nested
+        assert mixed >= 100
 
 
 def three_uniform_inputs(rng, count, max_n):
