@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from .errors import PreconditionError
+
 
 class VertexSet(int):
     """An int bit mask that behaves like a read-only set of vertex indices."""
@@ -45,11 +47,17 @@ class VertexSet(int):
 
 
 def as_mask(vertices: int | Iterable[int]) -> int:
-    """Coerce an int mask or an iterable of vertex indices to an int mask."""
+    """Coerce an int mask or an iterable of vertex indices to an int mask;
+    a negative mask or index raises ``PreconditionError`` (a negative mask
+    has infinitely many set bits)."""
     if isinstance(vertices, int):
+        if vertices < 0:
+            raise PreconditionError(f"negative vertex mask {vertices}")
         return vertices
     m = 0
     for v in vertices:
+        if v < 0:
+            raise PreconditionError(f"negative vertex index {v}")
         m |= 1 << v
     return m
 

@@ -100,13 +100,20 @@ def induced_subhypergraph(h: Hypergraph, vertices: int | Iterable[int]) -> Hyper
     if w & ~h.vertex_mask:
         raise PreconditionError(
             f"subset {bit_list(w)} not within 0..{h.n - 1}")
-    old = bit_list(w)
-    new_of_old = {v: i for i, v in enumerate(old)}
+    bit = [0] * w.bit_length()
+    for i, v in enumerate(iter_bits(w)):
+        bit[v] = 1 << i
+    outside = ~w
     kept = []
     for e in h.edges:
-        if e & ~w == 0:
-            kept.append(sum(1 << new_of_old[v] for v in iter_bits(e)))
-    return Hypergraph._from_masks(len(old), frozenset(kept))
+        if not e & outside:
+            m = 0
+            while e:
+                low = e & -e
+                m |= bit[low.bit_length() - 1]
+                e ^= low
+            kept.append(m)
+    return Hypergraph._from_masks(w.bit_count(), frozenset(kept))
 
 
 class Tournament:

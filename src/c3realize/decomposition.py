@@ -10,12 +10,17 @@ structure supplies the smallest module containing a set, and the engine
 reads the rest from the closures of vertex pairs, in polynomial time.  One
 sweep over the distinct pair closures, smallest first, finds every strong
 module and its children (``_children``) with no comparison of two closures,
-and the tree is built bottom-up from it; each internal node keeps the
-quotient its label was read from, and the tree keeps the closure it was read
-from, so later stages rebuild neither.  On 3-uniform input a prime label is
-re-checked within the node's transverse on that closure, the realization of
-a prime quotient reads the same tables, and an input needs one closure
-table.  Only ``enumerate_modules``, ``enumerate_usual_modules`` and
+and ``_tree`` builds the tree bottom-up from it for both kinds.  A node's
+quotient, like that of any modular partition (``quotient``), is the
+structure induced on its transverse, the smallest vertex of each block: an
+edge that meets two or more blocks meets each in one vertex and stays an
+edge when each is swapped for its block's smallest, and the arcs between
+two blocks all point one way.  Each internal node keeps its quotient and
+the tree keeps the closure it was read from, so later stages rebuild
+neither.  On 3-uniform input a prime label is re-checked within the node's
+transverse on that closure, the realization of a prime quotient reads the
+same tables, and an input needs one closure table.  Only
+``enumerate_modules``, ``enumerate_usual_modules`` and
 ``tournament_modules`` list modules by brute force over vertex subsets,
 because their output can have 2^n members; they alone take a ``bound``
 (``DEFAULT_BOUND``).
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import combinations
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits
 from .core import Hypergraph, Tournament, is_linear_order
@@ -266,17 +271,22 @@ def _children(n: int, close: Closure) -> dict[int, list[int]]:
     return out
 
 
-def _tree(n: int, close: Closure,
-          label: Callable[[int, list[int]], tuple[str, Hypergraph | Tournament]],
+def _tree(host: Hypergraph | Tournament, close: Closure,
+          label: Callable[[Hypergraph | Tournament, int], str],
           kind: str) -> DecompositionTree:
-    """The inclusion tree of the strong modules, built bottom-up; ``label``
-    gives each internal node's label and quotient, and the tree keeps
-    ``close``."""
+    """The inclusion tree of the strong modules, built bottom-up.  Each
+    internal node's quotient is the structure induced on its transverse (the
+    smallest vertex of each child), ``label(quotient, transverse)`` names
+    it, and the tree keeps ``close``."""
     built: dict[int, TreeNode] = {}
-    for m, blocks in _children(n, close).items():
-        name, q = label(m, blocks) if blocks else (None, None)
+    for m, blocks in _children(host.n, close).items():
+        name = q = None
+        if blocks:
+            transverse = sum(b & -b for b in blocks)
+            q = host.induced(transverse)
+            name = label(q, transverse)
         built[m] = TreeNode(m, name, tuple(built.pop(b) for b in blocks), q)
-    return DecompositionTree(built[full_mask(n)], n, kind, close)
+    return DecompositionTree(built[full_mask(host.n)], host.n, kind, close)
 
 
 def is_strong_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
@@ -356,49 +366,31 @@ class ModularPartition:
         return f"ModularPartition({[bit_list(b) for b in self.blocks]})"
 
 
-def maximal_proper_strong_modules(h: Hypergraph) -> ModularPartition:
-    """The partition into maximal proper strong modules."""
-    if h.n < 2:
+def maximal_proper_strong_modules(host: Hypergraph | Tournament) -> ModularPartition:
+    """The partition of a hypergraph or a tournament into maximal proper
+    strong modules."""
+    if host.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    blocks = _children(h.n, _hypergraph_closure(h))[full_mask(h.n)]
-    return ModularPartition._of_children(h, blocks)
+    close = (_tournament_closure(host) if isinstance(host, Tournament)
+             else _hypergraph_closure(host))
+    return ModularPartition._of_children(host, _children(host.n, close)[full_mask(host.n)])
 
 
-def _quotient_edge_masks(edges: Collection[int], blocks: tuple[int, ...]) -> frozenset[int]:
-    """The sets of two or more blocks that the edges meet.  Every vertex of
-    an edge lies in some block, and is mapped to its block's bit once."""
-    covered = 0
-    for e in edges:
-        covered |= e
-    bit = [0] * covered.bit_length()
-    for i, b in enumerate(blocks):
-        b &= covered
-        while b:
-            low = b & -b
-            bit[low.bit_length() - 1] = 1 << i
-            b ^= low
-    out = set()
-    for e in edges:
-        hit = 0
-        while e:
-            low = e & -e
-            hit |= bit[low.bit_length() - 1]
-            e ^= low
-        if hit.bit_count() >= 2:
-            out.add(hit)
-    return frozenset(out)
+def quotient(host: Hypergraph | Tournament,
+             partition: ModularPartition) -> Hypergraph | Tournament:
+    """The quotient of a hypergraph or a tournament by a modular partition:
+    the structure induced on the smallest vertex of each block.  Blocks are
+    kept by smallest vertex, so block i becomes vertex i.
 
-
-def quotient(h: Hypergraph, partition: ModularPartition) -> Hypergraph:
-    """The quotient hypergraph on the partition blocks.
-
-    Block i of the partition becomes vertex i; a set of blocks is an edge
-    iff some edge of ``h`` meets exactly those blocks (and at least two).
+    For a hypergraph this is the rule "a set of two or more blocks is an
+    edge iff some edge meets exactly those blocks": an edge that meets two
+    or more blocks meets each of them in exactly one vertex, and swapping
+    each of those vertices for its block's smallest keeps it an edge.  For
+    a tournament any representatives give the same arcs between blocks.
     """
-    if not isinstance(partition, ModularPartition) or partition.host is not h:
-        partition = ModularPartition(h, list(partition))
-    blocks = tuple(int(b) for b in partition.blocks)
-    return Hypergraph._from_masks(len(blocks), _quotient_edge_masks(h.edges, blocks))
+    if not isinstance(partition, ModularPartition) or partition.host is not host:
+        partition = ModularPartition(host, list(partition))
+    return host.induced(sum(b & -b for b in partition.blocks))
 
 
 def components(h: Hypergraph) -> list[VertexSet]:
@@ -429,7 +421,8 @@ def components(h: Hypergraph) -> list[VertexSet]:
 
 class TreeNode:
     """A strong module with its children and, when internal, a quotient label
-    and the quotient (vertex i is child i; leaves hold None)."""
+    and the quotient: the structure induced on the smallest vertex of each
+    child, so vertex i is child i (leaves hold None)."""
 
     __slots__ = ("members", "label", "children", "quotient")
 
@@ -543,27 +536,22 @@ def _dot_lines(node: TreeNode, display: Callable[[str], str], lines: list[str],
     return free
 
 
-def _hypergraph_label(h: Hypergraph, close: Closure, w: int,
-                      blocks: list[int]) -> tuple[str, Hypergraph]:
-    """The label of the node w and its quotient.  A prime label is checked
-    once more: on 3-uniform input the quotient is H[transverse] (the
-    smallest vertex of each block), so ``close`` answers within the
-    transverse; other input builds the quotient's own closure."""
-    qedges = _quotient_edge_masks([e for e in h.edges if e & ~w == 0], tuple(blocks))
-    q = Hypergraph._from_masks(len(blocks), qedges)
-    if not qedges:
-        return LABEL_EMPTY, q
-    if qedges == {(1 << i) | (1 << j) for i, j in combinations(range(q.n), 2)}:
-        # a 3-edge meeting >= 2 blocks meets each exactly once, so the
-        # quotient of a 3-uniform hypergraph has no 2-edges
+def _hypergraph_label(h: Hypergraph, close: Closure, q: Hypergraph, transverse: int) -> str:
+    """The label of the node with quotient q on ``transverse``.  A prime
+    label is checked once more: on 3-uniform input q is H[transverse], so
+    ``close`` answers within the transverse; other input builds the
+    quotient's own closure."""
+    if not q.edges:
+        return LABEL_EMPTY
+    if q.edges == {(1 << i) | (1 << j) for i, j in combinations(range(q.n), 2)}:
+        # the quotient of a 3-uniform hypergraph is 3-uniform
         if h.is_3_uniform:
             raise InvariantError("complete label unreachable for 3-uniform input")
-        return LABEL_COMPLETE, q
-    prime = (_is_prime_within(close, sum(b & -b for b in blocks)) if h.is_3_uniform
-             else is_prime(q))
+        return LABEL_COMPLETE
+    prime = _is_prime_within(close, transverse) if h.is_3_uniform else is_prime(q)
     if not prime:
         raise InvariantError("quotient by maximal proper strong modules must be prime")
-    return LABEL_PRIME, q
+    return LABEL_PRIME
 
 
 def decomposition_tree(h: Hypergraph) -> DecompositionTree:
@@ -571,7 +559,7 @@ def decomposition_tree(h: Hypergraph) -> DecompositionTree:
     if h.n < 1:
         raise PreconditionError("need at least 1 vertex")
     close = _hypergraph_closure(h)
-    return _tree(h.n, close, partial(_hypergraph_label, h, close), "hypergraph")
+    return _tree(h, close, partial(_hypergraph_label, h, close), "hypergraph")
 
 
 def smallest_strong_module_containing(h: Hypergraph,
@@ -606,36 +594,21 @@ def tournament_is_prime(t: Tournament) -> bool:
     return _is_prime_by(t.n, _tournament_closure(t))
 
 
-def tournament_pi(t: Tournament) -> ModularPartition:
-    if t.n < 2:
-        raise PreconditionError("need at least 2 vertices")
-    blocks = _children(t.n, _tournament_closure(t))[full_mask(t.n)]
-    return ModularPartition._of_children(t, blocks)
+tournament_pi = maximal_proper_strong_modules
+tournament_quotient = quotient
 
 
-def tournament_quotient(t: Tournament, partition: ModularPartition) -> Tournament:
-    """Quotient tournament on the blocks (arc direction via any representatives).
-
-    The smallest vertex of each block represents it; blocks are in canonical
-    order, so the induced subtournament lists them in block order.
-    """
-    if not isinstance(partition, ModularPartition) or partition.host is not t:
-        partition = ModularPartition(t, list(partition))
-    return t.induced(sum(int(b) & -int(b) for b in partition.blocks))
-
-
-def _tournament_label(t: Tournament, w: int, blocks: list[int]) -> tuple[str, Tournament]:
-    q = t.induced(sum(b & -b for b in blocks))
+def _tournament_label(q: Tournament, transverse: int) -> str:
     if is_linear_order(q):
-        return LABEL_LINEAR, q
+        return LABEL_LINEAR
     if not tournament_is_prime(q):
         raise InvariantError(
             "tournament quotient by maximal strong modules must be linear or prime")
-    return LABEL_PRIME, q
+    return LABEL_PRIME
 
 
 def tournament_decomposition_tree(t: Tournament) -> DecompositionTree:
     """Labeled decomposition tree of a tournament (labels: linear or prime)."""
     if t.n < 1:
         raise PreconditionError("need at least 1 vertex")
-    return _tree(t.n, _tournament_closure(t), partial(_tournament_label, t), "tournament")
+    return _tree(t, _tournament_closure(t), _tournament_label, "tournament")

@@ -330,41 +330,47 @@ def _extension(spans: list[list[int]], succ: list[int], w: int, x: int) -> Exten
 
 
 def _extend(spans: list[list[int]], succ: list[int], w: int, x: int,
-            ext: Extension) -> None:
+            ext: Extension, new: int) -> None:
     """Write an accepted extension into ``succ``, where x beats the minus
     sides and loses to the plus sides, and check that the result realizes
-    H[w]."""
+    H[w], given that it realizes H[w - new]."""
     _, _, _, x_minus, x_plus, y_minus, y_plus = ext
     succ[x] = x_minus | y_minus
     for z in iter_bits(x_plus | y_plus):
         succ[z] |= 1 << x
-    if not _realizes_within(spans, succ, w):
+    if not _realizes_within(spans, succ, w, new):
         raise InvariantError("extension produced a tournament that does not realize the input")
 
 
-def _realizes_within(spans: list[list[int]], succ: list[int], w: int) -> bool:
+def _realizes_within(spans: list[list[int]], succ: list[int], w: int, new: int) -> bool:
     """True iff ``succ`` holds a tournament on w whose 3-cycles are exactly
-    the edges within w.
+    the edges within w, given that it holds one on w - new whose 3-cycles
+    are the edges within w - new (and no arc from there leaves w).
 
-    For an arc u -> v, the triple {u, v, z} is a 3-cycle iff v -> z -> u,
-    so the condition is that ``succ[v] & pred_w(u)`` is the link of u and v
-    within w for every arc; it takes O(|w|^2) mask operations and, with the
-    count of arcs, is the same test as ``c3_structure(t) == H[w]``.
+    Each pair {u, v} of w that meets ``new`` is checked once: it has
+    exactly one arc, and for an arc u -> v the triple {u, v, z} is a
+    3-cycle iff v -> z -> u, so ``succ[v] & pred_w(u)`` must be the link of
+    u and v within w.  That takes O(|new| |w|) mask operations; with new = w
+    it is the same test as ``c3_structure(t) == H[w]``.
     """
-    arcs = 0
-    for u in iter_bits(w):
-        out = succ[u]
+    done = 0
+    for u in iter_bits(new):
         ub = 1 << u
-        if out & ~w or out & ub:
+        done |= ub
+        rest = w & ~ub
+        out = succ[u]
+        if out & ~rest:
             return False
-        pred = w & ~out & ~ub
         row = spans[u]
-        for v in iter_bits(out):
-            if succ[v] & ub or succ[v] & pred != row[v] & w & ~(ub | 1 << v):
+        for v in iter_bits(w & ~done):
+            sv = succ[v]
+            if not (out >> v ^ sv >> u) & 1:  # no arc or two arcs
                 return False
-        arcs += out.bit_count()
-    k = w.bit_count()
-    return arcs == k * (k - 1) // 2
+            # the z that close a 3-cycle with u and v: v -> u -> z or u -> v -> z
+            cycles = out & ~sv if sv & ub else sv & rest & ~out
+            if cycles != row[v] & rest & ~(1 << v):
+                return False
+    return True
 
 
 def _extension_at(h: Hypergraph, x: int, t_x: Tournament,
@@ -426,7 +432,8 @@ def extend_realization(h: Hypergraph, x: int, t_x: Tournament,
     spans, succ, ext = _extension_at(h, x, t_x, _verified)
     if ext[0] != VERDICT_OK:
         return _certificate(x, ext)
-    _extend(spans, succ, full_mask(h.n), x, ext)
+    full = full_mask(h.n)
+    _extend(spans, succ, full, x, ext, full)
     return Tournament._from_succ(h.n, tuple(succ))
 
 
@@ -611,7 +618,10 @@ def _grow(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizability
     of that extension and so of H[x + p + q], so there are none and the
     verdict is ok.  So when both fail, x + p + q is the witness, with the
     stage of the second failure.  No prime 4-set is realizable, so a
-    realizable H[w] first grows by a two-vertex step.
+    realizable H[w] first grows by a two-vertex step.  Each step checks the
+    result only at the pairs that meet the vertices it adds, in O(|x|) mask
+    operations, and the first step at the base triple too, so every pair of
+    w is checked once.
 
     Growth stops short of w (a ``stall``, witnessed by all of w) only when
     H[w] is not realizable: a realization of the prime H[w] is a prime
@@ -630,7 +640,7 @@ def _grow(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizability
     c = (third & -third).bit_length() - 1
     succ = [0] * h.n
     succ[a], succ[b], succ[c] = 1 << b, 1 << c, 1 << a
-    x = (1 << a) | (1 << b) | (1 << c)
+    base = x = (1 << a) | (1 << b) | (1 << c)
     while x != w:
         outside = bit_list(w & ~x)
         twins = {}
@@ -661,7 +671,7 @@ def _grow(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizability
                 break
         else:
             return _extension_witness(z, ext[0])
-        _extend(spans, trial, z, q, ext)
+        _extend(spans, trial, z, q, ext, z if x == base else z & ~x)
         succ, x = trial, z
     return succ
 

@@ -50,6 +50,10 @@ class TestHypergraph:
         with pytest.raises(PreconditionError):
             Hypergraph(3, [[0, 3]])
 
+    def test_negative_index_is_named(self):
+        with pytest.raises(PreconditionError, match="negative vertex index -1"):
+            Hypergraph(3, [[-1, 0]])
+
     def test_equality_is_edge_set_equality(self):
         assert Hypergraph(3, [[0, 1, 2]]) == Hypergraph(3, [[0, 1, 2]])
         assert Hypergraph(3, []) != Hypergraph(4, [])

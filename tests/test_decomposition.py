@@ -38,6 +38,14 @@ class TestIsModule:
     def test_swappable_pair(self):
         assert is_module(H4, [2, 3])
 
+    def test_negative_index_is_named(self):
+        with pytest.raises(PreconditionError, match="negative vertex index -1"):
+            is_module(H4, [-1])
+        with pytest.raises(PreconditionError, match="negative vertex mask -1"):
+            is_module(H4, -1)
+        with pytest.raises(PreconditionError, match="negative vertex mask -2"):
+            H4.induced(-2)
+
     def test_violation_edge_reported(self):
         h = Hypergraph(5, [[0, 1, p] for p in (2, 3, 4)])
         assert module_violation(h, [0, 1]) == vs(0, 1, 2)

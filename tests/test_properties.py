@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from c3realize import (
-    Hypergraph, ModularPartition, Tournament, all_tournaments,
+    Hypergraph, ModularPartition, PreconditionError, Tournament, all_tournaments,
     brute_force_realizations, c3_structure, check_covering_axioms,
     check_partitive, components, count_realizations, critical_family,
     decomposition_tree, dual, enumerate_modules, enumerate_realizations,
@@ -214,6 +214,39 @@ class TestQuotientTransfer:
                 assert all((e & b).bit_count() == 1 for b in hit)
                 for combo in product(*[bit_list(b) for b in hit]):
                     assert h.has_edge(combo), (h, combo)
+
+    def test_partitions_drawn_at_random(self):
+        """``quotient`` induces on the transverse of any modular partition,
+        not only the engine's: it equals the block sets that the edges
+        meet, and ``tournament_quotient`` the arcs between blocks."""
+        rng = random.Random(24)
+        split = 0
+        for _ in range(200):
+            t = planted_tournament(rng.randint(1, 8), rng)
+            for h in (planted_hypergraph(rng.randint(1, 8), rng), c3_structure(t)):
+                p = random_modular_partition(h, rng)
+                blocks = [int(b) for b in p.blocks]
+                met = set()
+                for e in h.edges:
+                    hit = sum(1 << i for i, b in enumerate(blocks) if e & b)
+                    if hit.bit_count() >= 2:
+                        met.add(hit)
+                assert quotient(h, p) == Hypergraph(len(blocks), met), (h, p)
+                assert quotient(h, [bit_list(b) for b in blocks]) == quotient(h, p)
+                split += 1 < len(blocks) < h.n
+            mods = [m for m in tournament_modules(t) if 1 < len(m) < t.n]
+            if mods and rng.random() < 0.7:
+                m = int(rng.choice(sorted(mods)))
+                blocks = [m] + [1 << v for v in range(t.n) if not (m >> v) & 1]
+            else:
+                blocks = [1 << v for v in range(t.n)]
+            blocks.sort(key=lambda b: b & -b)
+            arcs = [(i, j) for i, a in enumerate(blocks) for j, b in enumerate(blocks)
+                    if i != j and all(t.succ[u] & b == b for u in iter_bits(a))]
+            expected = Tournament.from_arcs(len(blocks), arcs)
+            assert tournament_quotient(t, ModularPartition(t, blocks)) == expected, t
+            split += 1 < len(blocks) < t.n
+        assert split >= 150, split
 
 
 class TestGallaiClassification:
@@ -838,6 +871,83 @@ class TestGrowthAgainstOracle:
                 assert four & ~w == 0 and list(iter_bits(four)) == list(got.vertices)
                 assert len(sub.edges) >= 3 and grown[-1][0] == four, (h, got)
         assert not +quota, quota
+
+
+class TestStepChecks:
+    """Each growth step checks its realization only at the pairs that meet
+    the vertices it adds."""
+
+    def test_restricted_check_against_the_constructor(self):
+        # arcs flipped, doubled or dropped only at pairs meeting ``new``:
+        # the rest still realizes its own 3-cycles
+        rng = random.Random(67)
+        verdicts = Counter()
+        for _ in range(3000):
+            n = rng.randint(2, 9)
+            t = random_tournament(n, rng)
+            h = c3_structure(t)
+            full = h.vertex_mask
+            new = rng.randint(1, full)
+            succ = list(t.succ)
+            for _ in range(rng.randrange(3)):
+                u = rng.choice(bit_list(new))
+                v = rng.choice([v for v in range(n) if v != u])
+                op = rng.randrange(3)
+                if op == 0:
+                    succ[u] ^= 1 << v
+                    succ[v] ^= 1 << u
+                elif op == 1:
+                    succ[u] |= 1 << v
+                    succ[v] |= 1 << u
+                else:
+                    succ[u] &= ~(1 << v)
+                    succ[v] &= ~(1 << u)
+            try:
+                expected = c3_structure(Tournament(n, succ)) == h
+            except PreconditionError:
+                expected = False
+            spans = _hypergraph_closure(h).spans
+            assert realization._realizes_within(spans, succ, full, new) == expected, (h, succ, new)
+            verdicts[expected] += 1
+        assert min(verdicts.values()) >= 500, verdicts
+
+    def test_each_grown_vertex_checked_once(self, monkeypatch):
+        # during ``realize``, the ``new`` masks of one prime node's steps
+        # are disjoint, cover the set grown so far and end at its transverse
+        runs = []
+        real_grow, real_check = realization._grow, realization._realizes_within
+
+        def grow_spy(h, close, w):
+            runs.append([])
+            return real_grow(h, close, w)
+
+        def check_spy(spans, succ, w, new):
+            runs[-1].append((w, new))
+            return real_check(spans, succ, w, new)
+
+        monkeypatch.setattr(realization, "_grow", grow_spy)
+        monkeypatch.setattr(realization, "_realizes_within", check_spy)
+        rng = random.Random(68)
+        grown = 0
+        for _ in range(80):
+            h = c3_structure(planted_tournament(rng.randint(4, 16), rng))
+            runs.clear()
+            assert isinstance(realize(h), Tournament)
+            primes = [sum(c.members & -c.members for c in node.children)
+                      for node in decomposition_tree(h).internal_nodes()
+                      if node.label == LABEL_PRIME]
+            assert len(runs) == len(primes)
+            covered = []
+            for calls in runs:
+                seen = 0
+                for w, new in calls:
+                    assert new & seen == 0 and seen | new == w, (h, calls)
+                    seen = w
+                covered.append(seen)
+            assert sorted(c for c in covered if c) == sorted(t for t in primes
+                                                            if t.bit_count() > 3)
+            grown += sum(t.bit_count() > 3 for t in primes)
+        assert grown >= 40, grown
 
 
 class TestDenseFour:
