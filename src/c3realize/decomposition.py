@@ -17,9 +17,10 @@ edge that meets two or more blocks meets each in one vertex and stays an
 edge when each is swapped for its block's smallest, and the arcs between
 two blocks all point one way.  Each internal node keeps its quotient and
 the tree keeps the closure it was read from, so later stages rebuild
-neither.  On 3-uniform input a prime label is re-checked within the node's
-transverse on that closure, the realization of a prime quotient reads the
-same tables, and an input needs one closure table.  Only
+neither.  The sweep counts how many vertex pairs close to each set, and a
+node's prime label is confirmed from that count, so each tree closes each
+pair once; on 3-uniform input the realization of a prime quotient reads
+the same tables, and an input needs one closure table.  Only
 ``enumerate_modules``, ``enumerate_usual_modules`` and
 ``tournament_modules`` list modules by brute force over vertex subsets,
 because their output can have 2^n members; they alone take a ``bound``
@@ -28,6 +29,7 @@ because their output can have 2^n members; they alone take a ``bound``
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
@@ -232,9 +234,10 @@ def _is_prime_within(close: Closure, w: int) -> bool:
         close((1 << x) | (1 << y), w) == w for x, y in combinations(bit_list(w), 2))
 
 
-def _children(n: int, close: Closure) -> dict[int, list[int]]:
+def _children(n: int, close: Closure) -> tuple[dict[int, list[int]], Counter[int]]:
     """Each nonempty strong module's children (its maximal proper strong
-    modules, by smallest vertex), every child before its parent.
+    modules, by smallest vertex), every child before its parent, and
+    ``hits``: ``hits[c]`` is the number of vertex pairs whose closure is c.
 
     A pair closure is a strong module, or a union of two or more (not all)
     children of a node whose quotient is degenerate (empty, complete or
@@ -252,8 +255,8 @@ def _children(n: int, close: Closure) -> dict[int, list[int]]:
     """
     out: dict[int, list[int]] = {1 << v: [] for v in range(n)}
     top = [1 << v for v in range(n)]
-    closures = {close((1 << x) | (1 << y)) for x, y in combinations(range(n), 2)}
-    for c in sorted(closures, key=int.bit_count):
+    hits = Counter(close((1 << x) | (1 << y)) for x, y in combinations(range(n), 2))
+    for c in sorted(hits, key=int.bit_count):
         if c & ~top[_lowest(c)] == 0:
             continue
         node, blocks, rest = c, [], c
@@ -268,25 +271,39 @@ def _children(n: int, close: Closure) -> dict[int, list[int]]:
         out[node] = sorted(blocks, key=_lowest)
         for v in iter_bits(node):
             top[v] = node
-    return out
+    return out, hits
 
 
 def _tree(host: Hypergraph | Tournament, close: Closure,
-          label: Callable[[Hypergraph | Tournament, int], str],
+          label: Callable[[Hypergraph | Tournament, bool], str],
           kind: str) -> DecompositionTree:
     """The inclusion tree of the strong modules, built bottom-up.  Each
     internal node's quotient is the structure induced on its transverse (the
-    smallest vertex of each child), ``label(quotient, transverse)`` names
-    it, and the tree keeps ``close``."""
+    smallest vertex of each child), the host itself when that is every
+    vertex; ``label(quotient, prime)`` names it, and the tree keeps
+    ``close``.
+
+    A node m with k >= 3 children c_1..c_k has a prime quotient iff each of
+    the (|m|^2 - sum |c_i|^2) / 2 pairs that cross two children closes to
+    m, which the sweep's ``hits[m]`` counts: a pair inside one child closes
+    within that child, and a pair that leaves m closes to a set that is not
+    m, so only crossing pairs close to m.  A crossing pair closes, within
+    the module m, to a module that meets two strong children, so it holds
+    them and overlaps none: a union of children, which is a module of the
+    quotient.  So the count falls short exactly when the quotient has a
+    nontrivial module, since two of its vertices close within it."""
+    children, hits = _children(host.n, close)
+    full = full_mask(host.n)
     built: dict[int, TreeNode] = {}
-    for m, blocks in _children(host.n, close).items():
+    for m, blocks in children.items():
         name = q = None
         if blocks:
             transverse = sum(b & -b for b in blocks)
-            q = host.induced(transverse)
-            name = label(q, transverse)
+            q = host if transverse == full else host.induced(transverse)
+            crossing = (m.bit_count() ** 2 - sum(b.bit_count() ** 2 for b in blocks)) // 2
+            name = label(q, len(blocks) >= 3 and hits[m] == crossing)
         built[m] = TreeNode(m, name, tuple(built.pop(b) for b in blocks), q)
-    return DecompositionTree(built[full_mask(host.n)], host.n, kind, close)
+    return DecompositionTree(built[full], host.n, kind, close)
 
 
 def is_strong_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
@@ -298,7 +315,7 @@ def is_strong_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
 
 def strong_modules(h: Hypergraph) -> frozenset[VertexSet]:
     """All strong modules of ``h`` (the tree nodes, plus the empty set)."""
-    return frozenset(VertexSet(m) for m in _children(h.n, _hypergraph_closure(h)).keys() | {0})
+    return frozenset(VertexSet(m) for m in _children(h.n, _hypergraph_closure(h))[0].keys() | {0})
 
 
 def is_prime(h: Hypergraph) -> bool:
@@ -373,7 +390,7 @@ def maximal_proper_strong_modules(host: Hypergraph | Tournament) -> ModularParti
         raise PreconditionError("need at least 2 vertices")
     close = (_tournament_closure(host) if isinstance(host, Tournament)
              else _hypergraph_closure(host))
-    return ModularPartition._of_children(host, _children(host.n, close)[full_mask(host.n)])
+    return ModularPartition._of_children(host, _children(host.n, close)[0][full_mask(host.n)])
 
 
 def quotient(host: Hypergraph | Tournament,
@@ -536,11 +553,9 @@ def _dot_lines(node: TreeNode, display: Callable[[str], str], lines: list[str],
     return free
 
 
-def _hypergraph_label(h: Hypergraph, close: Closure, q: Hypergraph, transverse: int) -> str:
-    """The label of the node with quotient q on ``transverse``.  A prime
-    label is checked once more: on 3-uniform input q is H[transverse], so
-    ``close`` answers within the transverse; other input builds the
-    quotient's own closure."""
+def _hypergraph_label(h: Hypergraph, q: Hypergraph, prime: bool) -> str:
+    """The label of a node of h with quotient q, given whether the sweep's
+    closure count found q prime (see ``_tree``)."""
     if not q.edges:
         return LABEL_EMPTY
     if q.edges == {(1 << i) | (1 << j) for i, j in combinations(range(q.n), 2)}:
@@ -548,7 +563,6 @@ def _hypergraph_label(h: Hypergraph, close: Closure, q: Hypergraph, transverse: 
         if h.is_3_uniform:
             raise InvariantError("complete label unreachable for 3-uniform input")
         return LABEL_COMPLETE
-    prime = _is_prime_within(close, transverse) if h.is_3_uniform else is_prime(q)
     if not prime:
         raise InvariantError("quotient by maximal proper strong modules must be prime")
     return LABEL_PRIME
@@ -558,8 +572,7 @@ def decomposition_tree(h: Hypergraph) -> DecompositionTree:
     """The full labeled modular decomposition tree of ``h``."""
     if h.n < 1:
         raise PreconditionError("need at least 1 vertex")
-    close = _hypergraph_closure(h)
-    return _tree(h, close, partial(_hypergraph_label, h, close), "hypergraph")
+    return _tree(h, _hypergraph_closure(h), partial(_hypergraph_label, h), "hypergraph")
 
 
 def smallest_strong_module_containing(h: Hypergraph,
@@ -587,7 +600,7 @@ def tournament_modules(t: Tournament, bound: int = DEFAULT_BOUND) -> frozenset[V
 
 
 def tournament_strong_modules(t: Tournament) -> frozenset[VertexSet]:
-    return frozenset(VertexSet(m) for m in _children(t.n, _tournament_closure(t)).keys() | {0})
+    return frozenset(VertexSet(m) for m in _children(t.n, _tournament_closure(t))[0].keys() | {0})
 
 
 def tournament_is_prime(t: Tournament) -> bool:
@@ -598,10 +611,10 @@ tournament_pi = maximal_proper_strong_modules
 tournament_quotient = quotient
 
 
-def _tournament_label(q: Tournament, transverse: int) -> str:
+def _tournament_label(q: Tournament, prime: bool) -> str:
     if is_linear_order(q):
         return LABEL_LINEAR
-    if not tournament_is_prime(q):
+    if not prime:
         raise InvariantError(
             "tournament quotient by maximal strong modules must be linear or prime")
     return LABEL_PRIME

@@ -15,8 +15,10 @@ tree was read from (``decomposition._hypergraph_closure``), within the
 transverse and in the input's labels: each vertex set on the way is a mask
 read through that closure's span table, not a hypergraph of its own, which
 is exact because the input is 3-uniform.  So one closure table serves the
-whole input.  The quotient the tree keeps at the node (``TreeNode.quotient``)
-is what a stored realization is checked against.
+whole input.  Each growth step checks the realization at the vertices it
+adds (``_realizes_within``), so ``realize`` assembles its own bases as they
+are; a caller's bases reach ``choice_to_tournament``, which checks each
+against the quotient the tree keeps at its node (``TreeNode.quotient``).
 
 A prime quotient is realized on one path, growing a chain of prime vertex
 sets X upward from an edge.  A module of H[X + y] meets the prime X in
@@ -763,10 +765,17 @@ def choice_to_tournament(h: Hypergraph, tree: DecompositionTree,
     by the chosen linear order (empty label) or quotient realization (prime
     label) between their child blocks: each node contributes its parts, and
     ``_assemble`` ORs them into the successor masks and builds the
-    tournament with the validating constructor.  A stored quotient
+    tournament with the validating constructor.  Each stored quotient
     realization is checked against the quotient the tree keeps at its node,
-    so ``tree`` must be ``decomposition_tree(h)``.
+    so ``tree`` must be ``decomposition_tree(h)``; ``realize`` assembles the
+    ones it grew without this check, since each growth step checked them.
     """
+    return _choice_tournament(h, tree, choice, True)
+
+
+def _choice_tournament(h: Hypergraph, tree: DecompositionTree,
+                       choice: RealizationChoice, check_bases: bool) -> Tournament:
+    """``choice_to_tournament``, checking the stored bases iff ``check_bases``."""
     if tree.n != h.n or int(tree.root.members) != full_mask(h.n):
         raise PreconditionError("tree does not match the hypergraph")
     chosen = []
@@ -786,7 +795,7 @@ def choice_to_tournament(h: Hypergraph, tree: DecompositionTree,
             if base is None or flag is None or base.n != k:
                 raise PreconditionError(
                     f"choice needs a quotient realization at node {bit_list(key)}")
-            if c3_structure(base) != node.quotient:
+            if check_bases and c3_structure(base) != node.quotient:
                 raise PreconditionError(
                     f"stored tournament does not realize the quotient at node {bit_list(key)}")
             chosen.append(_prime_parts(blocks, base.dual() if flag else base))
@@ -808,7 +817,8 @@ def realize(h: Hypergraph) -> Tournament | NonRealizabilityWitness:
     if isinstance(prep, NonRealizabilityWitness):
         return prep
     tree, prime_base = prep
-    return _checked(choice_to_tournament(h, tree, default_choice(tree, prime_base)), h, "assembly")
+    chosen = _choice_tournament(h, tree, default_choice(tree, prime_base), False)
+    return _checked(chosen, h, "assembly")
 
 
 def count_realizations(h: Hypergraph) -> int:

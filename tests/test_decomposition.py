@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import combinations
 from math import factorial
@@ -10,8 +11,8 @@ from c3realize import (
     critical_family, decomposition, decomposition_tree,
     enumerate_modules, enumerate_usual_modules, is_module, is_prime,
     is_strong_module, is_usual_module, linear_order,
-    maximal_proper_strong_modules, module_violation, quotient,
-    smallest_strong_module_containing, strong_modules,
+    maximal_proper_strong_modules, module_violation, quotient, random_tournament,
+    realization, smallest_strong_module_containing, strong_modules,
     tournament_decomposition_tree, tournament_is_module, tournament_is_prime,
     tournament_modules, tournament_pi, tournament_quotient,
     tournament_strong_modules,
@@ -377,3 +378,125 @@ class TestLabelGuard:
             decomposition_tree(c3_structure(t))
         with pytest.raises(InvariantError, match="linear or prime"):
             tournament_decomposition_tree(t)
+
+
+def spy_on_closures(monkeypatch, calls):
+    """Make both closure factories record the arguments of every closure
+    their closures run in ``calls``."""
+    for name in ("_hypergraph_closure", "_tournament_closure"):
+        def factory(host, real=getattr(decomposition, name)):
+            close = real(host)
+
+            def spy(*args):
+                calls.append(args)
+                return close(*args)
+            spy.__dict__.update(close.__dict__)
+            return spy
+        monkeypatch.setattr(decomposition, name, factory)
+
+
+class TestOneClosurePerPair:
+    """A tree closes each vertex pair once: its prime labels are read from
+    the sweep's count of its pair closures, not from closures of their own."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_trees_of_a_prime_14_tournament(self, monkeypatch, seed):
+        t = random_tournament(14, random.Random(seed))
+        h = c3_structure(t)
+        calls = []
+        spy_on_closures(monkeypatch, calls)
+        for build, host in ((decomposition_tree, h), (tournament_decomposition_tree, t)):
+            tree = build(host)
+            assert tree.root.label == LABEL_PRIME and len(tree.root.children) == 14
+            assert len(calls) == 14 * 13 // 2
+            assert len(set(calls)) == len(calls)
+            calls.clear()
+
+    def test_count_adds_only_the_growth_pair_tests(self, monkeypatch):
+        h = c3_structure(random_tournament(14, random.Random(0)))
+        calls, pair_tests = [], []
+        spy_on_closures(monkeypatch, calls)
+        real = realization._pair_keeps_prime
+
+        def pair_spy(*args):
+            before = len(calls)
+            keeps = real(*args)
+            pair_tests.append(len(calls) - before)
+            return keeps
+        monkeypatch.setattr(realization, "_pair_keeps_prime", pair_spy)
+        assert count_realizations(h) == 2
+        # no prime 4-set is realizable, so growth takes a two-vertex step
+        assert pair_tests and all(2 <= k <= 4 for k in pair_tests)
+        assert len(calls) == 14 * 13 // 2 + sum(pair_tests)
+
+
+class TestRootQuotientIsHost:
+    """A root whose children are all single vertices keeps the host as its
+    quotient; any other node keeps the structure induced on its transverse."""
+
+    def test_singleton_children(self):
+        t = critical_family("T", 5)
+        for host in (c3_structure(t), Hypergraph(3, [[0, 1, 2]]), Hypergraph(4, [])):
+            tree = decomposition_tree(host)
+            assert all(c.is_leaf for c in tree.root.children)
+            assert tree.root.quotient is host
+        for host in (t, linear_order(4)):
+            tree = tournament_decomposition_tree(host)
+            assert all(c.is_leaf for c in tree.root.children)
+            assert tree.root.quotient is host
+
+    def test_wider_child(self):
+        tree = decomposition_tree(H4)
+        assert [list(c.members) for c in tree.root.children] == [[0], [1], [2, 3]]
+        assert tree.root.quotient is not H4
+        assert tree.root.quotient == Hypergraph(3, [[0, 1, 2]])
+
+
+def blow_up_vertex_0(q, block):
+    """The tournament q with vertex 0 replaced by ``block`` on 0..k-1 and
+    every other vertex v moved to v + k - 1."""
+    k = block.n
+
+    def place(v):
+        return [v + k - 1] if v else range(k)
+    arcs = list(block.arcs())
+    arcs += [(a, b) for u, v in q.arcs() for a in place(u) for b in place(v)]
+    return Tournament.from_arcs(q.n + k - 1, arcs)
+
+
+class TestCountGuard:
+    """A closure that comes out too small for one pair crossing two children
+    of a prime node leaves the node's count short, and its label raises.
+
+    The input is T5 with vertex 0 replaced by a 3-cycle: a prime root over
+    {0, 1, 2}, 3, 4, 5 and 6."""
+
+    T = blow_up_vertex_0(critical_family("T", 5), C3)
+
+    def test_unbroken_tree(self):
+        for tree in (decomposition_tree(c3_structure(self.T)), tournament_decomposition_tree(self.T)):
+            assert tree.root.label == LABEL_PRIME
+            assert [list(c.members) for c in tree.root.children] == [[0, 1, 2], [3], [4], [5], [6]]
+
+    @pytest.mark.parametrize("pair, short", [
+        ((0, 3), (0, 1, 2, 3)),  # a union of two children
+        ((0, 3), (0, 3)),        # a part of a child
+        ((3, 4), (3, 4, 5)),     # a union of three single-vertex children
+    ])
+    def test_one_short_closure_raises(self, monkeypatch, pair, short):
+        pair, short = sum(1 << v for v in pair), sum(1 << v for v in short)
+        real_h, real_t = decomposition._hypergraph_closure, decomposition._tournament_closure
+
+        def hypergraph(h):
+            close = real_h(h)
+            return lambda s, *w: short if s == pair else close(s, *w)
+
+        def tournament(t):
+            close = real_t(t)
+            return lambda s: short if s == pair else close(s)
+        monkeypatch.setattr(decomposition, "_hypergraph_closure", hypergraph)
+        monkeypatch.setattr(decomposition, "_tournament_closure", tournament)
+        with pytest.raises(InvariantError, match="must be prime"):
+            decomposition_tree(c3_structure(self.T))
+        with pytest.raises(InvariantError, match="linear or prime"):
+            tournament_decomposition_tree(self.T)

@@ -521,6 +521,52 @@ class TestEngineAgainstOracle:
         assert mixed >= 100
 
 
+class TestPrimeCountAgainstOracle:
+    """The sweep's count-based prime verdict of every internal node, as the
+    label functions receive it, against brute-force primality of the node's
+    quotient, n <= 9."""
+
+    def test_every_internal_node(self, monkeypatch):
+        verdicts = []
+        for name in ("_hypergraph_label", "_tournament_label"):
+            real = getattr(decomposition, name)
+            monkeypatch.setattr(decomposition, name,
+                                lambda *a, real=real: verdicts.append(a[-2:]) or real(*a))
+        rng = random.Random(96)
+        seen = Counter()
+        for i in range(1200):
+            n = rng.randint(1, 9)
+            if i % 4 == 0:
+                t = planted_tournament(n, rng)
+                hosts = [t, c3_structure(t)]
+            elif i % 4 == 1:
+                t = random_tournament(n, rng)
+                hosts = [t, c3_structure(t)]
+            elif i % 4 == 2:
+                hosts = [planted_hypergraph(n, rng)]
+            else:
+                hosts = [random_hypergraph(n, rng)]
+            for host in hosts:
+                if isinstance(host, Tournament):
+                    tree = tournament_decomposition_tree(host)
+                else:
+                    tree = decomposition_tree(host)
+                    seen["mixed"] += len({e.bit_count() for e in host.edges}) > 1
+                for node in tree.internal_nodes():
+                    wide = any(not c.is_leaf for c in node.children)
+                    seen[tree.kind, node.label == LABEL_PRIME, wide] += 1
+        for q, prime in verdicts:
+            if isinstance(q, Tournament):
+                mods = subsets_where(q.vertex_mask, partial(tournament_is_module, q))
+            else:
+                mods = modules_within(q, q.vertex_mask)
+            assert prime == (q.n >= 3 and len(mods) == q.n + 2), q
+        assert len(verdicts) == sum(v for k, v in seen.items() if k != "mixed")
+        assert seen["mixed"] >= 200, seen
+        for kind in ("hypergraph", "tournament"):
+            assert seen[kind, True, True] >= 50 and seen[kind, False, True] >= 50, seen
+
+
 def three_uniform_inputs(rng, count, max_n):
     """C3 structures of random tournaments, the same with one triple
     toggled, and random 3-uniform hypergraphs, ``count`` of each."""

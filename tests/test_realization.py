@@ -290,6 +290,46 @@ class TestChoiceToTournament:
                                             {root: linear_order(3)}))
 
 
+class TestOneOutputCheck:
+    """``realize`` takes the quotient realizations it grew unchecked and
+    compares only its output with the input; a caller's bases are checked,
+    and so is each base once per tree in enumeration."""
+
+    @pytest.mark.parametrize("t", [PRIME6, critical_family("T", 7),
+                                   random_tournament(14, random.Random(0))])
+    def test_realize_calls_c3_structure_once(self, monkeypatch, t):
+        h = c3_structure(t)
+        assert decomposition_tree(h).root.label == LABEL_PRIME
+        calls = []
+        monkeypatch.setattr(realization, "c3_structure",
+                            lambda x: calls.append(x) or c3_structure(x))
+        r = realize(h)
+        assert c3_structure(r) == h
+        assert calls == [r]
+
+    def test_enumeration_checks_each_base_once(self, monkeypatch):
+        h = c3_structure(PRIME6)
+        tree, base = _prepare(h)
+        calls = []
+        monkeypatch.setattr(realization, "c3_structure",
+                            lambda x: calls.append(x) or c3_structure(x))
+        items = list(enumerate_realizations(h))
+        assert calls == [base[int(tree.root.members)]] + items
+
+    def test_spoiled_base_rejected(self):
+        h = c3_structure(PRIME6)
+        tree, base = _prepare(h)
+        key = int(tree.root.members)
+        good = base[key]
+        u, v = next(good.arcs())
+        spoiled = Tournament.from_arcs(
+            good.n, [(b, a) if (a, b) == (u, v) else (a, b) for a, b in good.arcs()])
+        assert c3_structure(spoiled) != c3_structure(good)
+        assert choice_to_tournament(h, tree, RealizationChoice({}, {key: False}, base)) == realize(h)
+        with pytest.raises(PreconditionError, match="does not realize the quotient"):
+            choice_to_tournament(h, tree, RealizationChoice({}, {key: False}, {key: spoiled}))
+
+
 class TestHypergraphIsomorphism:
     def test_identity(self):
         h = Hypergraph(3, [[0, 1, 2]])
