@@ -20,12 +20,8 @@ class VertexSet(int):
 
     @classmethod
     def of(cls, vertices: Iterable[int]) -> "VertexSet":
-        m = 0
-        for v in vertices:
-            if v < 0:
-                raise ValueError(f"negative vertex index {v}")
-            m |= 1 << v
-        return cls(m)
+        """The set of the given vertex indices, checked by ``as_mask``."""
+        return cls(as_mask(vertices))
 
     def __iter__(self) -> Iterator[int]:
         return iter_bits(self)

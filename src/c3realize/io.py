@@ -113,7 +113,8 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
 
 
 def tournament_to_json(t: Tournament) -> dict:
-    return {"n": t.n, "arcs": sorted([u, v] for u, v in t.arcs())}
+    """The arcs in lexicographic order, as ``Tournament.arcs`` yields them."""
+    return {"n": t.n, "arcs": [[u, v] for u, v in t.arcs()]}
 
 
 def dump_hypergraph(h: Hypergraph) -> str:

@@ -31,9 +31,13 @@ makes the set reached a witness.  Of the two realizations of a prime
 quotient, the one kept is the one in which its first vertex beats its second.
 
 Enumeration sets up each node once per tree and checks each stored
-realization there; an item then ORs the chosen parts into successor masks,
-builds the tournament with the validating constructor and checks its
-3-cycle structure against the input, each step in O(n^2 + |E|).
+realization there.  It walks the product of the nodes' choices, each
+choice ORing its node's parts into a copy of the successor masks its
+ancestors' choices built, so consecutive items share their prefix.  The
+first item is checked in full, by the validating constructor and its
+3-cycle structure, in O(n^2 + |E|); a later item only at the pairs whose
+arcs differ from the item before, with the kernel growth uses
+(``_realizes_at``), in O(n) plus O(n) per changed pair.
 """
 
 from __future__ import annotations
@@ -349,28 +353,49 @@ def _realizes_within(spans: list[list[int]], succ: list[int], w: int, new: int) 
     the edges within w, given that it holds one on w - new whose 3-cycles
     are the edges within w - new (and no arc from there leaves w).
 
-    Each pair {u, v} of w that meets ``new`` is checked once: it has
-    exactly one arc, and for an arc u -> v the triple {u, v, z} is a
-    3-cycle iff v -> z -> u, so ``succ[v] & pred_w(u)`` must be the link of
-    u and v within w.  That takes O(|new| |w|) mask operations; with new = w
-    it is the same test as ``c3_structure(t) == H[w]``.
+    Each pair {u, v} of w that meets ``new`` is checked once, by
+    ``_realizes_at`` with the rows of ``new`` listed.  That takes
+    O(|new| |w|) mask operations; with new = w it is the same test as
+    ``c3_structure(t) == H[w]``.
     """
-    done = 0
+    pairs, rest = [], w
     for u in iter_bits(new):
+        rest &= ~(1 << u)
+        pairs.append((u, rest))
+    return _realizes_at(spans, succ, w, pairs)
+
+
+def _realizes_at(spans: list[list[int]], succ: list[int], w: int,
+                 pairs: list[tuple[int, int]]) -> bool:
+    """True iff, for each ``(u, partners)`` listed, the row of u lies in
+    w - u and each pair {u, v} with v in ``partners`` has exactly one arc
+    and the 3-cycles through it within w are the edges of H through u and
+    v within w (the spans of the 3-uniform H's closure table).
+
+    For an arc u -> v the triple {u, v, z} is a 3-cycle iff v -> z -> u, so
+    ``succ[v] & pred_w(u)`` must be the link of u and v within w.  The
+    verdict on a pair reads the arcs of the other pairs through u and v, so
+    it is the pair's true one when those have one arc each.  Each partner
+    of u must index ``succ`` unless the row of u holds it, which the row
+    check refuses first.
+    """
+    for u, partners in pairs:
         ub = 1 << u
-        done |= ub
         rest = w & ~ub
         out = succ[u]
         if out & ~rest:
             return False
         row = spans[u]
-        for v in iter_bits(w & ~done):
+        while partners:
+            vb = partners & -partners
+            partners ^= vb
+            v = vb.bit_length() - 1
             sv = succ[v]
             if not (out >> v ^ sv >> u) & 1:  # no arc or two arcs
                 return False
             # the z that close a 3-cycle with u and v: v -> u -> z or u -> v -> z
             cycles = out & ~sv if sv & ub else sv & rest & ~out
-            if cycles != row[v] & rest & ~(1 << v):
+            if cycles != row[v] & rest & ~vb:
                 return False
     return True
 
@@ -744,16 +769,21 @@ def _prime_parts(blocks: list[int], r: Tournament) -> Parts:
     return [(b, sum(blocks[j] for j in iter_bits(r.succ[a]))) for a, b in enumerate(blocks)]
 
 
+def _or_parts(succ: list[int], parts: Parts) -> None:
+    """OR each part's out-mask into the successor masks of its members."""
+    for members, out in parts:
+        while members:
+            low = members & -members
+            succ[low.bit_length() - 1] |= out
+            members ^= low
+
+
 def _assemble(n: int, chosen: list[Parts]) -> Tournament:
     """The tournament whose arcs are the chosen parts, built by the
     validating constructor."""
     succ = [0] * n
     for parts in chosen:
-        for members, out in parts:
-            while members:
-                low = members & -members
-                succ[low.bit_length() - 1] |= out
-                members ^= low
+        _or_parts(succ, parts)
     return Tournament(n, succ)
 
 
@@ -841,9 +871,13 @@ def enumerate_realizations(h: Hypergraph) -> Iterator[Tournament]:
 
     Each node is set up once per tree: its child blocks and, for a prime
     node, the parts of both orientations, whose stored base is checked
-    against the node's quotient here.  An item then only ORs the chosen
-    parts together, builds the tournament with the validating constructor
-    and checks its 3-cycle structure against ``h``.
+    against the node's quotient here.  Each choice of a node ORs its parts
+    into a copy of the successor masks its ancestors' choices built, so
+    consecutive items share their prefix.  The first item is built by the
+    validating constructor and its 3-cycle structure compared with ``h``,
+    in O(n^2 + |E|); a later item is checked only at the pairs whose arcs
+    differ from the item before, in O(n) plus O(n) per such pair
+    (``_verified``).
     """
     prep = _prepare(h)
     if isinstance(prep, NonRealizabilityWitness):
@@ -857,21 +891,76 @@ def enumerate_realizations(h: Hypergraph) -> Iterator[Tournament]:
             base = _checked(prime_base[int(node.members)], node.quotient, "prime realization")
             oriented = (_prime_parts(blocks, base), _prime_parts(blocks, base.dual()))
         nodes.append((blocks, oriented))
-    return _enumerate(h, nodes, [])
+    return _enumerate(h, tree._close.spans, nodes, 0, [0] * h.n, [None])
 
 
-def _enumerate(h: Hypergraph, nodes: list[tuple[list[int], tuple[Parts, Parts] | None]],
-               chosen: list[Parts]) -> Iterator[Tournament]:
-    """The realizations with the parts of the first ``len(chosen)`` nodes
-    fixed.  Choices are made node by node, so each permutation is built
-    only when its turn comes and the first item needs one value per node."""
-    if len(chosen) == len(nodes):
-        yield _checked(_assemble(h.n, chosen), h, "enumeration")
+def _enumerate(h: Hypergraph, spans: list[list[int]],
+               nodes: list[tuple[list[int], tuple[Parts, Parts] | None]],
+               depth: int, rows: list[int], last: list) -> Iterator[Tournament]:
+    """The realizations whose parts at the first ``depth`` nodes are ORed
+    into ``rows``.  Choices are made node by node, so each permutation is
+    built only when its turn comes and the first item needs one value per
+    node.  ``last[0]`` holds the successor masks of the item yielded
+    before, or None."""
+    if depth == len(nodes):
+        yield _verified(h, spans, rows, last)
         return
-    blocks, oriented = nodes[len(chosen)]
+    blocks, oriented = nodes[depth]
     options = oriented or (_order_parts([blocks[i] for i in perm])
                            for perm in permutations(range(len(blocks))))
     for parts in options:
-        chosen.append(parts)
-        yield from _enumerate(h, nodes, chosen)
-        chosen.pop()
+        succ = rows[:]
+        _or_parts(succ, parts)
+        yield from _enumerate(h, spans, nodes, depth + 1, succ, last)
+
+
+def _verified(h: Hypergraph, spans: list[list[int]], succ: list[int], last: list) -> Tournament:
+    """The tournament in ``succ``, once it is seen to realize ``h``; it
+    then replaces ``last[0]``.
+
+    With no item before, the validating constructor builds it and its
+    3-cycle structure is compared with h, in O(n^2 + |E|).  Otherwise
+    ``_realizes_at`` checks only the rows and the pairs whose arcs differ
+    from ``last[0]``, each pair once (``_changed_pairs``), in O(n) plus
+    O(n) per changed pair.  That is exact: the item before was verified, so
+    every pair outside the difference has one arc, and a triple holding no
+    changed pair keeps its arcs and so its cycle status.  Once every
+    changed pair has one arc, each triple holding one is settled at that
+    pair.  So the verdict is that of "a valid tournament whose 3-cycle
+    structure is h".
+    """
+    prev = last[0]
+    if prev is None:
+        t = _checked(Tournament(h.n, succ), h, "enumeration")
+    else:
+        pairs = _changed_pairs(prev, succ)
+        if pairs is None or not _realizes_at(spans, succ, full_mask(h.n), pairs):
+            raise InvariantError("enumeration produced a tournament that does not realize the input")
+        t = Tournament._from_succ(h.n, tuple(succ))
+    last[0] = t.succ
+    return t
+
+
+def _changed_pairs(prev: tuple[int, ...], cur: list[int]) -> list[tuple[int, int]] | None:
+    """The rows that differ between ``prev`` and ``cur``, as ``(u, partners)``
+    with the partners the v > u whose bit differs in row u, so that a
+    flipped pair {u, v}, which differs in both rows, is listed once, at u.
+    None when the differing bits below the diagonal (v < u in row u) do not
+    number those above it, which no tournament ``cur`` gives when ``prev``
+    is one.
+
+    When ``_realizes_at`` accepts the list, no changed pair is missed: each
+    changed row then lies in range with no loop, so every differing bit is
+    above or below the diagonal, and each listed pair has one arc, as in
+    ``prev``, so it flipped and accounts for one differing bit below the
+    diagonal, in the row of its larger end.  Equal counts leave no bit
+    below unaccounted for.
+    """
+    pairs, balance = [], 0
+    for u, (c, p) in enumerate(zip(cur, prev)):
+        if c != p:
+            diff = c ^ p
+            above = diff >> (u + 1) << (u + 1)
+            balance += 2 * above.bit_count() - diff.bit_count()
+            pairs.append((u, above))
+    return None if balance else pairs

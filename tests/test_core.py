@@ -30,6 +30,11 @@ class TestVertexSet:
         assert a | b == VertexSet.of([0, 1, 2, 3])
         assert a & ~b == VertexSet.of([0, 1])
 
+    def test_negative_index_is_a_precondition_error(self):
+        with pytest.raises(PreconditionError, match="negative vertex index -1"):
+            VertexSet.of([0, -1])
+        assert issubclass(PreconditionError, ValueError)
+
 
 class TestHypergraph:
     def test_construction_and_flag(self):

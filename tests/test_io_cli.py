@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from c3realize import (
     Hypergraph, ParseError, Tournament, c3_structure, critical_family, dual,
     dump_hypergraph, dump_tournament, parse_hypergraph, parse_tournament,
-    realization,
+    random_tournament, realization, tournament_to_json,
 )
 from c3realize.cli import main
 
@@ -67,6 +68,14 @@ class TestTournamentFormat:
 
     def test_empty_order(self):
         assert parse_tournament('{"n": 1, "arcs": []}').n == 1
+
+    def test_arcs_come_out_sorted(self):
+        rng = random.Random(75)
+        for _ in range(200):
+            t = random_tournament(rng.randint(1, 12), rng)
+            arcs = sorted([u, v] for u, v in t.arcs())
+            assert tournament_to_json(t) == {"n": t.n, "arcs": arcs}
+            assert dump_tournament(t) == json.dumps({"n": t.n, "arcs": arcs})
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):

@@ -957,6 +957,56 @@ class TestStepChecks:
             verdicts[expected] += 1
         assert min(verdicts.values()) >= 500, verdicts
 
+    def test_changed_pairs_against_the_constructor(self):
+        # prev is a realization (or its dual, for a difference at every
+        # pair) and cur is that with 1-4 arcs flipped, doubled or dropped, a
+        # self-loop or a bit out of range; in half the cases every step
+        # flips one of prev's 2-vertex modules, which keeps the 3-cycles
+        rng = random.Random(76)
+        verdicts, pairs_seen = Counter(), Counter()
+        for _ in range(3000):
+            n = rng.randint(2, 9)
+            prev = planted_tournament(n, rng)
+            h = c3_structure(prev)
+            cur = list(prev.succ if rng.random() < 0.75 else prev.dual().succ)
+            twins = [(u, v) for u, v in combinations(range(n), 2)
+                     if not (prev.succ[u] ^ prev.succ[v]) & ~(1 << u | 1 << v)]
+            moves = twins and rng.random() < 0.5
+            for _ in range(rng.randint(1, 4)):
+                op = 0 if moves else rng.randrange(5)
+                u, v = rng.choice(twins) if moves else rng.sample(range(n), 2)
+                if op == 0:
+                    cur[u] ^= 1 << v
+                    cur[v] ^= 1 << u
+                elif op == 1:
+                    cur[u] |= 1 << v
+                    cur[v] |= 1 << u
+                elif op == 2:
+                    cur[u] &= ~(1 << v)
+                    cur[v] &= ~(1 << u)
+                elif op == 3:
+                    cur[u] ^= 1 << u
+                else:
+                    cur[u] ^= 1 << rng.randrange(n, n + 3)
+            try:
+                expected = c3_structure(Tournament(n, cur)) == h
+            except PreconditionError:
+                expected = False
+            pairs = realization._changed_pairs(prev.succ, cur)
+            spans = _hypergraph_closure(h).spans
+            got = pairs is not None and realization._realizes_at(spans, cur, h.vertex_mask, pairs)
+            assert got == expected, (prev, cur)
+            verdicts[expected] += 1
+            if expected:
+                # each changed pair listed once
+                listed = [(u, v) for u, partners in pairs for v in iter_bits(partners)]
+                changed = [(u, v) for u, v in combinations(range(n), 2)
+                           if (cur[u] ^ prev.succ[u]) >> v & 1]
+                assert sorted(listed) == changed
+                pairs_seen[min(len(changed), 2)] += 1
+        assert min(verdicts.values()) >= 500, verdicts
+        assert min(pairs_seen.values()) >= 100, pairs_seen
+
     def test_each_grown_vertex_checked_once(self, monkeypatch):
         # during ``realize``, the ``new`` masks of one prime node's steps
         # are disjoint, cover the set grown so far and end at its transverse

@@ -22,6 +22,7 @@ from c3realize import (
     is_prime, linear_order, random_tournament, realization, realize,
     realize_critical, realize_prime,
 )
+from c3realize.bitset import iter_bits
 from c3realize.decomposition import LABEL_PRIME
 from c3realize.realization import (
     STAGE_BASE, STAGE_CRITICAL_MISMATCH, STAGE_EXTENSION_M1,
@@ -290,6 +291,28 @@ class TestChoiceToTournament:
                                             {root: linear_order(3)}))
 
 
+def spy_kernel(monkeypatch):
+    """Record the pairs each call of the check kernel lists, as sorted
+    (u, v) with u < v, one list per call."""
+    calls = []
+    real = realization._realizes_at
+
+    def spy(spans, succ, w, pairs):
+        calls.append(sorted((min(u, v), max(u, v))
+                            for u, partners in pairs for v in iter_bits(partners)))
+        return real(spans, succ, w, pairs)
+
+    monkeypatch.setattr(realization, "_realizes_at", spy)
+    return calls
+
+
+def differing_pairs(items):
+    """For each item after the first, the sorted pairs (u, v), u < v, whose
+    arc differs from the item before."""
+    return [[(u, v) for u, v in combinations(range(a.n), 2) if a.has_arc(u, v) != b.has_arc(u, v)]
+            for a, b in zip(items, items[1:])]
+
+
 class TestOneOutputCheck:
     """``realize`` takes the quotient realizations it grew unchecked and
     compares only its output with the input; a caller's bases are checked,
@@ -308,13 +331,19 @@ class TestOneOutputCheck:
         assert calls == [r]
 
     def test_enumeration_checks_each_base_once(self, monkeypatch):
+        # the base and the first item by c3_structure; the second item, the
+        # dual, by the kernel at every pair, each once
         h = c3_structure(PRIME6)
         tree, base = _prepare(h)
         calls = []
         monkeypatch.setattr(realization, "c3_structure",
                             lambda x: calls.append(x) or c3_structure(x))
-        items = list(enumerate_realizations(h))
-        assert calls == [base[int(tree.root.members)]] + items
+        it = enumerate_realizations(h)
+        kernel = spy_kernel(monkeypatch)
+        items = list(it)
+        assert calls == [base[int(tree.root.members)]] + items[:1]
+        assert kernel == differing_pairs(items)
+        assert len(kernel[0]) == 15
 
     def test_spoiled_base_rejected(self):
         h = c3_structure(PRIME6)
@@ -495,6 +524,51 @@ class TestOutputChecksAreNotAsserts:
         assert done.stdout.split() == ["InvariantError", "1"], done.stderr
 
 
+# A stand-in for ``realization._verified`` that gives item k of an
+# enumeration one arc reversed, doubled or dropped, at the first pair that
+# the correct item changes (or, with changed false, leaves as it was) from
+# item k - 1 and where the result does not realize h; ``fired`` records the
+# pair.  Run in-process and under -O.
+SPOIL_ITEM = """
+from itertools import combinations
+from c3realize import PreconditionError, Tournament, c3_structure, realization
+
+def spoil_item(h, k, op, changed):
+    real = realization._verified
+    fired = []
+
+    def spoiled(h_, spans, succ, last):
+        if len(fired) < k:
+            fired.append(None)
+            return real(h_, spans, succ, last)
+        prev = last[0]
+        for u, v in combinations(range(h.n), 2):
+            if ((succ[u] ^ prev[u]) >> v & 1) != changed:
+                continue
+            rows = list(succ)
+            if op == "reverse":
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+            elif op == "double":
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            else:
+                rows[u] &= ~(1 << v)
+                rows[v] &= ~(1 << u)
+            try:
+                if c3_structure(Tournament(h.n, rows)) == h:
+                    continue
+            except PreconditionError:
+                pass
+            fired.append((u, v))
+            succ[:] = rows
+            break
+        return real(h_, spans, succ, last)
+
+    return spoiled, fired
+"""
+
+
 def planted_blocks(sizes, rng):
     """The C3 structure of a linear order of blocks, each a 3-cycle or one
     vertex, on randomly relabelled vertices."""
@@ -509,6 +583,48 @@ def planted_blocks(sizes, rng):
     labels = list(range(n))
     rng.shuffle(labels)
     return c3_structure(Tournament.from_arcs(n, [(labels[a], labels[b]) for a, b in arcs]))
+
+
+class TestSpoiledLaterItem:
+    """A later item checked only at its changed pairs is still refused when
+    it goes wrong at one pair, whether or not the correct item changes it."""
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("changed", [True, False])
+    @pytest.mark.parametrize("op", ["reverse", "double", "drop"])
+    def test_raises_invariant_error(self, monkeypatch, k, changed, op):
+        h = planted_blocks((1, 3, 1, 1, 3, 1), random.Random(71))
+        scope = {}
+        exec(SPOIL_ITEM, scope)
+        spoiled, fired = scope["spoil_item"](h, k, op, changed)
+        monkeypatch.setattr(realization, "_verified", spoiled)
+        items = []
+        with pytest.raises(InvariantError, match="enumeration produced"):
+            items.extend(islice(enumerate_realizations(h), 10))
+        assert len(items) == k and len(fired) == k + 1 and fired[-1] is not None
+
+    def test_raises_under_python_O(self):
+        code = SPOIL_ITEM + (
+            "import sys\n"
+            "from itertools import islice\n"
+            "from c3realize import Hypergraph, InvariantError, enumerate_realizations\n"
+            "h = Hypergraph(*INPUT)\n"
+            "real = realization._verified\n"
+            "for changed in (True, False):\n"
+            "    for op in ('reverse', 'double', 'drop'):\n"
+            "        realization._verified, fired = spoil_item(h, 4, op, changed)\n"
+            "        try:\n"
+            "            list(islice(enumerate_realizations(h), 10))\n"
+            "        except InvariantError:\n"
+            "            print('InvariantError', fired[-1] is not None, sys.flags.optimize)\n"
+            "        realization._verified = real\n"
+        )
+        h = planted_blocks((1, 3, 1, 1, 3, 1), random.Random(71))
+        code = code.replace("INPUT", repr((h.n, h.edge_lists())))
+        src = str(Path(c3realize.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.split() == ["InvariantError", "True", "1"] * 6, done.stderr
 
 
 class TestNoQuotientCopiesPerOutput:
@@ -620,17 +736,26 @@ class TestOneClosurePerInput:
 
 class TestOneOutputCheckPerItem:
     def test_bases_checked_once_per_tree(self, monkeypatch):
+        # each stored base once at set-up, the first item by c3_structure,
+        # and each later item by one kernel call on the pairs it changes
         h = planted_blocks((1, 3, 1, 1, 3, 1), random.Random(71))
+        tree, base = _prepare(h)
+        bases = [base[int(x.members)] for x in tree.internal_nodes() if x.label == LABEL_PRIME]
+        assert len(bases) == 2
         real = realization.c3_structure
         calls = []
         monkeypatch.setattr(realization, "c3_structure", lambda t: calls.append(t) or real(t))
-        seen = []
+        kernel = spy_kernel(monkeypatch)
         for limit in (1, 50):
             calls.clear()
-            items = list(islice(enumerate_realizations(h), limit))
+            it = enumerate_realizations(h)
+            assert calls == bases
+            kernel.clear()
+            items = list(islice(it, limit))
             assert len(items) == limit and len(set(items)) == limit
-            seen.append(len(calls))
-        assert seen[1] - seen[0] == 49, seen
+            assert calls == bases + items[:1]
+            assert kernel == differing_pairs(items)
+            assert len(kernel) == limit - 1
 
     def test_bad_stored_base_caught_at_set_up(self, monkeypatch):
         # a transitive base does not realize a 3-cycle quotient; enumeration
