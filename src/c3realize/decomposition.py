@@ -220,13 +220,6 @@ def _tournament_closure(t: Tournament) -> Closure:
     return close
 
 
-def _is_prime_by(n: int, close: Closure) -> bool:
-    """At least 3 vertices, and every vertex pair closes to the whole set."""
-    full = full_mask(n)
-    return n >= 3 and all(close((1 << x) | (1 << y)) == full
-                          for x, y in combinations(range(n), 2))
-
-
 def _is_prime_within(close: Closure, w: int) -> bool:
     """H[w] is prime, read from the hypergraph closure ``close(s, w)``: at
     least 3 vertices, and every pair of them closes to w."""
@@ -320,7 +313,7 @@ def strong_modules(h: Hypergraph) -> frozenset[VertexSet]:
 
 def is_prime(h: Hypergraph) -> bool:
     """True iff ``h`` has at least 3 vertices and only trivial modules."""
-    return _is_prime_by(h.n, _hypergraph_closure(h))
+    return _is_prime_within(_hypergraph_closure(h), full_mask(h.n))
 
 
 # --- modular partitions and quotients ----------------------------------------
@@ -604,7 +597,11 @@ def tournament_strong_modules(t: Tournament) -> frozenset[VertexSet]:
 
 
 def tournament_is_prime(t: Tournament) -> bool:
-    return _is_prime_by(t.n, _tournament_closure(t))
+    """True iff ``t`` has at least 3 vertices and every vertex pair closes
+    to the whole set."""
+    close, full = _tournament_closure(t), full_mask(t.n)
+    return t.n >= 3 and all(close((1 << x) | (1 << y)) == full
+                            for x, y in combinations(range(t.n), 2))
 
 
 tournament_pi = maximal_proper_strong_modules

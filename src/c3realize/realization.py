@@ -16,9 +16,7 @@ transverse and in the input's labels: each vertex set on the way is a mask
 read through that closure's span table, not a hypergraph of its own, which
 is exact because the input is 3-uniform.  So one closure table serves the
 whole input.  Each growth step checks the realization at the vertices it
-adds (``_realizes_within``), so ``realize`` assembles its own bases as they
-are; a caller's bases reach ``choice_to_tournament``, which checks each
-against the quotient the tree keeps at its node (``TreeNode.quotient``).
+adds (``_realizes_within``).
 
 A prime quotient is realized on one path, growing a chain of prime vertex
 sets X upward from an edge.  A module of H[X + y] meets the prime X in
@@ -30,14 +28,16 @@ realizations of H[X + p] that extend the one of H[X].  A failed extension
 makes the set reached a witness.  Of the two realizations of a prime
 quotient, the one kept is the one in which its first vertex beats its second.
 
-Enumeration sets up each node once per tree and checks each stored
-realization there.  It walks the product of the nodes' choices, each
-choice ORing its node's parts into a copy of the successor masks its
-ancestors' choices built, so consecutive items share their prefix.  The
-first item is checked in full, by the validating constructor and its
-3-cycle structure, in O(n^2 + |E|); a later item only at the pairs whose
-arcs differ from the item before, with the kernel growth uses
-(``_realizes_at``), in O(n) plus O(n) per changed pair.
+Enumeration sets up each node once per tree and walks the product of the
+nodes' choices, each choice ORing its node's parts into a copy of the
+successor masks its ancestors' choices built, so consecutive items share
+their prefix; ``realize`` returns its first item.  That item is checked in
+full, by the validating constructor and its 3-cycle structure, in
+O(n^2 + |E|), which also proves every quotient realization (``_items``); a
+later item only at the pairs whose arcs differ from the item before, with
+the kernel growth uses (``_realizes_at``), in O(n) plus O(n) per changed
+pair.  ``choice_to_tournament`` checks a caller's quotient realizations
+against the quotients the tree keeps (``TreeNode.quotient``).
 """
 
 from __future__ import annotations
@@ -515,15 +515,11 @@ def realize_prime(h: Hypergraph,
     A prime realizable hypergraph has exactly two realizations, a
     tournament and its dual; the one returned is the one in which vertex 0
     beats vertex 1.  This builds one closure of h and runs
-    ``_realize_within`` on it.
+    ``_realize_within`` on it.  ``_assume_prime=True`` skips the primality
+    check and is the caller's promise that h is prime.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
-    if h.n <= 3:
-        # the only prime 3-uniform hypergraph on 3 vertices is the single triple
-        if not h.edges:
-            raise PreconditionError("input must be prime")
-        return Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     close = _hypergraph_closure(h)
     full = full_mask(h.n)
     if not _assume_prime and not _is_prime_within(close, full):
@@ -778,37 +774,22 @@ def _or_parts(succ: list[int], parts: Parts) -> None:
             members ^= low
 
 
-def _assemble(n: int, chosen: list[Parts]) -> Tournament:
-    """The tournament whose arcs are the chosen parts, built by the
-    validating constructor."""
-    succ = [0] * n
-    for parts in chosen:
-        _or_parts(succ, parts)
-    return Tournament(n, succ)
-
-
 def choice_to_tournament(h: Hypergraph, tree: DecompositionTree,
                          choice: RealizationChoice) -> Tournament:
     """Assemble the tournament selected by a realization choice.
 
     Each vertex pair is oriented at the lowest tree node containing both,
     by the chosen linear order (empty label) or quotient realization (prime
-    label) between their child blocks: each node contributes its parts, and
-    ``_assemble`` ORs them into the successor masks and builds the
-    tournament with the validating constructor.  Each stored quotient
-    realization is checked against the quotient the tree keeps at its node,
-    so ``tree`` must be ``decomposition_tree(h)``; ``realize`` assembles the
-    ones it grew without this check, since each growth step checked them.
+    label) between their child blocks: each node ORs its parts into the
+    successor masks, and the validating constructor builds the tournament.
+    Each stored quotient realization the caller gives is checked against
+    the quotient the tree keeps at its node, so ``tree`` must be
+    ``decomposition_tree(h)``.  With bases that pass, the output realizes
+    h by the decomposition theorem, and it is not compared with h again.
     """
-    return _choice_tournament(h, tree, choice, True)
-
-
-def _choice_tournament(h: Hypergraph, tree: DecompositionTree,
-                       choice: RealizationChoice, check_bases: bool) -> Tournament:
-    """``choice_to_tournament``, checking the stored bases iff ``check_bases``."""
     if tree.n != h.n or int(tree.root.members) != full_mask(h.n):
         raise PreconditionError("tree does not match the hypergraph")
-    chosen = []
+    succ = [0] * h.n
     for node in tree.internal_nodes():
         key = int(node.members)
         blocks = [int(c.members) for c in node.children]
@@ -818,20 +799,20 @@ def _choice_tournament(h: Hypergraph, tree: DecompositionTree,
             if perm is None or sorted(perm) != list(range(k)):
                 raise PreconditionError(
                     f"choice needs a permutation of {k} children at node {bit_list(key)}")
-            chosen.append(_order_parts([blocks[i] for i in perm]))
+            _or_parts(succ, _order_parts([blocks[i] for i in perm]))
         elif node.label == LABEL_PRIME:
             base = choice.prime_base.get(key)
             flag = choice.prime_flags.get(key)
             if base is None or flag is None or base.n != k:
                 raise PreconditionError(
                     f"choice needs a quotient realization at node {bit_list(key)}")
-            if check_bases and c3_structure(base) != node.quotient:
+            if c3_structure(base) != node.quotient:
                 raise PreconditionError(
                     f"stored tournament does not realize the quotient at node {bit_list(key)}")
-            chosen.append(_prime_parts(blocks, base.dual() if flag else base))
+            _or_parts(succ, _prime_parts(blocks, base.dual() if flag else base))
         else:
             raise PreconditionError("complete-labelled nodes admit no realization")
-    return _assemble(h.n, chosen)
+    return Tournament(h.n, succ)
 
 
 def _checked(t: Tournament, h: Hypergraph, what: str) -> Tournament:
@@ -842,13 +823,13 @@ def _checked(t: Tournament, h: Hypergraph, what: str) -> Tournament:
 
 
 def realize(h: Hypergraph) -> Tournament | NonRealizabilityWitness:
-    """A realization of ``h`` (deterministic default), or a prime witness."""
+    """A realization of ``h``, or a prime witness: the first item of
+    ``enumerate_realizations`` (identity permutations and the stored
+    orientation of each prime quotient), with its full output check."""
     prep = _prepare(h)
     if isinstance(prep, NonRealizabilityWitness):
         return prep
-    tree, prime_base = prep
-    chosen = _choice_tournament(h, tree, default_choice(tree, prime_base), False)
-    return _checked(chosen, h, "assembly")
+    return next(_items(h, *prep))
 
 
 def count_realizations(h: Hypergraph) -> int:
@@ -866,30 +847,46 @@ def enumerate_realizations(h: Hypergraph) -> Iterator[Tournament]:
     Tree nodes are visited in preorder; a prime node contributes the stored
     realization, in which its first child beats its second (the rule of
     ``realize_prime``), then its dual, and an empty node its child
-    permutations in lexicographic order.  Yields nothing when ``h`` is not
-    realizable.
+    permutations in lexicographic order.  So the first item is the one
+    ``realize`` returns.  Yields nothing when ``h`` is not realizable.
 
-    Each node is set up once per tree: its child blocks and, for a prime
-    node, the parts of both orientations, whose stored base is checked
-    against the node's quotient here.  Each choice of a node ORs its parts
-    into a copy of the successor masks its ancestors' choices built, so
-    consecutive items share their prefix.  The first item is built by the
-    validating constructor and its 3-cycle structure compared with ``h``,
-    in O(n^2 + |E|); a later item is checked only at the pairs whose arcs
-    differ from the item before, in O(n) plus O(n) per such pair
+    Each node is set up once per tree (``_items``), and each choice of a
+    node ORs its parts into a copy of the successor masks its ancestors'
+    choices built.  The first item is checked in full, which also proves
+    every stored quotient realization; a later item only at the pairs whose
+    arcs differ from the item before, in O(n) plus O(n) per such pair
     (``_verified``).
     """
     prep = _prepare(h)
     if isinstance(prep, NonRealizabilityWitness):
         return iter(())
-    tree, prime_base = prep
+    return _items(h, *prep)
+
+
+def _items(h: Hypergraph, tree: DecompositionTree,
+           prime_base: Mapping[int, Tournament]) -> Iterator[Tournament]:
+    """The realizations of ``h`` in enumeration order, from its tree and a
+    realization of each prime quotient in child order.
+
+    Each node's child blocks and, for a prime node, the parts of both
+    orientations are set up here, once: in the dual each block beats the
+    other blocks it loses to in the base.  The bases are not checked here.
+    The first item gets the full check (``_verified``): the validating
+    constructor and ``c3_structure(t) == h``.  Restricted to the transverse
+    of a prime node, that item is the node's stored base in child order, so
+    the check proves that every base realizes its node's quotient
+    (H[transverse]), and each dual realizes the same quotient, since
+    reversing every arc keeps the 3-cycles.  A bad base therefore raises
+    ``InvariantError`` when the first item is drawn, before any is yielded.
+    """
     nodes = []
     for node in tree.internal_nodes():
         blocks = [int(c.members) for c in node.children]
         oriented = None
         if node.label == LABEL_PRIME:
-            base = _checked(prime_base[int(node.members)], node.quotient, "prime realization")
-            oriented = (_prime_parts(blocks, base), _prime_parts(blocks, base.dual()))
+            m = int(node.members)
+            parts = _prime_parts(blocks, prime_base[m])
+            oriented = (parts, [(b, m & ~(b | out)) for b, out in parts])
         nodes.append((blocks, oriented))
     return _enumerate(h, tree._close.spans, nodes, 0, [0] * h.n, [None])
 

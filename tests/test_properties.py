@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from c3realize import (
     Hypergraph, ModularPartition, PreconditionError, Tournament, all_tournaments,
     brute_force_realizations, c3_structure, check_covering_axioms,
-    check_partitive, components, count_realizations, critical_family,
-    decomposition_tree, dual, enumerate_modules, enumerate_realizations,
-    induced_subhypergraph, is_linear_order, is_module, is_prime, linear_order,
-    maximal_proper_strong_modules, quotient, random_hypergraph,
+    check_partitive, choice_to_tournament, components, count_realizations,
+    critical_family, decomposition_tree, default_choice, dual, enumerate_modules,
+    enumerate_realizations, induced_subhypergraph, is_linear_order, is_module,
+    is_prime, linear_order, maximal_proper_strong_modules, quotient, random_hypergraph,
     random_tournament, realize, realize_prime, smallest_strong_module_containing,
     strong_modules, tournament_decomposition_tree, tournament_is_module,
     tournament_is_prime, tournament_modules, tournament_pi, tournament_quotient,
@@ -340,6 +340,9 @@ class TestRealizationLaws:
                 got = realize(h)
                 assert isinstance(got, Tournament)
                 assert c3_structure(got) == h
+                tree, base = realization._prepare(h)
+                assert got == choice_to_tournament(h, tree, default_choice(tree, base)) \
+                    == next(enumerate_realizations(h))
 
     def test_prime_realizable_has_two_dual_realizations(self):
         rng = random.Random(26)

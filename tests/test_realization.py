@@ -314,9 +314,9 @@ def differing_pairs(items):
 
 
 class TestOneOutputCheck:
-    """``realize`` takes the quotient realizations it grew unchecked and
-    compares only its output with the input; a caller's bases are checked,
-    and so is each base once per tree in enumeration."""
+    """``realize`` and enumeration take the quotient realizations they grew
+    unchecked and compare only the first item with the input, which proves
+    every base; a caller's bases are checked."""
 
     @pytest.mark.parametrize("t", [PRIME6, critical_family("T", 7),
                                    random_tournament(14, random.Random(0))])
@@ -331,17 +331,17 @@ class TestOneOutputCheck:
         assert calls == [r]
 
     def test_enumeration_checks_each_base_once(self, monkeypatch):
-        # the base and the first item by c3_structure; the second item, the
-        # dual, by the kernel at every pair, each once
+        # the first item by c3_structure, with no check of the base at
+        # set-up; the second item, the dual, by the kernel at every pair,
+        # each once
         h = c3_structure(PRIME6)
-        tree, base = _prepare(h)
         calls = []
         monkeypatch.setattr(realization, "c3_structure",
                             lambda x: calls.append(x) or c3_structure(x))
         it = enumerate_realizations(h)
         kernel = spy_kernel(monkeypatch)
         items = list(it)
-        assert calls == [base[int(tree.root.members)]] + items[:1]
+        assert calls == items[:1]
         assert kernel == differing_pairs(items)
         assert len(kernel[0]) == 15
 
@@ -736,7 +736,7 @@ class TestOneClosurePerInput:
 
 class TestOneOutputCheckPerItem:
     def test_bases_checked_once_per_tree(self, monkeypatch):
-        # each stored base once at set-up, the first item by c3_structure,
+        # no stored base checked at set-up, the first item by c3_structure,
         # and each later item by one kernel call on the pairs it changes
         h = planted_blocks((1, 3, 1, 1, 3, 1), random.Random(71))
         tree, base = _prepare(h)
@@ -749,17 +749,17 @@ class TestOneOutputCheckPerItem:
         for limit in (1, 50):
             calls.clear()
             it = enumerate_realizations(h)
-            assert calls == bases
+            assert calls == []
             kernel.clear()
             items = list(islice(it, limit))
             assert len(items) == limit and len(set(items)) == limit
-            assert calls == bases + items[:1]
+            assert calls == items[:1]
             assert kernel == differing_pairs(items)
             assert len(kernel) == limit - 1
 
     def test_bad_stored_base_caught_at_set_up(self, monkeypatch):
-        # a transitive base does not realize a 3-cycle quotient; enumeration
-        # refuses it before any item
+        # a transitive base does not realize a 3-cycle quotient; the check
+        # of the first item refuses it before any item is yielded
         h = planted_blocks((3, 1, 3), random.Random(74))
         real = realization._prepare
 
@@ -768,8 +768,9 @@ class TestOneOutputCheckPerItem:
             return tree, {key: linear_order(3) for key in base}
 
         monkeypatch.setattr(realization, "_prepare", spoiled)
+        it = enumerate_realizations(h)
         with pytest.raises(InvariantError):
-            enumerate_realizations(h)
+            next(it)
 
 
 def critical_plus_one(kind, m, rng):
