@@ -15,13 +15,11 @@ from .core import (
 from .decomposition import (
     DecompositionTree, ModularPartition, TreeNode,
     LABEL_COMPLETE, LABEL_EMPTY, LABEL_LINEAR, LABEL_PRIME,
-    components, decomposition_tree, enumerate_modules, enumerate_usual_modules,
-    is_module, is_prime, is_strong_module, is_usual_module,
+    components, decomposition_tree, is_module, is_prime, is_strong_module,
     maximal_proper_strong_modules, module_violation, quotient,
     smallest_strong_module_containing, strong_modules,
     tournament_decomposition_tree, tournament_is_module, tournament_is_prime,
-    tournament_modules, tournament_pi, tournament_quotient,
-    tournament_strong_modules,
+    tournament_pi, tournament_quotient, tournament_strong_modules,
 )
 from .errors import C3RealizeError, CapacityError, InvariantError, ParseError, PreconditionError
 from .io import (
@@ -30,13 +28,15 @@ from .io import (
 )
 from .oracle import (
     AxiomReport, all_tournaments, brute_force_realizations,
-    check_covering_axioms, check_partitive, random_hypergraph, random_tournament,
+    check_covering_axioms, check_partitive, enumerate_modules,
+    enumerate_usual_modules, hypergraph_isomorphism, is_usual_module,
+    random_hypergraph, random_tournament, tournament_modules,
 )
 from .realization import (
     ExtensionCertificate, NonRealizabilityWitness, RealizationChoice,
     choice_to_tournament, count_realizations, default_choice,
     enumerate_realizations, extend_realization, extension_certificate,
-    hypergraph_isomorphism, realize, realize_critical, realize_prime,
+    realize, realize_critical, realize_prime,
 )
 
 __version__ = "0.1.0"

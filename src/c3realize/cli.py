@@ -69,11 +69,11 @@ def _cmd_modules(args) -> int:
     if args.strong and args.usual:
         raise PreconditionError("--strong cannot be combined with --usual")
     if args.usual:
-        mods = decomposition.enumerate_usual_modules(h)
+        mods = oracle.enumerate_usual_modules(h)
     elif args.strong:
         mods = decomposition.strong_modules(h)
     else:
-        mods = decomposition.enumerate_modules(h)
+        mods = oracle.enumerate_modules(h)
     listed = sorted((list(m) for m in mods), key=lambda xs: (len(xs), xs))
     print(json.dumps(listed))
     return EXIT_OK

@@ -10,7 +10,8 @@ structure supplies the smallest module containing a set, and the engine
 reads the rest from the closures of vertex pairs, in polynomial time.  One
 sweep over the distinct pair closures, smallest first, finds every strong
 module and its children (``_children``) with no comparison of two closures,
-and ``_tree`` builds the tree bottom-up from it for both kinds.  A node's
+and ``_tree`` builds the tree bottom-up from it for both kinds, which
+``strong_modules`` and ``decomposition_tree`` take alike.  A node's
 quotient, like that of any modular partition (``quotient``), is the
 structure induced on its transverse, the smallest vertex of each block: an
 edge that meets two or more blocks meets each in one vertex and stays an
@@ -20,35 +21,30 @@ the tree keeps the closure it was read from, so later stages rebuild
 neither.  The sweep counts how many vertex pairs close to each set, and a
 node's prime label is confirmed from that count, so each tree closes each
 pair once; on 3-uniform input the realization of a prime quotient reads
-the same tables, and an input needs one closure table.  Only
-``enumerate_modules``, ``enumerate_usual_modules`` and
-``tournament_modules`` list modules by brute force over vertex subsets,
-because their output can have 2^n members; they alone take a ``bound``
-(``DEFAULT_BOUND``).
+the same tables, and an input needs one closure table.  Nothing here scans
+vertex subsets: the listers of all modules, whose output can have 2^n
+members, are brute force and live in ``oracle``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits
 from .core import Hypergraph, Tournament, is_linear_order
 from .errors import InvariantError, PreconditionError
-from .oracle import DEFAULT_BOUND, _is_module_over, modules_within, subsets_where
+from .oracle import _check_subset, _is_module_over, _is_tournament_module
 
 __all__ = [
-    "DEFAULT_BOUND",
     "LABEL_PRIME", "LABEL_EMPTY", "LABEL_COMPLETE", "LABEL_LINEAR",
-    "is_module", "module_violation", "is_usual_module",
-    "enumerate_modules", "enumerate_usual_modules",
+    "is_module", "module_violation",
     "is_strong_module", "strong_modules", "is_prime",
     "ModularPartition", "maximal_proper_strong_modules", "quotient",
     "components", "smallest_strong_module_containing",
     "TreeNode", "DecompositionTree", "decomposition_tree",
-    "tournament_is_module", "tournament_modules", "tournament_strong_modules",
+    "tournament_is_module", "tournament_strong_modules",
     "tournament_is_prime", "tournament_pi", "tournament_quotient",
     "tournament_decomposition_tree",
 ]
@@ -64,11 +60,6 @@ _HYPERGRAPH_SYMBOLS = {LABEL_PRIME: "△", LABEL_EMPTY: "◯",
 # close(s): the smallest module containing the nonempty vertex set s; the
 # hypergraph closure also takes close(s, w), the same within the set w
 Closure = Callable[..., int]
-
-
-def _check_subset(h, m: int) -> None:
-    if m & ~full_mask(h.n):
-        raise PreconditionError(f"set {bit_list(m)} not within 0..{h.n - 1}")
 
 
 def _lowest(m: int) -> int:
@@ -97,41 +88,6 @@ def module_violation(h: Hypergraph, vertices: int | Iterable[int]) -> VertexSet 
         if not _is_module_over((e,), h.edges, m):
             return VertexSet(e)
     return None
-
-
-def is_usual_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
-    """Module in the componentwise-replacement sense, kept as a comparison
-    predicate: for every edge e straddling the set, replacing the part of e
-    inside the set by any equal-size subset of the set must give an edge.
-    """
-    m = as_mask(vertices)
-    _check_subset(h, m)
-    members = bit_list(m)
-    for e in h.edges:
-        inter = e & m
-        if inter == 0 or e & ~m == 0:
-            continue
-        base = e & ~m
-        k = inter.bit_count()
-        for repl in combinations(members, k):
-            f = base
-            for v in repl:
-                f |= 1 << v
-            if f not in h.edges:
-                return False
-    return True
-
-
-# --- brute-force enumeration -------------------------------------------------
-
-def enumerate_modules(h: Hypergraph, bound: int = DEFAULT_BOUND) -> frozenset[VertexSet]:
-    """Exactly the modules of ``h``, including the trivial ones."""
-    return frozenset(VertexSet(m) for m in modules_within(h, full_mask(h.n), bound))
-
-
-def enumerate_usual_modules(h: Hypergraph, bound: int = DEFAULT_BOUND) -> frozenset[VertexSet]:
-    return frozenset(VertexSet(m) for m in
-                     subsets_where(full_mask(h.n), partial(is_usual_module, h), bound))
 
 
 # --- the closure engine ------------------------------------------------------
@@ -220,6 +176,13 @@ def _tournament_closure(t: Tournament) -> Closure:
     return close
 
 
+def _closure(host: Hypergraph | Tournament) -> Closure:
+    """The closure of a hypergraph or a tournament."""
+    if isinstance(host, Tournament):
+        return _tournament_closure(host)
+    return _hypergraph_closure(host)
+
+
 def _is_prime_within(close: Closure, w: int) -> bool:
     """H[w] is prime, read from the hypergraph closure ``close(s, w)``: at
     least 3 vertices, and every pair of them closes to w."""
@@ -267,14 +230,12 @@ def _children(n: int, close: Closure) -> tuple[dict[int, list[int]], Counter[int
     return out, hits
 
 
-def _tree(host: Hypergraph | Tournament, close: Closure,
-          label: Callable[[Hypergraph | Tournament, bool], str],
-          kind: str) -> DecompositionTree:
+def _tree(host: Hypergraph | Tournament, close: Closure) -> DecompositionTree:
     """The inclusion tree of the strong modules, built bottom-up.  Each
     internal node's quotient is the structure induced on its transverse (the
     smallest vertex of each child), the host itself when that is every
-    vertex; ``label(quotient, prime)`` names it, and the tree keeps
-    ``close``.
+    vertex; ``_hypergraph_label`` or ``_tournament_label`` names it, and the
+    tree keeps ``close``.
 
     A node m with k >= 3 children c_1..c_k has a prime quotient iff each of
     the (|m|^2 - sum |c_i|^2) / 2 pairs that cross two children closes to
@@ -287,6 +248,7 @@ def _tree(host: Hypergraph | Tournament, close: Closure,
     nontrivial module, since two of its vertices close within it."""
     children, hits = _children(host.n, close)
     full = full_mask(host.n)
+    tournament = isinstance(host, Tournament)
     built: dict[int, TreeNode] = {}
     for m, blocks in children.items():
         name = q = None
@@ -294,9 +256,11 @@ def _tree(host: Hypergraph | Tournament, close: Closure,
             transverse = sum(b & -b for b in blocks)
             q = host if transverse == full else host.induced(transverse)
             crossing = (m.bit_count() ** 2 - sum(b.bit_count() ** 2 for b in blocks)) // 2
-            name = label(q, len(blocks) >= 3 and hits[m] == crossing)
+            prime = len(blocks) >= 3 and hits[m] == crossing
+            name = _tournament_label(q, prime) if tournament else _hypergraph_label(host, q, prime)
         built[m] = TreeNode(m, name, tuple(built.pop(b) for b in blocks), q)
-    return DecompositionTree(built[full], host.n, kind, close)
+    return DecompositionTree(built[full], host.n, "tournament" if tournament else "hypergraph",
+                             close)
 
 
 def is_strong_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
@@ -306,9 +270,10 @@ def is_strong_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
     return m in strong_modules(h)
 
 
-def strong_modules(h: Hypergraph) -> frozenset[VertexSet]:
-    """All strong modules of ``h`` (the tree nodes, plus the empty set)."""
-    return frozenset(VertexSet(m) for m in _children(h.n, _hypergraph_closure(h))[0].keys() | {0})
+def strong_modules(host: Hypergraph | Tournament) -> frozenset[VertexSet]:
+    """All strong modules of a hypergraph or a tournament (the tree nodes,
+    plus the empty set)."""
+    return frozenset(VertexSet(m) for m in _children(host.n, _closure(host))[0].keys() | {0})
 
 
 def is_prime(h: Hypergraph) -> bool:
@@ -381,9 +346,7 @@ def maximal_proper_strong_modules(host: Hypergraph | Tournament) -> ModularParti
     strong modules."""
     if host.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    close = (_tournament_closure(host) if isinstance(host, Tournament)
-             else _hypergraph_closure(host))
-    return ModularPartition._of_children(host, _children(host.n, close)[0][full_mask(host.n)])
+    return ModularPartition._of_children(host, _children(host.n, _closure(host))[0][full_mask(host.n)])
 
 
 def quotient(host: Hypergraph | Tournament,
@@ -561,11 +524,12 @@ def _hypergraph_label(h: Hypergraph, q: Hypergraph, prime: bool) -> str:
     return LABEL_PRIME
 
 
-def decomposition_tree(h: Hypergraph) -> DecompositionTree:
-    """The full labeled modular decomposition tree of ``h``."""
-    if h.n < 1:
+def decomposition_tree(host: Hypergraph | Tournament) -> DecompositionTree:
+    """The full labeled modular decomposition tree of a hypergraph or a
+    tournament (a tournament's labels are linear or prime)."""
+    if host.n < 1:
         raise PreconditionError("need at least 1 vertex")
-    return _tree(h, _hypergraph_closure(h), partial(_hypergraph_label, h), "hypergraph")
+    return _tree(host, _closure(host))
 
 
 def smallest_strong_module_containing(h: Hypergraph,
@@ -580,20 +544,7 @@ def tournament_is_module(t: Tournament, vertices: int | Iterable[int]) -> bool:
     """Interval-style module test: no outside vertex splits the set by arcs."""
     m = as_mask(vertices)
     _check_subset(t, m)
-    for v in iter_bits(full_mask(t.n) & ~m):
-        s = t.succ[v] & m
-        if s != 0 and s != m:
-            return False
-    return True
-
-
-def tournament_modules(t: Tournament, bound: int = DEFAULT_BOUND) -> frozenset[VertexSet]:
-    return frozenset(VertexSet(m) for m in
-                     subsets_where(full_mask(t.n), partial(tournament_is_module, t), bound))
-
-
-def tournament_strong_modules(t: Tournament) -> frozenset[VertexSet]:
-    return frozenset(VertexSet(m) for m in _children(t.n, _tournament_closure(t))[0].keys() | {0})
+    return _is_tournament_module(t, m)
 
 
 def tournament_is_prime(t: Tournament) -> bool:
@@ -604,8 +555,10 @@ def tournament_is_prime(t: Tournament) -> bool:
                             for x, y in combinations(range(t.n), 2))
 
 
+tournament_strong_modules = strong_modules
 tournament_pi = maximal_proper_strong_modules
 tournament_quotient = quotient
+tournament_decomposition_tree = decomposition_tree
 
 
 def _tournament_label(q: Tournament, prime: bool) -> str:
@@ -615,10 +568,3 @@ def _tournament_label(q: Tournament, prime: bool) -> str:
         raise InvariantError(
             "tournament quotient by maximal strong modules must be linear or prime")
     return LABEL_PRIME
-
-
-def tournament_decomposition_tree(t: Tournament) -> DecompositionTree:
-    """Labeled decomposition tree of a tournament (labels: linear or prime)."""
-    if t.n < 1:
-        raise PreconditionError("need at least 1 vertex")
-    return _tree(t, _tournament_closure(t), _tournament_label, "tournament")

@@ -2,8 +2,10 @@
 
 Everything here avoids the decomposition/realization pipeline on purpose:
 realizations are found by scanning all orientations, modules by scanning
-all vertex subsets, and the set-family laws are checked directly from
-enumerated module sets.
+all vertex subsets (up to ``bound`` vertices, since there can be 2^n),
+isomorphisms by backtracking search, and the set-family laws are checked
+directly from enumerated module sets.  The pipeline imports only the two
+module predicates and the range check from here.
 """
 
 from __future__ import annotations
@@ -13,13 +15,15 @@ from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .bitset import bit_list, full_mask, iter_bits, iter_submasks
+from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits, iter_submasks
 from .core import Hypergraph, Tournament
-from .errors import CapacityError
+from .errors import CapacityError, PreconditionError
 
 __all__ = [
     "DEFAULT_BOUND", "MAX_EXHAUSTIVE_ORDER",
     "subsets_where", "modules_within",
+    "enumerate_modules", "enumerate_usual_modules", "is_usual_module",
+    "tournament_modules", "hypergraph_isomorphism",
     "all_tournaments", "brute_force_realizations",
     "check_partitive", "check_covering_axioms", "AxiomReport",
     "random_tournament", "random_hypergraph",
@@ -39,6 +43,11 @@ def subsets_where(ground: int, keep: Callable[[int], bool],
     if size > bound:
         raise CapacityError("module enumeration", size, bound)
     return [m for m in iter_submasks(ground) if keep(m)]
+
+
+def _check_subset(host: Hypergraph | Tournament, m: int) -> None:
+    if m & ~full_mask(host.n):
+        raise PreconditionError(f"set {bit_list(m)} not within 0..{host.n - 1}")
 
 
 def _is_module_over(edges: Iterable[int], membership: frozenset[int], m: int) -> bool:
@@ -63,6 +72,15 @@ def _is_module_over(edges: Iterable[int], membership: frozenset[int], m: int) ->
     return True
 
 
+def _is_tournament_module(t: Tournament, m: int) -> bool:
+    """Interval-style module test: no vertex outside ``m`` splits it by arcs."""
+    for v in iter_bits(full_mask(t.n) & ~m):
+        s = t.succ[v] & m
+        if s != 0 and s != m:
+            return False
+    return True
+
+
 def modules_within(h: Hypergraph, w: int, bound: int = DEFAULT_BOUND) -> list[int]:
     """All modules of the subhypergraph induced by ``w``, as masks within w.
 
@@ -71,6 +89,46 @@ def modules_within(h: Hypergraph, w: int, bound: int = DEFAULT_BOUND) -> list[in
     """
     edges = [e for e in h.edges if e & ~w == 0]
     return subsets_where(w, partial(_is_module_over, edges, h.edges), bound)
+
+
+def enumerate_modules(h: Hypergraph, bound: int = DEFAULT_BOUND) -> frozenset[VertexSet]:
+    """Exactly the modules of ``h``, including the trivial ones."""
+    return frozenset(VertexSet(m) for m in modules_within(h, full_mask(h.n), bound))
+
+
+def is_usual_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
+    """Module in the componentwise-replacement sense, kept as a comparison
+    predicate: for every edge e straddling the set, replacing the part of e
+    inside the set by any equal-size subset of the set must give an edge.
+    """
+    m = as_mask(vertices)
+    _check_subset(h, m)
+    members = bit_list(m)
+    for e in h.edges:
+        inter = e & m
+        if inter == 0 or e & ~m == 0:
+            continue
+        base = e & ~m
+        k = inter.bit_count()
+        for repl in combinations(members, k):
+            f = base
+            for v in repl:
+                f |= 1 << v
+            if f not in h.edges:
+                return False
+    return True
+
+
+def enumerate_usual_modules(h: Hypergraph, bound: int = DEFAULT_BOUND) -> frozenset[VertexSet]:
+    """Exactly the modules of ``h`` in the sense of ``is_usual_module``."""
+    return frozenset(VertexSet(m) for m in
+                     subsets_where(full_mask(h.n), partial(is_usual_module, h), bound))
+
+
+def tournament_modules(t: Tournament, bound: int = DEFAULT_BOUND) -> frozenset[VertexSet]:
+    """Exactly the modules of ``t``, including the trivial ones."""
+    return frozenset(VertexSet(m) for m in
+                     subsets_where(full_mask(t.n), partial(_is_tournament_module, t), bound))
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -119,6 +177,75 @@ def brute_force_realizations(h: Hypergraph) -> list[Tournament]:
         return []
     triples = _triples(h.n)
     return [t for t in all_tournaments(h.n) if _realizes(t.succ, triples, h.edges)]
+
+
+# --- isomorphism -----------------------------------------------------------
+
+def _codegrees(h: Hypergraph) -> list[list[int]]:
+    """``cd[a][b]``: the number of edges through both a and b."""
+    cd = [[0] * h.n for _ in range(h.n)]
+    for e in h.edges:
+        for a, b in combinations(bit_list(e), 2):
+            cd[a][b] += 1
+            cd[b][a] += 1
+    return cd
+
+
+def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
+    """A vertex bijection carrying the edges of h1 exactly onto those of h2.
+
+    Backtracking over vertices in descending degree order, pruned by degree
+    and pairwise co-degree invariants, with an explicit stack of the images
+    left to try at each depth, so any order is searched without recursion.
+    Returns ``phi`` with vertex v of h1 mapped to ``phi[v]``, or None.
+    """
+    if not (h1.is_3_uniform and h2.is_3_uniform):
+        raise PreconditionError("isomorphism search expects 3-uniform hypergraphs")
+    n = h1.n
+    if h2.n != n or len(h1.edges) != len(h2.edges):
+        return None
+    cd1, cd2 = _codegrees(h1), _codegrees(h2)
+    # each edge through v adds 1 to two entries of row v
+    deg1, deg2 = [sum(row) // 2 for row in cd1], [sum(row) // 2 for row in cd2]
+    prof1 = [(deg1[v], sorted(cd1[v])) for v in range(n)]
+    prof2 = [(deg2[v], sorted(cd2[v])) for v in range(n)]
+    if sorted(prof1) != sorted(prof2):
+        return None
+
+    order = sorted(range(n), key=lambda v: (-deg1[v], v))
+    rank = {v: i for i, v in enumerate(order)}
+    # edges of h1 indexed by the latest vertex to be assigned
+    edges_by_last: list[list[int]] = [[] for _ in range(n)]
+    for e in h1.edges:
+        edges_by_last[max(rank[v] for v in iter_bits(e))].append(e)
+
+    cands = [[w for w in range(n) if prof2[w] == prof1[v]] for v in range(n)]
+    phi, used = [-1] * n, [False] * n
+    tries: list[Iterator[int]] = []  # tries[i]: the images of order[i] left to try
+    i = 0
+    while i < n:
+        v = order[i]
+        if i == len(tries):
+            tries.append(iter(cands[v]))
+        else:  # back from depth i + 1, where the image of v found no completion
+            used[phi[v]] = False
+            phi[v] = -1
+        for w in tries[i]:
+            if used[w] or any(cd1[v][u] != cd2[w][phi[u]] for u in order[:i]):
+                continue
+            phi[v] = w
+            if all(sum(1 << phi[u] for u in iter_bits(e)) in h2.edges
+                   for e in edges_by_last[i]):
+                used[w] = True
+                i += 1
+                break
+            phi[v] = -1
+        else:
+            tries.pop()
+            i -= 1
+            if i < 0:
+                return None
+    return phi
 
 
 # --- set-family law checking -------------------------------------------------

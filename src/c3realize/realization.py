@@ -27,6 +27,9 @@ p, q that keeps X prime is added (2-4 closures per pair), trying both
 realizations of H[X + p] that extend the one of H[X].  A failed extension
 makes the set reached a witness.  Of the two realizations of a prime
 quotient, the one kept is the one in which its first vertex beats its second.
+``realize_prime`` and ``realize_critical`` run the same growth on a whole
+input; no isomorphism search is needed, since growth reaches the critical
+families too (the exhaustive searches are in ``oracle``).
 
 Enumeration sets up each node once per tree and walks the product of the
 nodes' choices, each choice ORing its node's parts into a copy of the
@@ -47,7 +50,7 @@ from math import factorial, prod
 from typing import Iterator, Mapping
 
 from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits
-from .core import Graph, Hypergraph, Tournament, c3_structure, critical_family
+from .core import Graph, Hypergraph, Tournament, c3_structure
 from .decomposition import (
     LABEL_EMPTY, LABEL_PRIME, Closure, DecompositionTree, _hypergraph_closure,
     _is_prime_within, decomposition_tree,
@@ -60,7 +63,6 @@ __all__ = [
     "VERDICT_OK", "VERDICT_ODD_CYCLE", "VERDICT_E0", "VERDICT_Y_OVERLAP",
     "VERDICT_Y_NOT_COVERING", "VERDICT_M2_ARC",
     "NonRealizabilityWitness", "ExtensionCertificate", "RealizationChoice",
-    "hypergraph_isomorphism",
     "realize", "realize_prime", "realize_critical",
     "extension_certificate", "extend_realization",
     "count_realizations", "enumerate_realizations",
@@ -154,81 +156,6 @@ class RealizationChoice:
 
     def __setattr__(self, name, value):
         raise AttributeError("RealizationChoice is immutable")
-
-
-# --- isomorphism -----------------------------------------------------------
-
-def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
-    """A vertex bijection carrying the edges of h1 exactly onto those of h2.
-
-    Backtracking over vertices in descending degree order, pruned by degree
-    and pairwise co-degree invariants.  Returns ``phi`` with vertex v of h1
-    mapped to ``phi[v]``, or None.
-    """
-    if not (h1.is_3_uniform and h2.is_3_uniform):
-        raise PreconditionError("isomorphism search expects 3-uniform hypergraphs")
-    n = h1.n
-    if h2.n != n or len(h1.edges) != len(h2.edges):
-        return None
-
-    def codegrees(h: Hypergraph) -> list[list[int]]:
-        cd = [[0] * h.n for _ in range(h.n)]
-        for e in h.edges:
-            vs = bit_list(e)
-            for a, b in combinations(vs, 2):
-                cd[a][b] += 1
-                cd[b][a] += 1
-        return cd
-
-    cd1, cd2 = codegrees(h1), codegrees(h2)
-    # each edge through v adds 1 to two entries of row v
-    deg1, deg2 = [sum(row) // 2 for row in cd1], [sum(row) // 2 for row in cd2]
-    prof1 = [(deg1[v], sorted(cd1[v])) for v in range(n)]
-    prof2 = [(deg2[v], sorted(cd2[v])) for v in range(n)]
-    if sorted(prof1) != sorted(prof2):
-        return None
-
-    order = sorted(range(n), key=lambda v: (-deg1[v], v))
-    rank = {v: i for i, v in enumerate(order)}
-    # edges of h1 indexed by the latest vertex to be assigned
-    edges_by_last: list[list[int]] = [[] for _ in range(n)]
-    for e in h1.edges:
-        last = max(iter_bits(e), key=lambda v: rank[v])
-        edges_by_last[rank[last]].append(e)
-
-    cands = [[w for w in range(n) if prof2[w] == prof1[v]] for v in range(n)]
-    phi = [-1] * n
-    used = [False] * n
-
-    def backtrack(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in cands[v]:
-            if used[w]:
-                continue
-            if any(cd1[v][u] != cd2[w][phi[u]] for u in order[:i]):
-                continue
-            phi[v] = w
-            ok = True
-            for e in edges_by_last[i]:
-                img = 0
-                for u in iter_bits(e):
-                    img |= 1 << phi[u]
-                if img not in h2.edges:
-                    ok = False
-                    break
-            if ok:
-                used[w] = True
-                if backtrack(i + 1):
-                    return True
-                used[w] = False
-            phi[v] = -1
-        return False
-
-    found = backtrack(0)
-    del backtrack  # the recursive closure holds itself through its cell
-    return phi if found else None
 
 
 # --- single-vertex extension --------------------------------------------------
@@ -468,19 +395,25 @@ def extend_realization(h: Hypergraph, x: int, t_x: Tournament,
 
 def realize_critical(h: Hypergraph,
                      _assume_critical: bool = False) -> Tournament | NonRealizabilityWitness:
-    """Realize a critical prime hypergraph by matching the three odd families.
+    """Realize a critical prime hypergraph (no vertex deletion leaves it
+    prime) or produce a witness.
 
-    Realizable critical hypergraphs are exactly the 3-cycle structures of
-    the T/U/W families, so an even order is rejected outright and an odd
-    order is settled by isomorphism search against the three generators.
+    Its realizations are critical prime tournaments, which have odd order
+    (Schmerl and Trotter, Discrete Math. 1993), so an even order is
+    rejected outright (stage ``base``).  An odd order is settled by the
+    growth of ``realize_prime`` on the closure the checks build; if growth
+    fails, all of h is the witness (stage ``critical-mismatch``).  The
+    realization returned is the one in which vertex 0 beats vertex 1.
+    ``_assume_critical=True`` skips the checks and is the caller's promise
+    that h is prime and critical.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
     if h.n < 5:
         raise PreconditionError("critical realization needs at least 5 vertices")
+    close = _hypergraph_closure(h)
+    full = full_mask(h.n)
     if not _assume_critical:
-        close = _hypergraph_closure(h)
-        full = full_mask(h.n)
         if not _is_prime_within(close, full):
             raise PreconditionError("input must be prime")
         for x in range(h.n):
@@ -488,12 +421,10 @@ def realize_critical(h: Hypergraph,
                 raise PreconditionError(f"input is not critical: deleting {x} keeps it prime")
     if h.n % 2 == 0:
         return NonRealizabilityWitness(range(h.n), STAGE_BASE)
-    for kind in ("T", "U", "W"):
-        gen = critical_family(kind, h.n)
-        phi = hypergraph_isomorphism(c3_structure(gen), h)
-        if phi is not None:
-            return _checked(gen.relabel(phi), h, "critical-family match")
-    return NonRealizabilityWitness(range(h.n), STAGE_CRITICAL_MISMATCH)
+    res = _realize_within(h, close, full)
+    if isinstance(res, NonRealizabilityWitness):
+        return NonRealizabilityWitness(range(h.n), STAGE_CRITICAL_MISMATCH)
+    return Tournament._from_succ(h.n, tuple(res))
 
 
 def realize_prime(h: Hypergraph,
@@ -888,27 +819,43 @@ def _items(h: Hypergraph, tree: DecompositionTree,
             parts = _prime_parts(blocks, prime_base[m])
             oriented = (parts, [(b, m & ~(b | out)) for b, out in parts])
         nodes.append((blocks, oriented))
-    return _enumerate(h, tree._close.spans, nodes, 0, [0] * h.n, [None])
+    return _enumerate(h, tree._close.spans, nodes)
+
+
+def _orders(blocks: list[int]) -> Iterator[Parts]:
+    """The parts of each linear order of the blocks, taking the
+    permutations of their indices in lexicographic order."""
+    return (_order_parts([blocks[i] for i in perm]) for perm in permutations(range(len(blocks))))
 
 
 def _enumerate(h: Hypergraph, spans: list[list[int]],
-               nodes: list[tuple[list[int], tuple[Parts, Parts] | None]],
-               depth: int, rows: list[int], last: list) -> Iterator[Tournament]:
-    """The realizations whose parts at the first ``depth`` nodes are ORed
-    into ``rows``.  Choices are made node by node, so each permutation is
-    built only when its turn comes and the first item needs one value per
-    node.  ``last[0]`` holds the successor masks of the item yielded
+               nodes: list[tuple[list[int], tuple[Parts, Parts] | None]]) -> Iterator[Tournament]:
+    """The realizations in enumeration order, by an odometer over the
+    nodes' choices, the last node turning fastest: ``left[d]`` iterates
+    over node d's choices not taken yet, and ``rows[d]`` holds the
+    successor masks with the parts chosen at the first d nodes ORed in, so
+    no call nests per node.  Each permutation is built only when its turn
+    comes.  ``last[0]`` holds the successor masks of the item yielded
     before, or None."""
-    if depth == len(nodes):
-        yield _verified(h, spans, rows, last)
-        return
-    blocks, oriented = nodes[depth]
-    options = oriented or (_order_parts([blocks[i] for i in perm])
-                           for perm in permutations(range(len(blocks))))
-    for parts in options:
-        succ = rows[:]
+    rows, left, last = [[0] * h.n], [], [None]
+    while True:
+        if len(left) < len(nodes):
+            blocks, oriented = nodes[len(left)]
+            left.append(iter(oriented or _orders(blocks)))
+            parts = next(left[-1])
+        else:
+            yield _verified(h, spans, rows[-1], last)
+            while left:
+                parts = next(left[-1], None)
+                rows.pop()
+                if parts is not None:
+                    break
+                left.pop()
+            else:
+                return
+        succ = rows[-1][:]
         _or_parts(succ, parts)
-        yield from _enumerate(h, spans, nodes, depth + 1, succ, last)
+        rows.append(succ)
 
 
 def _verified(h: Hypergraph, spans: list[list[int]], succ: list[int], last: list) -> Tournament:

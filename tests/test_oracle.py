@@ -1,8 +1,11 @@
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+import c3realize
 from c3realize import (
     CapacityError, Hypergraph, c3_structure, check_covering_axioms,
     check_partitive, count_realizations, critical_family,
@@ -120,3 +123,60 @@ class TestRandomGenerators:
         for _ in range(30):
             h = random_hypergraph(6, rng, sizes=(2, 3, 4))
             assert all(2 <= e.bit_count() <= 4 for e in h.edges)
+
+
+# Every public name of the package, wherever it is defined.
+PUBLIC_NAMES = """
+AxiomReport C3RealizeError CapacityError DecompositionTree ExtensionCertificate
+Graph Hypergraph InvariantError LABEL_COMPLETE LABEL_EMPTY LABEL_LINEAR
+LABEL_PRIME ModularPartition NonRealizabilityWitness ParseError
+PreconditionError RealizationChoice Tournament TreeNode VertexSet
+all_tournaments bitset brute_force_realizations c3_structure
+check_covering_axioms check_partitive choice_to_tournament components core
+count_realizations critical_family decomposition decomposition_tree
+default_choice dual dump_hypergraph dump_tournament enumerate_modules
+enumerate_realizations enumerate_usual_modules errors extend_realization
+extension_certificate hypergraph_isomorphism hypergraph_to_json
+induced_subhypergraph io is_linear_order is_module is_prime is_strong_module
+is_usual_module linear_order maximal_proper_strong_modules module_violation
+oracle parse_hypergraph parse_tournament quotient random_hypergraph
+random_tournament realization realize realize_critical realize_prime
+smallest_strong_module_containing strong_modules
+tournament_decomposition_tree tournament_is_module tournament_is_prime
+tournament_modules tournament_pi tournament_quotient
+tournament_strong_modules tournament_to_json
+""".split()
+
+
+def package_imports(module):
+    """The package modules that ``c3realize/<module>.py`` imports from."""
+    tree = ast.parse((Path(c3realize.__file__).parent / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                found |= {node.module} if node.module else {a.name for a in node.names}
+            elif (node.module or "").startswith("c3realize"):
+                found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.startswith("c3realize")}
+    return found
+
+
+class TestLayering:
+    """The brute-force oracle stands on the data structures alone, and the
+    realization pipeline never calls into it."""
+
+    def test_oracle_imports_only_the_data_structures(self):
+        assert package_imports("oracle") <= {"bitset", "core", "errors"}
+
+    def test_realization_does_not_import_the_oracle(self):
+        assert not {m for m in package_imports("realization") if "oracle" in m}
+
+    def test_searches_live_in_the_oracle(self):
+        for name in ("hypergraph_isomorphism", "enumerate_modules", "enumerate_usual_modules",
+                     "is_usual_module", "tournament_modules"):
+            assert getattr(c3realize, name).__module__ == "c3realize.oracle", name
+
+    def test_public_names_stay_importable(self):
+        assert [name for name in PUBLIC_NAMES if not hasattr(c3realize, name)] == []

@@ -92,7 +92,8 @@ class TestCriticalFamilies:
 
     def test_every_critical_5_tournament_is_matched(self):
         # exhaustive n=5: the three families cover all critical primes
-        from c3realize import realize_critical
+        from c3realize import hypergraph_isomorphism, realize_critical
+        families = [c3_structure(critical_family(kind, 5)) for kind in "TUW"]
         matched = 0
         for t in all_tournaments(5):
             if not tournament_is_prime(t):
@@ -100,8 +101,10 @@ class TestCriticalFamilies:
             if any(tournament_is_prime(t.induced(t.vertex_mask & ~(1 << v)))
                    for v in range(5)):
                 continue
-            got = realize_critical(c3_structure(t))
+            h = c3_structure(t)
+            got = realize_critical(h)
             assert isinstance(got, Tournament)
+            assert any(hypergraph_isomorphism(f, h) is not None for f in families), t
             matched += 1
         assert matched == 264
 

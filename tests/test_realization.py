@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from itertools import combinations, islice, permutations, product
 from pathlib import Path
 
@@ -107,6 +108,21 @@ class TestRealizePrime:
             realize_prime(H4)
 
 
+@contextmanager
+def recursion_headroom(frames):
+    """Cap the recursion limit at the current stack depth plus ``frames``."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 class TestRealizeCritical:
     def test_t5_direct(self):
         h = c3_structure(critical_family("T", 5))
@@ -148,6 +164,17 @@ class TestRealizeCritical:
     def test_too_small_rejected(self):
         with pytest.raises(PreconditionError):
             realize_critical(Hypergraph(3, [[0, 1, 2]]))
+
+    @pytest.mark.parametrize("kind", ["T", "U", "W"])
+    @pytest.mark.parametrize("n", [7, 9, 31])
+    def test_grows_like_realize_prime(self, kind, n):
+        perm = list(range(n))
+        random.Random(94 + n).shuffle(perm)
+        src = critical_family(kind, n).relabel(perm)
+        h = c3_structure(src)
+        got = realize_critical(h)
+        assert got == realize_prime(h) and got.has_arc(0, 1)
+        assert got in (src, dual(src))
 
 
 class TestExtendRealization:
@@ -395,6 +422,29 @@ class TestHypergraphIsomorphism:
         assert phi is not None
         for e in h1.edge_lists():
             assert h2.has_edge([phi[v] for v in e])
+
+    def test_search_depth_is_not_a_call_depth(self):
+        # one search level per vertex, but no stack frame per level
+        h = Hypergraph(100, [[0, 1, 2]])
+        with recursion_headroom(40):
+            phi = hypergraph_isomorphism(h, h)
+        assert sorted(phi) == list(range(100)) and sorted(phi[:3]) == [0, 1, 2]
+
+
+class TestDeepTrees:
+    def test_many_internal_nodes_within_a_small_stack(self):
+        # a linear order of 60 3-cycles: an empty root over 60 prime nodes,
+        # which enumeration walks one node after another
+        k = 60
+        arcs = [(a, b) for a, b in combinations(range(3 * k), 2) if b - a != 2 or a % 3]
+        arcs += [(3 * i + 2, 3 * i) for i in range(k)]
+        src = Tournament.from_arcs(3 * k, arcs)
+        h = c3_structure(src)
+        with recursion_headroom(40):
+            got = realize(h)
+            items = list(islice(enumerate_realizations(h), 5))
+        assert got == src and items[0] == src
+        assert len(set(items)) == 5 and all(c3_structure(t) == h for t in items)
 
 
 class TestBeyondTwentyVertices:
