@@ -19,16 +19,22 @@ edge when each is swapped for its block's smallest, and the arcs between
 two blocks all point one way.  Each internal node keeps its quotient and
 the tree keeps the closure it was read from, so later stages rebuild
 neither.  The sweep counts how many vertex pairs close to each set, and a
-node's prime label is confirmed from that count, so each tree closes each
-pair once; on 3-uniform input the realization of a prime quotient reads
-the same tables, and an input needs one closure table.  Nothing here scans
-vertex subsets: the listers of all modules, whose output can have 2^n
-members, are brute force and live in ``oracle``.
+node's prime label is confirmed from that count.  A tree first closes the
+pairs of vertex 0; when all of them close to the whole set, a chain of
+prime sets grown from a triple through vertex 0 (``_grows_prime``, the
+step rule realization uses, after Schmerl & Trotter, Discrete Math. 1993)
+can prove a prime root with no other closure, and otherwise the sweep
+closes each remaining pair once.  On 3-uniform input the realization of a
+prime quotient reads the same tables, and an input needs one closure
+table.  Nothing here scans vertex subsets: the listers of all modules,
+whose output can have 2^n members, are brute force and live in
+``oracle``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
@@ -57,8 +63,8 @@ LABEL_LINEAR = "linear"
 _HYPERGRAPH_SYMBOLS = {LABEL_PRIME: "△", LABEL_EMPTY: "◯",
                        LABEL_COMPLETE: "●"}
 
-# close(s): the smallest module containing the nonempty vertex set s; the
-# hypergraph closure also takes close(s, w), the same within the set w
+# close(s, w): the smallest module of the structure induced on w containing
+# the nonempty vertex set s within w (w defaults to the whole vertex set)
 Closure = Callable[..., int]
 
 
@@ -156,21 +162,25 @@ def _hypergraph_closure(h: Hypergraph) -> Closure:
 
 
 def _tournament_closure(t: Tournament) -> Closure:
-    """The map from a nonempty vertex set to the smallest module containing it.
+    """The map ``close(s, w)`` from a nonempty set s within w to the smallest
+    module of T[w] containing s (w defaults to the whole vertex set).
 
     An outside vertex that splits the set beats exactly one of some member u
     and the first member r, so it lies in succ(u) ^ succ(r); it lies inside
-    every module containing the set and is absorbed.
+    every module containing the set and is absorbed.  Within a smaller w the
+    rows are cut to w once per call, so the loop is the same for every w.
     """
     succ = t.succ
+    full = full_mask(t.n)
 
-    def close(s: int) -> int:
-        r_succ = succ[_lowest(s)]
+    def close(s: int, w: int = full) -> int:
+        rows = succ if w == full else [r & w for r in succ]
+        r_succ = rows[_lowest(s)]
         m, done = s, 0
         while m != done:
-            u = _lowest(m & ~done)
-            m |= succ[u] ^ r_succ
-            done |= 1 << u
+            low = m & ~done & -(m & ~done)
+            m |= rows[low.bit_length() - 1] ^ r_succ
+            done |= low
         return m
 
     return close
@@ -184,16 +194,169 @@ def _closure(host: Hypergraph | Tournament) -> Closure:
 
 
 def _is_prime_within(close: Closure, w: int) -> bool:
-    """H[w] is prime, read from the hypergraph closure ``close(s, w)``: at
-    least 3 vertices, and every pair of them closes to w."""
+    """The structure induced on w is prime, read from the closure
+    ``close(s, w)``: at least 3 vertices, and every pair of them closes to
+    w."""
     return w.bit_count() >= 3 and all(
         close((1 << x) | (1 << y), w) == w for x, y in combinations(bit_list(w), 2))
 
 
-def _children(n: int, close: Closure) -> tuple[dict[int, list[int]], Counter[int]]:
+# --- growing a chain of prime sets -----------------------------------------------
+#
+# The step rule of a chain of prime sets: from a prime set x, the first one
+# or two outside vertices that keep it prime.  Realization grows a
+# tournament along the chain, and a tree grows the chain to prove its root
+# prime.
+
+def _twin(spans: list[list[int]], x: int, y: int) -> int | None:
+    """How y outside the prime set x joins it: y's twin in x, -1 when y lies
+    in no edge within x + y, or None when H[x + y] is prime.
+
+    A module of H[x + y] meets x in a module of H[x]: the empty set, one
+    vertex or x.  So H[x + y] is not prime iff x is a module (y lies in no
+    edge within x + y) or some {a, y} with a in x is one (a is y's twin: a
+    and y lie in no common edge and, for every other v in x, the links of
+    a, v and of y, v agree within x - a).  A twin is unique, since two
+    would make a 2-set of x a module of H[x]; when x is a module, no a is a
+    twin, since a lies in an edge within x.
+    """
+    row_y = spans[y]
+    in_edge = False
+    for a in iter_bits(x):
+        ab = 1 << a
+        if row_y[a] & x & ~ab:
+            in_edge = True
+            continue
+        row_a = spans[a]
+        rest = x & ~ab
+        for v in iter_bits(rest):
+            if (row_y[v] ^ row_a[v]) & rest & ~(1 << v):
+                break
+        else:
+            return a
+    return None if in_edge else -1
+
+
+def _tournament_twin(succ: tuple[int, ...], x: int, y: int) -> int | None:
+    """``_twin`` for a tournament: y's twin in the prime set x, -1 when x is
+    a module of T[x + y], or None when T[x + y] is prime.
+
+    As for hypergraphs, T[x + y] is not prime iff x is a module (y beats all
+    of x or none of it) or some {a, y} with a in x is one (y and a beat the
+    same vertices of x - a), and a twin is unique."""
+    out = succ[y] & x
+    if out == 0 or out == x:
+        return -1
+    for a in iter_bits(x):
+        if (succ[y] ^ succ[a]) & x & ~(1 << a) == 0:
+            return a
+    return None
+
+
+def _pair_keeps_prime(close: Closure, x: int, twins: dict[int, int], p: int, q: int) -> bool:
+    """H[x + p + q] is prime, given that H[x] is prime and that neither
+    H[x + p] nor H[x + q] is (``twins`` maps each to its ``_twin``).
+
+    A module of H[x + p + q] meets x in nothing, one vertex or x.  So a
+    proper one with two or more vertices holds {p, q}, or two vertices of x
+    (and then all of x), or is {a, p} or {a, q} for a in x, which is then a
+    module of H[x + p] or H[x + q], so a is p's or q's twin: 2-4 closures
+    within x + p + q settle it.  The same holds for a tournament, with
+    ``_tournament_twin``.
+    """
+    z = x | (1 << p) | (1 << q)
+    low = x & -x
+    seeds = [(1 << p) | (1 << q), low | ((x ^ low) & -(x ^ low))]
+    seeds += [(1 << v) | (1 << twins[v]) for v in (p, q) if twins[v] >= 0]
+    return all(close(s, z) == z for s in seeds)
+
+
+def _next_prime(twin: Callable[[int, int], int | None], close: Closure, x: int,
+                w: int) -> tuple[int, int, int | None] | None:
+    """The next set of a chain of prime sets within w after the prime x, by
+    the step rule: x + y for the smallest y that ``twin(x, y)`` keeps prime,
+    else x + p + q for the first pair p < q that ``_pair_keeps_prime``
+    accepts.  Returns ``(z, q, a)``: the set z, the vertex q it adds last
+    (y in a one-vertex step) and ``a``, p's twin (-1 when p joins none) in
+    a two-vertex step or None in a one-vertex step; None when no vertex or
+    pair keeps x prime (a stall)."""
+    outside = bit_list(w & ~x)
+    twins = {}
+    for y in outside:
+        twins[y] = twin(x, y)
+        if twins[y] is None:
+            return x | (1 << y), y, None
+    for p, q in combinations(outside, 2):
+        if _pair_keeps_prime(close, x, twins, p, q):
+            return x | (1 << p) | (1 << q), q, twins[p]
+    return None
+
+
+def _first_edge(spans: list[list[int]], w: int) -> int:
+    """The first edge {a, b, c} within w through its smallest vertex a, with
+    b, then c, as small as can be, or 0 when a lies in no edge within w."""
+    a = _lowest(w)
+    row, rest = spans[a], w & ~(1 << a)
+    for b in iter_bits(rest):
+        third = row[b] & rest & ~(1 << b)
+        if third:
+            return (1 << a) | (1 << b) | (third & -third)
+    return 0
+
+
+def _grows_prime(host: Hypergraph | Tournament, close: Closure) -> bool:
+    """True when a chain of prime sets grows, by the step rule of
+    ``_next_prime``, from a prime triple through vertex 0 to the whole
+    vertex set, which proves the host prime; False (a stall) proves nothing.
+
+    The base is prime: the first edge through vertex 0 of a 3-uniform
+    hypergraph (``_first_edge``), or the first 3-cycle 0 -> b -> c -> 0 of
+    a tournament.  Each step keeps the set prime, by the arguments of
+    ``_twin``, ``_tournament_twin`` and ``_pair_keeps_prime``.  Only a
+    3-uniform hypergraph is grown: ``_twin`` reads the span table cut to
+    the set, which is exact only then (see ``_hypergraph_closure``).  A
+    prime tournament never stalls: its every vertex lies on a 3-cycle, and
+    a prime subtournament on 3 or more vertices extends to a prime one by
+    one or two more vertices (Schmerl and Trotter, Discrete Math. 1993).
+    A prime 3-uniform hypergraph that is not realizable may stall.
+    """
+    full = full_mask(host.n)
+    if host.n < 3:
+        return False
+    if isinstance(host, Tournament):
+        succ = host.succ
+        back = full & ~succ[0] & ~1
+        x = next((1 | (1 << b) | (c & -c) for b in iter_bits(succ[0])
+                  if (c := succ[b] & back)), 0)
+        twin = partial(_tournament_twin, succ)
+    elif host.is_3_uniform:
+        x = _first_edge(close.spans, full)
+        twin = partial(_twin, close.spans)
+    else:
+        return False
+    while x and x != full:
+        step = _next_prime(twin, close, x, full)
+        x = step[0] if step else 0
+    return x != 0
+
+
+def _children(host: Hypergraph | Tournament,
+              close: Closure) -> tuple[dict[int, list[int]], Counter[int]]:
     """Each nonempty strong module's children (its maximal proper strong
     modules, by smallest vertex), every child before its parent, and
     ``hits``: ``hits[c]`` is the number of vertex pairs whose closure is c.
+
+    The pairs of vertex 0 are closed first.  When all of them close to the
+    whole set V and ``_grows_prime`` grows a chain of prime sets to V, the
+    host is prime: the base is prime, one edge on 3 vertices or a 3-cycle,
+    and each step keeps the set prime.  Then every pair closes to V, so V
+    has the n single vertices as children and ``hits[V] = n(n - 1)/2`` is
+    a fact, not a count, and no other pair is closed.  A stall proves
+    nothing; the sweep below then closes the other pairs, so a tree that is
+    not proved prime this way closes each pair once, plus the 2-4 closures
+    within a smaller set of each pair test the stalled chain ran.  The chain
+    runs only on 3-uniform hypergraphs and tournaments (see
+    ``_grows_prime``); mixed-size input keeps the sweep.
 
     A pair closure is a strong module, or a union of two or more (not all)
     children of a node whose quotient is degenerate (empty, complete or
@@ -209,9 +372,14 @@ def _children(n: int, close: Closure) -> tuple[dict[int, list[int]], Counter[int
     children.  When the sweep ends, each such union has grown to its whole
     node and the only top is the whole set.
     """
+    n, full = host.n, full_mask(host.n)
     out: dict[int, list[int]] = {1 << v: [] for v in range(n)}
+    hits = Counter(close(1 | (1 << y)) for y in range(1, n))
+    if hits[full] == n - 1 and _grows_prime(host, close):
+        out[full] = list(out)
+        return out, Counter({full: n * (n - 1) // 2})
+    hits.update(close((1 << x) | (1 << y)) for x, y in combinations(range(1, n), 2))
     top = [1 << v for v in range(n)]
-    hits = Counter(close((1 << x) | (1 << y)) for x, y in combinations(range(n), 2))
     for c in sorted(hits, key=int.bit_count):
         if c & ~top[_lowest(c)] == 0:
             continue
@@ -246,7 +414,7 @@ def _tree(host: Hypergraph | Tournament, close: Closure) -> DecompositionTree:
     them and overlaps none: a union of children, which is a module of the
     quotient.  So the count falls short exactly when the quotient has a
     nontrivial module, since two of its vertices close within it."""
-    children, hits = _children(host.n, close)
+    children, hits = _children(host, close)
     full = full_mask(host.n)
     tournament = isinstance(host, Tournament)
     built: dict[int, TreeNode] = {}
@@ -273,12 +441,19 @@ def is_strong_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
 def strong_modules(host: Hypergraph | Tournament) -> frozenset[VertexSet]:
     """All strong modules of a hypergraph or a tournament (the tree nodes,
     plus the empty set)."""
-    return frozenset(VertexSet(m) for m in _children(host.n, _closure(host))[0].keys() | {0})
+    return frozenset(VertexSet(m) for m in _children(host, _closure(host))[0].keys() | {0})
 
 
-def is_prime(h: Hypergraph) -> bool:
-    """True iff ``h`` has at least 3 vertices and only trivial modules."""
-    return _is_prime_within(_hypergraph_closure(h), full_mask(h.n))
+def is_prime(host: Hypergraph | Tournament) -> bool:
+    """True iff a hypergraph or a tournament has at least 3 vertices and
+    only trivial modules."""
+    return _is_prime_with(host, _closure(host))
+
+
+def _is_prime_with(host: Hypergraph | Tournament, close: Closure) -> bool:
+    """``is_prime`` on the host's closure: a chain of prime sets grown to the
+    whole set proves it (``_grows_prime``); on a stall every pair is closed."""
+    return _grows_prime(host, close) or _is_prime_within(close, full_mask(host.n))
 
 
 # --- modular partitions and quotients ----------------------------------------
@@ -346,7 +521,7 @@ def maximal_proper_strong_modules(host: Hypergraph | Tournament) -> ModularParti
     strong modules."""
     if host.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    return ModularPartition._of_children(host, _children(host.n, _closure(host))[0][full_mask(host.n)])
+    return ModularPartition._of_children(host, _children(host, _closure(host))[0][full_mask(host.n)])
 
 
 def quotient(host: Hypergraph | Tournament,
@@ -514,7 +689,7 @@ def _hypergraph_label(h: Hypergraph, q: Hypergraph, prime: bool) -> str:
     closure count found q prime (see ``_tree``)."""
     if not q.edges:
         return LABEL_EMPTY
-    if q.edges == {(1 << i) | (1 << j) for i, j in combinations(range(q.n), 2)}:
+    if len(q.edges) == q.n * (q.n - 1) // 2 and all(e.bit_count() == 2 for e in q.edges):
         # the quotient of a 3-uniform hypergraph is 3-uniform
         if h.is_3_uniform:
             raise InvariantError("complete label unreachable for 3-uniform input")
@@ -547,14 +722,7 @@ def tournament_is_module(t: Tournament, vertices: int | Iterable[int]) -> bool:
     return _is_tournament_module(t, m)
 
 
-def tournament_is_prime(t: Tournament) -> bool:
-    """True iff ``t`` has at least 3 vertices and every vertex pair closes
-    to the whole set."""
-    close, full = _tournament_closure(t), full_mask(t.n)
-    return t.n >= 3 and all(close((1 << x) | (1 << y)) == full
-                            for x, y in combinations(range(t.n), 2))
-
-
+tournament_is_prime = is_prime
 tournament_strong_modules = strong_modules
 tournament_pi = maximal_proper_strong_modules
 tournament_quotient = quotient

@@ -45,6 +45,7 @@ against the quotients the tree keeps (``TreeNode.quotient``).
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, permutations
 from math import factorial, prod
 from typing import Iterator, Mapping
@@ -52,8 +53,9 @@ from typing import Iterator, Mapping
 from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits
 from .core import Graph, Hypergraph, Tournament, c3_structure
 from .decomposition import (
-    LABEL_EMPTY, LABEL_PRIME, Closure, DecompositionTree, _hypergraph_closure,
-    _is_prime_within, decomposition_tree,
+    LABEL_EMPTY, LABEL_PRIME, Closure, DecompositionTree, _first_edge, _hypergraph_closure,
+    _is_prime_with, _is_prime_within, _next_prime, _pair_keeps_prime, _twin,
+    decomposition_tree,
 )
 from .errors import InvariantError, PreconditionError
 
@@ -446,14 +448,16 @@ def realize_prime(h: Hypergraph,
     A prime realizable hypergraph has exactly two realizations, a
     tournament and its dual; the one returned is the one in which vertex 0
     beats vertex 1.  This builds one closure of h and runs
-    ``_realize_within`` on it.  ``_assume_prime=True`` skips the primality
+    ``_realize_within`` on it.  The primality check grows the same chain of
+    prime sets without the tournament and closes every pair only on a stall
+    (``decomposition._is_prime_with``).  ``_assume_prime=True`` skips the
     check and is the caller's promise that h is prime.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
     close = _hypergraph_closure(h)
     full = full_mask(h.n)
-    if not _assume_prime and not _is_prime_within(close, full):
+    if not _assume_prime and not _is_prime_with(h, close):
         raise PreconditionError("input must be prime")
     res = _realize_within(h, close, full)
     if isinstance(res, NonRealizabilityWitness):
@@ -486,35 +490,6 @@ def _realize_within(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRea
     return res
 
 
-def _twin(spans: list[list[int]], x: int, y: int) -> int | None:
-    """How y outside the prime set x joins it: y's twin in x, -1 when y lies
-    in no edge within x + y, or None when H[x + y] is prime.
-
-    A module of H[x + y] meets x in a module of H[x]: the empty set, one
-    vertex or x.  So H[x + y] is not prime iff x is a module (y lies in no
-    edge within x + y) or some {a, y} with a in x is one (a is y's twin: a
-    and y lie in no common edge and, for every other v in x, the links of
-    a, v and of y, v agree within x - a).  A twin is unique, since two
-    would make a 2-set of x a module of H[x]; when x is a module, no a is a
-    twin, since a lies in an edge within x.
-    """
-    row_y = spans[y]
-    in_edge = False
-    for a in iter_bits(x):
-        ab = 1 << a
-        if row_y[a] & x & ~ab:
-            in_edge = True
-            continue
-        row_a = spans[a]
-        rest = x & ~ab
-        for v in iter_bits(rest):
-            if (row_y[v] ^ row_a[v]) & rest & ~(1 << v):
-                break
-        else:
-            return a
-    return None if in_edge else -1
-
-
 def _dense_four(spans: list[list[int]], w: int) -> int | None:
     """The first 4-set within w that holds three or more edges, or None.
 
@@ -533,37 +508,22 @@ def _dense_four(spans: list[list[int]], w: int) -> int | None:
     return None
 
 
-def _pair_keeps_prime(close: Closure, x: int, twins: dict[int, int], p: int, q: int) -> bool:
-    """H[x + p + q] is prime, given that H[x] is prime and that neither
-    H[x + p] nor H[x + q] is (``twins`` maps each to its ``_twin``).
-
-    A module of H[x + p + q] meets x in nothing, one vertex or x.  So a
-    proper one with two or more vertices holds {p, q}, or two vertices of x
-    (and then all of x), or is {a, p} or {a, q} for a in x, which is then a
-    module of H[x + p] or H[x + q], so a is p's or q's twin: 2-4 closures
-    within x + p + q settle it.
-    """
-    z = x | (1 << p) | (1 << q)
-    low = x & -x
-    seeds = [(1 << p) | (1 << q), low | ((x ^ low) & -(x ^ low))]
-    seeds += [(1 << v) | (1 << twins[v]) for v in (p, q) if twins[v] >= 0]
-    return all(close(s, z) == z for s in seeds)
-
-
 def _grow(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizabilityWitness:
     """Upward growth on H[w]: the successor masks of a realization, or a
     witness.
 
     The base is the first edge {a, b, c} through the smallest vertex a of
     w, realized as the 3-cycle a -> b -> c -> a.  Each step keeps x prime
-    and a realization of H[x] in ``succ``.  A one-vertex step adds the
-    smallest y for which H[x + y] is prime (``_twin``) and extends the
-    realization by y; a failed extension proves H[x + y] not realizable.
-    Failing that, a two-vertex step takes the first pair p < q for which
-    H[x + p + q] is prime (``_pair_keeps_prime``) and extends by q each of
-    the two realizations of H[x + p] that agree with ``succ`` on x: p
-    copies its twin a and sits just below or just above it, or, when p
-    lies in no edge within x + p, below or above all of x.  These are all,
+    and a realization of H[x] in ``succ``; the next set is picked by the
+    step rule the tree's proof of a prime root also uses
+    (``decomposition._next_prime``).  A one-vertex step adds the smallest y
+    for which H[x + y] is prime (``_twin``) and extends the realization by
+    y; a failed extension proves H[x + y] not realizable.  Failing that, a
+    two-vertex step takes the first pair p < q for which H[x + p + q] is
+    prime (``_pair_keeps_prime``) and extends by q each of the two
+    realizations of H[x + p] that agree with ``succ`` on x: p copies its
+    twin a and sits just below or just above it, or, when p lies in no
+    edge within x + p, below or above all of x.  These are all,
     since H[x + p] has the strong modules {a, p} (or x) and singletons.
     A realization of the prime H[x + p + q], dualized if need be to agree
     with ``succ`` on x, extends one of them, and ``_extension`` finds it:
@@ -586,32 +546,21 @@ def _grow(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizability
     1,322 random prime tournaments with n <= 10).
     """
     spans = close.spans
-    a = (w & -w).bit_length() - 1
-    row = spans[a]
-    pairs = w & ~(1 << a)
-    b = next(v for v in iter_bits(pairs) if row[v] & pairs & ~(1 << v))
-    third = row[b] & pairs & ~(1 << b)
-    c = (third & -third).bit_length() - 1
+    base = x = _first_edge(spans, w)
+    a, b, c = bit_list(base)
     succ = [0] * h.n
     succ[a], succ[b], succ[c] = 1 << b, 1 << c, 1 << a
-    base = x = (1 << a) | (1 << b) | (1 << c)
+    twin = partial(_twin, spans)
     while x != w:
-        outside = bit_list(w & ~x)
-        twins = {}
-        for y in outside:
-            twins[y] = _twin(spans, x, y)
-            if twins[y] is None:
-                z, q, trials = x | (1 << y), y, [succ]
-                break
+        step = _next_prime(twin, close, x, w)
+        if step is None:
+            return NonRealizabilityWitness(iter_bits(w), STAGE_STALL)
+        z, q, a = step
+        if a is None:
+            trials = [succ]
         else:
-            pair = next(((p, q) for p, q in combinations(outside, 2)
-                         if _pair_keeps_prime(close, x, twins, p, q)), None)
-            if pair is None:
-                return NonRealizabilityWitness(iter_bits(w), STAGE_STALL)
-            p, q = pair
-            z = x | (1 << p) | (1 << q)
-            twin = twins[p]
-            beaten, mid = (0, x) if twin < 0 else (succ[twin], 1 << twin)
+            p = (z & ~x & ~(1 << q)).bit_length() - 1
+            beaten, mid = (0, x) if a < 0 else (succ[a], 1 << a)
             trials = []
             for out in (beaten, beaten | mid):
                 trial = succ[:]

@@ -395,39 +395,65 @@ def spy_on_closures(monkeypatch, calls):
         monkeypatch.setattr(decomposition, name, factory)
 
 
+def spy_on_pair_tests(monkeypatch, calls, pair_tests):
+    """Make ``decomposition._pair_keeps_prime``, the pair test of every chain
+    of prime sets, record in ``pair_tests`` how many closures each call adds
+    to ``calls``."""
+    real = decomposition._pair_keeps_prime
+
+    def pair_spy(*args):
+        before = len(calls)
+        keeps = real(*args)
+        pair_tests.append(len(calls) - before)
+        return keeps
+    monkeypatch.setattr(decomposition, "_pair_keeps_prime", pair_spy)
+
+
 class TestOneClosurePerPair:
-    """A tree closes each vertex pair once: its prime labels are read from
-    the sweep's count of its pair closures, not from closures of their own."""
+    """A tree closes each vertex pair at most once: its prime labels are read
+    from the sweep's count of its pair closures, not from closures of their
+    own, and a prime root proved by a chain of prime sets closes only the
+    pairs of vertex 0 and the chain's pair tests."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_trees_of_a_prime_14_tournament(self, monkeypatch, seed):
         t = random_tournament(14, random.Random(seed))
         h = c3_structure(t)
-        calls = []
+        calls, pair_tests = [], []
         spy_on_closures(monkeypatch, calls)
+        spy_on_pair_tests(monkeypatch, calls, pair_tests)
         for build, host in ((decomposition_tree, h), (tournament_decomposition_tree, t)):
             tree = build(host)
             assert tree.root.label == LABEL_PRIME and len(tree.root.children) == 14
-            assert len(calls) == 14 * 13 // 2
+            assert all(2 <= k <= 4 for k in pair_tests)
+            assert len(calls) == 13 + sum(pair_tests)
             assert len(set(calls)) == len(calls)
             calls.clear()
+            pair_tests.clear()
 
     def test_count_adds_only_the_growth_pair_tests(self, monkeypatch):
         h = c3_structure(random_tournament(14, random.Random(0)))
         calls, pair_tests = [], []
         spy_on_closures(monkeypatch, calls)
-        real = realization._pair_keeps_prime
-
-        def pair_spy(*args):
-            before = len(calls)
-            keeps = real(*args)
-            pair_tests.append(len(calls) - before)
-            return keeps
-        monkeypatch.setattr(realization, "_pair_keeps_prime", pair_spy)
+        spy_on_pair_tests(monkeypatch, calls, pair_tests)
         assert count_realizations(h) == 2
-        # no prime 4-set is realizable, so growth takes a two-vertex step
+        # no prime 4-set is realizable, so growth takes a two-vertex step;
+        # the tree's chain makes the same pair tests as growth
         assert pair_tests and all(2 <= k <= 4 for k in pair_tests)
-        assert len(calls) == 14 * 13 // 2 + sum(pair_tests)
+        assert len(calls) == 13 + sum(pair_tests)
+
+    def test_trees_that_are_not_prime_close_each_pair_once(self, monkeypatch):
+        # an empty root over two prime triples, and a prime root over a
+        # 3-cycle and four single vertices
+        t = TestCountGuard.T
+        hosts = [Hypergraph(6, [[0, 1, 2], [3, 4, 5]]), c3_structure(t), t]
+        calls = []
+        spy_on_closures(monkeypatch, calls)
+        for host in hosts:
+            tree = decomposition_tree(host)
+            assert not all(c.is_leaf for c in tree.root.children)
+            assert len(calls) == len(set(calls)) == host.n * (host.n - 1) // 2
+            calls.clear()
 
 
 class TestRootQuotientIsHost:

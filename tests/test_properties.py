@@ -839,6 +839,95 @@ class TestTwoVertexPrimality:
         assert seen[True] and seen[False], seen
 
 
+def oracle_prime_within(host, w):
+    """The structure induced on w is prime, by brute force over its subsets."""
+    if isinstance(host, Tournament):
+        sub = host.induced(w)
+        mods = subsets_where(sub.vertex_mask, partial(tournament_is_module, sub))
+    else:
+        mods = modules_within(host, w)
+    return w.bit_count() >= 3 and len(mods) == w.bit_count() + 2
+
+
+def chain_corpus():
+    """Every tournament with n <= 5 and its C3 structure, then the n <= 9
+    inputs of ``three_uniform_inputs``, ``planted_tournament`` (with C3
+    structures) and ``planted_hypergraph``."""
+    for n in range(1, 6):
+        for t in all_tournaments(n):
+            yield t
+            yield c3_structure(t)
+    rng = random.Random(69)
+    yield from three_uniform_inputs(rng, 60, 9)
+    for _ in range(150):
+        t = planted_tournament(rng.randint(2, 9), rng)
+        yield t
+        yield c3_structure(t)
+        yield planted_hypergraph(rng.randint(2, 9), rng)
+
+
+class TestPrimeChain:
+    """The chain of prime sets (``decomposition._grows_prime``) that proves a
+    tree's root prime with only vertex 0's pair closures and its own pair
+    tests, against brute force."""
+
+    def test_every_set_of_the_chain_is_prime(self, monkeypatch):
+        reached = []
+        real_next = decomposition._next_prime
+
+        def next_spy(twin, close, x, w):
+            step = real_next(twin, close, x, w)
+            reached.append(x)
+            if step is not None:
+                reached.append(step[0])
+            return step
+        monkeypatch.setattr(decomposition, "_next_prime", next_spy)
+        verdicts = Counter()
+        for host in chain_corpus():
+            reached.clear()
+            proved = decomposition._grows_prime(host, decomposition._closure(host))
+            kind = "tournament" if isinstance(host, Tournament) else "hypergraph"
+            verdicts[kind, proved, oracle_prime_within(host, host.vertex_mask)] += 1
+            for x in reached:
+                assert oracle_prime_within(host, x), (host, x)
+            if proved:
+                assert oracle_prime_within(host, host.vertex_mask), host
+        assert verdicts["hypergraph", True, True] >= 100, verdicts
+        assert verdicts["tournament", True, True] >= 100, verdicts
+        # a prime tournament never stalls; a prime hypergraph can
+        assert verdicts["tournament", False, True] == 0, verdicts
+        assert verdicts["hypergraph", False, True], verdicts
+
+    def test_no_stall_on_prime_tournaments(self):
+        rng = random.Random(70)
+        tournaments = [t for n in range(3, 6) for t in all_tournaments(n)]
+        tournaments += [random_tournament(rng.randint(3, 9), rng) for _ in range(300)]
+        tournaments += [critical_family(kind, m) for kind in "TUW" for m in (5, 7, 9)]
+        prime = 0
+        for t in tournaments:
+            if oracle_prime_within(t, t.vertex_mask):
+                prime += 1
+                assert decomposition._grows_prime(t, decomposition._closure(t)), t
+        assert prime >= 200
+
+    def test_fewer_than_three_vertices(self):
+        for n in range(3):
+            trivial = {0, (1 << n) - 1} | {1 << v for v in range(n)}
+            for host in (Hypergraph(n, []), *all_tournaments(n)):
+                assert not is_prime(host), host
+                assert strong_modules(host) == trivial, host
+
+    def test_trees_match_with_the_chain_disabled(self, monkeypatch):
+        def outputs(host):
+            return (decomposition_tree(host).to_json(), strong_modules(host),
+                    maximal_proper_strong_modules(host).blocks if host.n >= 2 else None,
+                    is_prime(host))
+        corpus = list(chain_corpus())
+        with_chain = [outputs(host) for host in corpus]
+        monkeypatch.setattr(decomposition, "_grows_prime", lambda host, close: False)
+        assert [outputs(host) for host in corpus] == with_chain
+
+
 class TestGrowthAgainstOracle:
     """``realize_prime`` on random prime 3-uniform inputs with n <= 6 against
     the exhaustive realization list.  A spy on ``_grow`` sees the growth
@@ -851,7 +940,7 @@ class TestGrowthAgainstOracle:
     def test_each_path_against_brute_force(self, monkeypatch):
         grown, shrunk, steps = [], [], []
         real_grow, real_four = realization._grow, realization._dense_four
-        real_pair = realization._pair_keeps_prime
+        real_pair = decomposition._pair_keeps_prime
 
         def grow_spy(h, close, w):
             res = real_grow(h, close, w)
@@ -871,7 +960,7 @@ class TestGrowthAgainstOracle:
 
         monkeypatch.setattr(realization, "_grow", grow_spy)
         monkeypatch.setattr(realization, "_dense_four", four_spy)
-        monkeypatch.setattr(realization, "_pair_keeps_prime", pair_spy)
+        monkeypatch.setattr(decomposition, "_pair_keeps_prime", pair_spy)
 
         def path():
             first = grown[0][1]

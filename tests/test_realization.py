@@ -929,7 +929,7 @@ class TestUpwardGrowth:
             sources.append(critical_family(kind, 9).relabel(perm))
             sources += [critical_plus_one(kind, m, rng) for m in (7, 9) for _ in range(3)]
         steps = []
-        real_pair = realization._pair_keeps_prime
+        real_pair = decomposition._pair_keeps_prime
 
         def spy(close, x, twins, p, q):
             kept = real_pair(close, x, twins, p, q)
@@ -937,7 +937,7 @@ class TestUpwardGrowth:
                 steps.append(x.bit_count())
             return kept
 
-        monkeypatch.setattr(realization, "_pair_keeps_prime", spy)
+        monkeypatch.setattr(decomposition, "_pair_keeps_prime", spy)
         paths = Counter()
         for src in sources:
             h = c3_structure(src)
