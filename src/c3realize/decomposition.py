@@ -21,14 +21,14 @@ the tree keeps the closure it was read from, so later stages rebuild
 neither.  The sweep counts how many vertex pairs close to each set, and a
 node's prime label is confirmed from that count.  A tree first closes the
 pairs of vertex 0; when all of them close to the whole set, a chain of
-prime sets grown from a triple through vertex 0 (``_grows_prime``, the
-step rule realization uses, after Schmerl & Trotter, Discrete Math. 1993)
-can prove a prime root with no other closure, and otherwise the sweep
-closes each remaining pair once.  On 3-uniform input the realization of a
-prime quotient reads the same tables, and an input needs one closure
-table.  Nothing here scans vertex subsets: the listers of all modules,
-whose output can have 2^n members, are brute force and live in
-``oracle``.
+prime sets from a triple through vertex 0 (``_chain``, the one walk of the
+step rule, after Schmerl & Trotter, Discrete Math. 1993) can prove a prime
+root with no other closure, and otherwise the sweep closes each remaining
+pair once.  On 3-uniform input the realization of a prime quotient reads
+the same tables, and a prime root grows along the chain the tree kept, so
+an input needs one closure table and one walk.  Nothing here scans vertex
+subsets: the listers of all modules, whose output can have 2^n members,
+are brute force and live in ``oracle``.
 """
 
 from __future__ import annotations
@@ -204,9 +204,9 @@ def _is_prime_within(close: Closure, w: int) -> bool:
 # --- growing a chain of prime sets -----------------------------------------------
 #
 # The step rule of a chain of prime sets: from a prime set x, the first one
-# or two outside vertices that keep it prime.  Realization grows a
-# tournament along the chain, and a tree grows the chain to prove its root
-# prime.
+# or two outside vertices that keep it prime.  ``_chain`` is the one walk of
+# it: a tree walks the chain to prove its root prime and keeps it, and
+# realization grows a tournament along the same steps.
 
 def _twin(spans: list[list[int]], x: int, y: int) -> int | None:
     """How y outside the prime set x joins it: y's twin in x, -1 when y lies
@@ -271,92 +271,79 @@ def _pair_keeps_prime(close: Closure, x: int, twins: dict[int, int], p: int, q: 
     return all(close(s, z) == z for s in seeds)
 
 
-def _next_prime(twin: Callable[[int, int], int | None], close: Closure, x: int,
-                w: int) -> tuple[int, int, int | None] | None:
-    """The next set of a chain of prime sets within w after the prime x, by
-    the step rule: x + y for the smallest y that ``twin(x, y)`` keeps prime,
-    else x + p + q for the first pair p < q that ``_pair_keeps_prime``
-    accepts.  Returns ``(z, q, a)``: the set z, the vertex q it adds last
-    (y in a one-vertex step) and ``a``, p's twin (-1 when p joins none) in
-    a two-vertex step or None in a one-vertex step; None when no vertex or
-    pair keeps x prime (a stall)."""
-    outside = bit_list(w & ~x)
-    twins = {}
-    for y in outside:
-        twins[y] = twin(x, y)
-        if twins[y] is None:
-            return x | (1 << y), y, None
-    for p, q in combinations(outside, 2):
-        if _pair_keeps_prime(close, x, twins, p, q):
-            return x | (1 << p) | (1 << q), q, twins[p]
-    return None
+def _chain(host: Hypergraph | Tournament, close: Closure,
+           w: int) -> Iterator[int | tuple[int, int, int | None]]:
+    """A chain of prime sets within w, walked lazily: first the base, the
+    first triple {a, b, c} through the smallest vertex a of w with b, then
+    c, as small as can be (an edge of a 3-uniform hypergraph, a 3-cycle
+    a -> b -> c -> a of a tournament; none yields nothing), then one
+    ``(z, q, a)`` per step, ending at w or at a stall.
 
-
-def _first_edge(spans: list[list[int]], w: int) -> int:
-    """The first edge {a, b, c} within w through its smallest vertex a, with
-    b, then c, as small as can be, or 0 when a lies in no edge within w."""
-    a = _lowest(w)
-    row, rest = spans[a], w & ~(1 << a)
-    for b in iter_bits(rest):
-        third = row[b] & rest & ~(1 << b)
-        if third:
-            return (1 << a) | (1 << b) | (third & -third)
-    return 0
-
-
-def _grows_prime(host: Hypergraph | Tournament, close: Closure) -> bool:
-    """True when a chain of prime sets grows, by the step rule of
-    ``_next_prime``, from a prime triple through vertex 0 to the whole
-    vertex set, which proves the host prime; False (a stall) proves nothing.
-
-    The base is prime: the first edge through vertex 0 of a 3-uniform
-    hypergraph (``_first_edge``), or the first 3-cycle 0 -> b -> c -> 0 of
-    a tournament.  Each step keeps the set prime, by the arguments of
-    ``_twin``, ``_tournament_twin`` and ``_pair_keeps_prime``.  Only a
-    3-uniform hypergraph is grown: ``_twin`` reads the span table cut to
-    the set, which is exact only then (see ``_hypergraph_closure``).  A
-    prime tournament never stalls: its every vertex lies on a 3-cycle, and
-    a prime subtournament on 3 or more vertices extends to a prime one by
-    one or two more vertices (Schmerl and Trotter, Discrete Math. 1993).
-    A prime 3-uniform hypergraph that is not realizable may stall.
+    A step adds to the prime x the smallest outside y that ``_twin``
+    (``_tournament_twin``) keeps prime, else the first pair p < q that
+    ``_pair_keeps_prime`` accepts, and yields the set z reached, the vertex
+    q it adds last (y in a one-vertex step) and ``a``, p's twin (-1 when p
+    joins none) or None in a one-vertex step.  Each set is prime, by the
+    three tests.  Only a 3-uniform hypergraph is walked: ``_twin`` reads
+    the span table cut to the set, exact only then.  A prime tournament never stalls: its every
+    vertex lies on a 3-cycle, and a prime subtournament on 3 or more
+    vertices extends to a prime one by one or two more vertices (Schmerl
+    and Trotter, Discrete Math. 1993).  A prime 3-uniform hypergraph that
+    is not realizable may stall.
     """
-    full = full_mask(host.n)
-    if host.n < 3:
-        return False
+    if w.bit_count() < 3 or not (isinstance(host, Tournament) or host.is_3_uniform):
+        return
+    a = _lowest(w)
+    rest = w & ~(1 << a)
     if isinstance(host, Tournament):
         succ = host.succ
-        back = full & ~succ[0] & ~1
-        x = next((1 | (1 << b) | (c & -c) for b in iter_bits(succ[0])
-                  if (c := succ[b] & back)), 0)
         twin = partial(_tournament_twin, succ)
-    elif host.is_3_uniform:
-        x = _first_edge(close.spans, full)
-        twin = partial(_twin, close.spans)
+        x = next(((1 << a) | (1 << b) | (c & -c) for b in iter_bits(succ[a] & rest)
+                  if (c := succ[b] & rest & ~succ[a])), 0)
     else:
-        return False
-    while x and x != full:
-        step = _next_prime(twin, close, x, full)
-        x = step[0] if step else 0
-    return x != 0
+        twin, row = partial(_twin, close.spans), close.spans[a]
+        x = next(((1 << a) | (1 << b) | (c & -c) for b in iter_bits(rest)
+                  if (c := row[b] & rest & ~(1 << b))), 0)
+    if not x:
+        return
+    yield x
+    while x != w:
+        outside, twins = bit_list(w & ~x), {}
+        for y in outside:
+            twins[y] = twin(x, y)
+            if twins[y] is None:
+                step = x | (1 << y), y, None
+                break
+        else:
+            step = next(((x | (1 << p) | (1 << q), q, twins[p]) for p, q in combinations(outside, 2)
+                         if _pair_keeps_prime(close, x, twins, p, q)), None)
+            if step is None:
+                return
+        yield step
+        x = step[0]
 
 
-def _children(host: Hypergraph | Tournament,
-              close: Closure) -> tuple[dict[int, list[int]], Counter[int]]:
+def _reaches(chain: list, w: int) -> bool:
+    """True when a walked chain ends at w, which proves H[w] prime."""
+    return bool(chain) and (chain[0] if len(chain) == 1 else chain[-1][0]) == w
+
+
+def _children(host: Hypergraph | Tournament, close: Closure
+              ) -> tuple[dict[int, list[int]], Counter[int], list | None]:
     """Each nonempty strong module's children (its maximal proper strong
-    modules, by smallest vertex), every child before its parent, and
-    ``hits``: ``hits[c]`` is the number of vertex pairs whose closure is c.
+    modules, by smallest vertex), every child before its parent, ``hits``
+    (``hits[c]`` is the number of vertex pairs whose closure is c) and the
+    chain of prime sets walked within V, or None when none was walked.
 
     The pairs of vertex 0 are closed first.  When all of them close to the
-    whole set V and ``_grows_prime`` grows a chain of prime sets to V, the
-    host is prime: the base is prime, one edge on 3 vertices or a 3-cycle,
-    and each step keeps the set prime.  Then every pair closes to V, so V
-    has the n single vertices as children and ``hits[V] = n(n - 1)/2`` is
-    a fact, not a count, and no other pair is closed.  A stall proves
-    nothing; the sweep below then closes the other pairs, so a tree that is
-    not proved prime this way closes each pair once, plus the 2-4 closures
-    within a smaller set of each pair test the stalled chain ran.  The chain
-    runs only on 3-uniform hypergraphs and tournaments (see
-    ``_grows_prime``); mixed-size input keeps the sweep.
+    whole set V, the chain within V (``_chain``) is walked and kept.  When
+    it reaches V, the host is prime, since each set of the chain is.  Then
+    every pair closes to V, so V has the n single vertices as children and
+    ``hits[V] = n(n - 1)/2`` is a fact, not a count, and no other pair is
+    closed.  A stall proves nothing; the sweep below then closes the other
+    pairs, so a tree that is not proved prime this way closes each pair
+    once, plus the 2-4 closures within a smaller set of each pair test the
+    stalled chain ran.  Mixed-size input has no chain and keeps the sweep.
 
     A pair closure is a strong module, or a union of two or more (not all)
     children of a node whose quotient is degenerate (empty, complete or
@@ -375,9 +362,12 @@ def _children(host: Hypergraph | Tournament,
     n, full = host.n, full_mask(host.n)
     out: dict[int, list[int]] = {1 << v: [] for v in range(n)}
     hits = Counter(close(1 | (1 << y)) for y in range(1, n))
-    if hits[full] == n - 1 and _grows_prime(host, close):
-        out[full] = list(out)
-        return out, Counter({full: n * (n - 1) // 2})
+    chain = None
+    if hits[full] == n - 1:
+        chain = list(_chain(host, close, full))
+        if _reaches(chain, full):
+            out[full] = list(out)
+            return out, Counter({full: n * (n - 1) // 2}), chain
     hits.update(close((1 << x) | (1 << y)) for x, y in combinations(range(1, n), 2))
     top = [1 << v for v in range(n)]
     for c in sorted(hits, key=int.bit_count):
@@ -395,7 +385,7 @@ def _children(host: Hypergraph | Tournament,
         out[node] = sorted(blocks, key=_lowest)
         for v in iter_bits(node):
             top[v] = node
-    return out, hits
+    return out, hits, chain
 
 
 def _tree(host: Hypergraph | Tournament, close: Closure) -> DecompositionTree:
@@ -403,7 +393,7 @@ def _tree(host: Hypergraph | Tournament, close: Closure) -> DecompositionTree:
     internal node's quotient is the structure induced on its transverse (the
     smallest vertex of each child), the host itself when that is every
     vertex; ``_hypergraph_label`` or ``_tournament_label`` names it, and the
-    tree keeps ``close``.
+    tree keeps ``close`` and the chain ``_children`` walked within V.
 
     A node m with k >= 3 children c_1..c_k has a prime quotient iff each of
     the (|m|^2 - sum |c_i|^2) / 2 pairs that cross two children closes to
@@ -414,7 +404,7 @@ def _tree(host: Hypergraph | Tournament, close: Closure) -> DecompositionTree:
     them and overlaps none: a union of children, which is a module of the
     quotient.  So the count falls short exactly when the quotient has a
     nontrivial module, since two of its vertices close within it."""
-    children, hits = _children(host, close)
+    children, hits, chain = _children(host, close)
     full = full_mask(host.n)
     tournament = isinstance(host, Tournament)
     built: dict[int, TreeNode] = {}
@@ -428,7 +418,7 @@ def _tree(host: Hypergraph | Tournament, close: Closure) -> DecompositionTree:
             name = _tournament_label(q, prime) if tournament else _hypergraph_label(host, q, prime)
         built[m] = TreeNode(m, name, tuple(built.pop(b) for b in blocks), q)
     return DecompositionTree(built[full], host.n, "tournament" if tournament else "hypergraph",
-                             close)
+                             close, chain)
 
 
 def is_strong_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
@@ -446,14 +436,11 @@ def strong_modules(host: Hypergraph | Tournament) -> frozenset[VertexSet]:
 
 def is_prime(host: Hypergraph | Tournament) -> bool:
     """True iff a hypergraph or a tournament has at least 3 vertices and
-    only trivial modules."""
-    return _is_prime_with(host, _closure(host))
-
-
-def _is_prime_with(host: Hypergraph | Tournament, close: Closure) -> bool:
-    """``is_prime`` on the host's closure: a chain of prime sets grown to the
-    whole set proves it (``_grows_prime``); on a stall every pair is closed."""
-    return _grows_prime(host, close) or _is_prime_within(close, full_mask(host.n))
+    only trivial modules: a chain of prime sets that reaches the whole set
+    proves it (``_chain``); on a stall every pair is closed."""
+    close = _closure(host)
+    full = full_mask(host.n)
+    return _reaches(list(_chain(host, close, full)), full) or _is_prime_within(close, full)
 
 
 # --- modular partitions and quotients ----------------------------------------
@@ -602,16 +589,20 @@ class DecompositionTree:
     substructure, ordered by smallest contained vertex.  A tree built by
     ``decomposition_tree`` or ``tournament_decomposition_tree`` also keeps
     the closure it was read from (``_close``), so later stages reuse its
-    tables instead of building them again.
+    tables instead of building them again, and the chain of prime sets it
+    walked within the whole vertex set (``_chain``, a list, or None), along
+    which realization grows a prime root.
     """
 
-    __slots__ = ("root", "n", "kind", "_close")
+    __slots__ = ("root", "n", "kind", "_close", "_chain")
 
-    def __init__(self, root: TreeNode, n: int, kind: str, close: Closure | None = None):
+    def __init__(self, root: TreeNode, n: int, kind: str, close: Closure | None = None,
+                 _chain: list | None = None):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "_close", close)
+        object.__setattr__(self, "_chain", _chain)
 
     def __setattr__(self, name, value):
         raise AttributeError("DecompositionTree is immutable")

@@ -18,18 +18,20 @@ is exact because the input is 3-uniform.  So one closure table serves the
 whole input.  Each growth step checks the realization at the vertices it
 adds (``_realizes_within``).
 
-A prime quotient is realized on one path, growing a chain of prime vertex
-sets X upward from an edge.  A module of H[X + y] meets the prime X in
-nothing, one vertex or X, so a twin test on y against X in O(|X|) mask
-operations says whether H[X + y] stays prime, and the realization of H[X]
-extends to it in at most one way.  Failing a single vertex, the first pair
-p, q that keeps X prime is added (2-4 closures per pair), trying both
-realizations of H[X + p] that extend the one of H[X].  A failed extension
-makes the set reached a witness.  Of the two realizations of a prime
-quotient, the one kept is the one in which its first vertex beats its second.
-``realize_prime`` and ``realize_critical`` run the same growth on a whole
-input; no isomorphism search is needed, since growth reaches the critical
-families too (the exhaustive searches are in ``oracle``).
+A prime quotient is realized on one path, growing a tournament along a
+chain of prime vertex sets X upward from an edge, which
+``decomposition._chain`` alone walks: a twin test on y against X in O(|X|)
+mask operations says whether H[X + y] stays prime, and failing a single
+vertex, the first pair p, q that keeps X prime is added (2-4 closures per
+pair).  The realization of H[X] extends to H[X + y] in at most one way,
+and a pair step tries both realizations of H[X + p] that extend the one
+of H[X].  A failed extension makes the set reached a witness.  No chain is
+walked twice: a prime root over single vertices grows along the chain its
+tree kept, and ``realize_prime`` along its precheck's.  Of the two
+realizations of a prime quotient, the one kept is the one in which its
+first vertex beats its second.  ``realize_prime`` and ``realize_critical`` run the same growth on a
+whole input; no isomorphism search is needed, since growth reaches the
+critical families too (the exhaustive searches are in ``oracle``).
 
 Enumeration sets up each node once per tree and walks the product of the
 nodes' choices, each choice ORing its node's parts into a copy of the
@@ -45,17 +47,15 @@ against the quotients the tree keeps (``TreeNode.quotient``).
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import combinations, permutations
 from math import factorial, prod
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits
 from .core import Graph, Hypergraph, Tournament, c3_structure
 from .decomposition import (
-    LABEL_EMPTY, LABEL_PRIME, Closure, DecompositionTree, _first_edge, _hypergraph_closure,
-    _is_prime_with, _is_prime_within, _next_prime, _pair_keeps_prime, _twin,
-    decomposition_tree,
+    LABEL_EMPTY, LABEL_PRIME, Closure, DecompositionTree, _chain, _hypergraph_closure,
+    _is_prime_within, _reaches, decomposition_tree,
 )
 from .errors import InvariantError, PreconditionError
 
@@ -423,7 +423,7 @@ def realize_critical(h: Hypergraph,
                 raise PreconditionError(f"input is not critical: deleting {x} keeps it prime")
     if h.n % 2 == 0:
         return NonRealizabilityWitness(range(h.n), STAGE_BASE)
-    res = _realize_within(h, close, full)
+    res = _realize_within(h, close, full, _chain(h, close, full))
     if isinstance(res, NonRealizabilityWitness):
         return NonRealizabilityWitness(range(h.n), STAGE_CRITICAL_MISMATCH)
     return Tournament._from_succ(h.n, tuple(res))
@@ -433,13 +433,14 @@ def realize_prime(h: Hypergraph,
                   _assume_prime: bool = False) -> Tournament | NonRealizabilityWitness:
     """Realize a prime 3-uniform hypergraph or produce a witness.
 
-    Grows a chain of prime vertex sets X upward from the first edge through
-    vertex 0 (see ``_grow``).  A one-vertex step adds the smallest y for
-    which H[X + y] stays prime, found by a twin test in O(|X|) mask
-    operations, and extends the tournament by y.  When there is none, a
-    two-vertex step adds the first pair p, q for which H[X + p + q] is prime
-    and extends each of the two realizations of H[X + p] that agree with the
-    tournament on X by q.  A failed step certifies that the set it reached
+    Grows a tournament along a chain of prime vertex sets X, walked upward
+    from the first edge through vertex 0 (``decomposition._chain``; see
+    ``_grow``).  A one-vertex step adds the smallest y for which H[X + y]
+    stays prime, found by a twin test in O(|X|) mask operations, and
+    extends the tournament by y.  When there is none, a two-vertex step
+    adds the first pair p, q for which H[X + p + q] is prime and extends
+    each of the two realizations of H[X + p] that agree with the tournament
+    on X by q.  A failed step certifies that the set it reached
     is not realizable, and that set is the witness (stage ``extension-M1``
     or ``extension-M2``); when no pair keeps X prime, h is not realizable
     and all of it is the witness (stage ``stall``).  A witness that holds a
@@ -448,39 +449,44 @@ def realize_prime(h: Hypergraph,
     A prime realizable hypergraph has exactly two realizations, a
     tournament and its dual; the one returned is the one in which vertex 0
     beats vertex 1.  This builds one closure of h and runs
-    ``_realize_within`` on it.  The primality check grows the same chain of
-    prime sets without the tournament and closes every pair only on a stall
-    (``decomposition._is_prime_with``).  ``_assume_prime=True`` skips the
-    check and is the caller's promise that h is prime.
+    ``_realize_within`` on it.  The primality check walks the chain once,
+    as ``is_prime`` does, and closes every pair only on a stall; growth then
+    takes the kept steps.  ``_assume_prime=True`` skips the check and is
+    the caller's promise that h is prime; growth then draws each step as it
+    takes it.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
     close = _hypergraph_closure(h)
     full = full_mask(h.n)
-    if not _assume_prime and not _is_prime_with(h, close):
+    chain = _chain(h, close, full) if _assume_prime else list(_chain(h, close, full))
+    if not (_assume_prime or _reaches(chain, full) or _is_prime_within(close, full)):
         raise PreconditionError("input must be prime")
-    res = _realize_within(h, close, full)
+    res = _realize_within(h, close, full, chain)
     if isinstance(res, NonRealizabilityWitness):
         return res
     return Tournament._from_succ(h.n, tuple(res))
 
 
-def _realize_within(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizabilityWitness:
+def _realize_within(h: Hypergraph, close: Closure, w: int,
+                    chain: Iterable) -> list[int] | NonRealizabilityWitness:
     """``realize_prime`` on H[w], which must be prime, run on the labels of
     h and a closure ``close`` of h: the successor masks of a realization of
     H[w] (0 outside w), or a witness in the labels of h.
 
-    Growth (``_grow``) settles H[w]; the realization is then oriented so
-    that the smallest vertex of w beats the second smallest.  A witness
-    that holds a 4-set with three or more edges gives way to the first such
-    4-set (``_dense_four``), reported as growth reports it on that 4-set.
+    Growth (``_grow``) along ``chain``, the chain of prime sets within w
+    (``decomposition._chain``, walked already or lazily), settles H[w]; the
+    realization is then oriented so that the smallest vertex of w beats the
+    second smallest.  A witness that holds a 4-set with three or more edges
+    gives way to the first such 4-set (``_dense_four``), reported as growth
+    reports it on that 4-set, along a lazy chain within it.
     """
-    res = _grow(h, close, w)
+    res = _grow(h, close.spans, w, chain)
     if isinstance(res, NonRealizabilityWitness):
         if len(res.vertices) > 4:
             four = _dense_four(close.spans, as_mask(res.vertices))
             if four is not None:
-                return _grow(h, close, four)
+                return _grow(h, close.spans, four, _chain(h, close, four))
         return res
     first = w & -w
     second = (w ^ first) & -(w ^ first)
@@ -508,23 +514,24 @@ def _dense_four(spans: list[list[int]], w: int) -> int | None:
     return None
 
 
-def _grow(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizabilityWitness:
-    """Upward growth on H[w]: the successor masks of a realization, or a
-    witness.
+def _grow(h: Hypergraph, spans: list[list[int]], w: int,
+          chain: Iterable) -> list[int] | NonRealizabilityWitness:
+    """Upward growth on H[w] along ``chain``, the chain of prime sets within
+    w that ``decomposition._chain`` yields: the successor masks of a
+    realization, or a witness.  The steps are taken, not chosen, and none
+    is drawn after a failed extension.
 
     The base is the first edge {a, b, c} through the smallest vertex a of
     w, realized as the 3-cycle a -> b -> c -> a.  Each step keeps x prime
-    and a realization of H[x] in ``succ``; the next set is picked by the
-    step rule the tree's proof of a prime root also uses
-    (``decomposition._next_prime``).  A one-vertex step adds the smallest y
-    for which H[x + y] is prime (``_twin``) and extends the realization by
+    and a realization of H[x] in ``succ``.  A one-vertex step adds the
+    smallest y for which H[x + y] is prime and extends the realization by
     y; a failed extension proves H[x + y] not realizable.  Failing that, a
     two-vertex step takes the first pair p < q for which H[x + p + q] is
-    prime (``_pair_keeps_prime``) and extends by q each of the two
-    realizations of H[x + p] that agree with ``succ`` on x: p copies its
-    twin a and sits just below or just above it, or, when p lies in no
-    edge within x + p, below or above all of x.  These are all,
-    since H[x + p] has the strong modules {a, p} (or x) and singletons.
+    prime and extends by q each of the two realizations of H[x + p] that
+    agree with ``succ`` on x: p copies its twin a and sits just below or
+    just above it, or, when p lies in no edge within x + p, below or above
+    all of x.  These are all, since H[x + p] has the strong modules {a, p}
+    (or x) and singletons.
     A realization of the prime H[x + p + q], dualized if need be to agree
     with ``succ`` on x, extends one of them, and ``_extension`` finds it:
     the link-graph sides and their closures are forced, and the isolated
@@ -545,17 +552,12 @@ def _grow(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizability
     3-cycles of a prime tournament form a prime hypergraph (checked on
     1,322 random prime tournaments with n <= 10).
     """
-    spans = close.spans
-    base = x = _first_edge(spans, w)
+    steps = iter(chain)
+    base = x = next(steps)
     a, b, c = bit_list(base)
     succ = [0] * h.n
     succ[a], succ[b], succ[c] = 1 << b, 1 << c, 1 << a
-    twin = partial(_twin, spans)
-    while x != w:
-        step = _next_prime(twin, close, x, w)
-        if step is None:
-            return NonRealizabilityWitness(iter_bits(w), STAGE_STALL)
-        z, q, a = step
+    for z, q, a in steps:
         if a is None:
             trials = [succ]
         else:
@@ -576,6 +578,8 @@ def _grow(h: Hypergraph, close: Closure, w: int) -> list[int] | NonRealizability
             return _extension_witness(z, ext[0])
         _extend(spans, trial, z, q, ext, z if x == base else z & ~x)
         succ, x = trial, z
+    if x != w:
+        return NonRealizabilityWitness(iter_bits(w), STAGE_STALL)
     return succ
 
 
@@ -593,18 +597,23 @@ def _prepare(h: Hypergraph):
     A prime node's quotient is H[transverse], with the smallest vertex of
     each child standing for it, so it is realized on the tree's closure
     within the transverse, in the labels of h; the result is squeezed to
-    child order.  Returns a witness if any prime quotient is not
+    child order.  A transverse that is the whole vertex set is a prime root
+    over single vertices, whose chain the tree walked and kept
+    (``tree._chain``), so growth takes its steps; any other node's chain is
+    walked lazily.  Returns a witness if any prime quotient is not
     realizable.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
     tree = decomposition_tree(h)
+    close, full = tree._close, full_mask(h.n)
     prime_base: dict[int, Tournament] = {}
     for node in tree.internal_nodes():
         if node.label != LABEL_PRIME:
             continue
         firsts = [c.members & -c.members for c in node.children]
-        res = _realize_within(h, tree._close, sum(firsts))
+        w = sum(firsts)
+        res = _realize_within(h, close, w, tree._chain if w == full else _chain(h, close, w))
         if isinstance(res, NonRealizabilityWitness):
             return res
         rows = (res[f.bit_length() - 1] for f in firsts)

@@ -9,10 +9,10 @@ from c3realize import (
     CapacityError, Hypergraph, InvariantError, ModularPartition, PreconditionError,
     Tournament, VertexSet, c3_structure, components, count_realizations,
     critical_family, decomposition, decomposition_tree,
-    enumerate_modules, enumerate_usual_modules, is_module, is_prime,
+    enumerate_modules, enumerate_realizations, enumerate_usual_modules, is_module, is_prime,
     is_strong_module, is_usual_module, linear_order,
     maximal_proper_strong_modules, module_violation, quotient, random_tournament,
-    realization, smallest_strong_module_containing, strong_modules,
+    realization, realize, realize_prime, smallest_strong_module_containing, strong_modules,
     tournament_decomposition_tree, tournament_is_module, tournament_is_prime,
     tournament_modules, tournament_pi, tournament_quotient,
     tournament_strong_modules,
@@ -409,6 +409,24 @@ def spy_on_pair_tests(monkeypatch, calls, pair_tests):
     monkeypatch.setattr(decomposition, "_pair_keeps_prime", pair_spy)
 
 
+def spy_on_pair_test_args(monkeypatch, h):
+    """A function that runs ``run(h)`` and returns the arguments, but the
+    closure, of each ``decomposition._pair_keeps_prime`` call it made."""
+    args = []
+    real = decomposition._pair_keeps_prime
+
+    def pair_spy(close, x, twins, p, q):
+        args.append((x, dict(twins), p, q))
+        return real(close, x, twins, p, q)
+    monkeypatch.setattr(decomposition, "_pair_keeps_prime", pair_spy)
+
+    def pair_tests(run):
+        args.clear()
+        run(h)
+        return args[:]
+    return pair_tests
+
+
 class TestOneClosurePerPair:
     """A tree closes each vertex pair at most once: its prime labels are read
     from the sweep's count of its pair closures, not from closures of their
@@ -437,10 +455,28 @@ class TestOneClosurePerPair:
         spy_on_closures(monkeypatch, calls)
         spy_on_pair_tests(monkeypatch, calls, pair_tests)
         assert count_realizations(h) == 2
-        # no prime 4-set is realizable, so growth takes a two-vertex step;
-        # the tree's chain makes the same pair tests as growth
+        # no prime 4-set is realizable, so the chain takes a two-vertex step;
+        # growth takes the tree's chain and makes no pair test of its own
         assert pair_tests and all(2 <= k <= 4 for k in pair_tests)
         assert len(calls) == 13 + sum(pair_tests)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_growth_takes_the_tree_s_chain(self, monkeypatch, seed):
+        h = c3_structure(random_tournament(14, random.Random(seed)))
+        pair_tests = spy_on_pair_test_args(monkeypatch, h)
+        tree_tests = pair_tests(decomposition_tree)
+        assert tree_tests
+        assert pair_tests(realize) == tree_tests
+        assert pair_tests(count_realizations) == tree_tests
+        assert pair_tests(lambda h: next(enumerate_realizations(h))) == tree_tests
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_realize_prime_takes_its_precheck_s_chain(self, monkeypatch, seed):
+        h = c3_structure(random_tournament(14, random.Random(seed)))
+        pair_tests = spy_on_pair_test_args(monkeypatch, h)
+        expected = pair_tests(is_prime)
+        assert expected
+        assert pair_tests(realize_prime) == expected
 
     def test_trees_that_are_not_prime_close_each_pair_once(self, monkeypatch):
         # an empty root over two prime triples, and a prime root over a

@@ -202,13 +202,17 @@ class TestCli:
         assert "--samples" in err
 
     def test_enumerate_limit_0_assembles_nothing(self, capsys, monkeypatch):
+        # ``_verified`` checks each item as it is yielded, so it counts items
         calls = []
-        real = realization.choice_to_tournament
-        monkeypatch.setattr(realization, "choice_to_tournament",
+        real = realization._verified
+        monkeypatch.setattr(realization, "_verified",
                             lambda *a: calls.append(a) or real(*a))
         code, out, _ = run_cli(capsys, "enumerate", "-", "--limit", "0",
                                stdin='{"n": 3, "edges": []}', monkeypatch=monkeypatch)
-        assert (code, out, calls) == (0, "", [])
+        assert (code, out, len(calls)) == (0, "", 0)
+        code, out, _ = run_cli(capsys, "enumerate", "-", "--limit", "1",
+                               stdin='{"n": 3, "edges": []}', monkeypatch=monkeypatch)
+        assert (code, len(out.strip().splitlines()), len(calls)) == (0, 1, 1)
 
     def test_oracle_modes(self, capsys, monkeypatch):
         stdin = '{"n": 3, "edges": [[0, 1, 2]]}'

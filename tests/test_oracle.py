@@ -173,6 +173,15 @@ class TestLayering:
     def test_realization_does_not_import_the_oracle(self):
         assert not {m for m in package_imports("realization") if "oracle" in m}
 
+    def test_realization_does_not_import_the_step_rule(self):
+        # the chain of prime sets is walked in ``decomposition._chain`` alone
+        tree = ast.parse((Path(c3realize.__file__).parent / "realization.py").read_text())
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and node.module in ("decomposition", "c3realize.decomposition")
+                    for a in node.names}
+        assert "_chain" in imported
+        assert not imported & {"_twin", "_pair_keeps_prime", "_next_prime", "_first_edge"}
+
     def test_searches_live_in_the_oracle(self):
         for name in ("hypergraph_isomorphism", "enumerate_modules", "enumerate_usual_modules",
                      "is_usual_module", "tournament_modules"):

@@ -790,7 +790,7 @@ class TestC3StructureAgainstTripleScan:
 
 
 class TestOneVertexPrimality:
-    """The classifier ``realization._twin`` against the pair closures within
+    """The classifier ``decomposition._twin`` against the pair closures within
     X + y, for every prime X and every y outside it, n <= 9."""
 
     def test_agrees_with_pair_closures(self):
@@ -804,7 +804,7 @@ class TestOneVertexPrimality:
                     continue
                 for y in iter_bits(full & ~x):
                     z = x | (1 << y)
-                    twin = realization._twin(close.spans, x, y)
+                    twin = decomposition._twin(close.spans, x, y)
                     assert (twin is None) == _is_prime_within(close, z), (h, x, y)
                     if twin == -1:
                         assert close(x, z) == x, (h, x, y)
@@ -816,7 +816,7 @@ class TestOneVertexPrimality:
 
 
 class TestTwoVertexPrimality:
-    """``realization._pair_keeps_prime`` against the pair closures within
+    """``decomposition._pair_keeps_prime`` against the pair closures within
     X + p + q, for every prime X and every pair p, q outside it that no
     single vertex keeps prime, n <= 8."""
 
@@ -829,11 +829,11 @@ class TestTwoVertexPrimality:
             for x in range(full + 1):
                 if x.bit_count() < 3 or not _is_prime_within(close, x):
                     continue
-                twins = {y: realization._twin(close.spans, x, y) for y in iter_bits(full & ~x)}
+                twins = {y: decomposition._twin(close.spans, x, y) for y in iter_bits(full & ~x)}
                 stalled = [y for y, twin in twins.items() if twin is not None]
                 for p, q in combinations(stalled, 2):
                     expected = _is_prime_within(close, x | (1 << p) | (1 << q))
-                    got = realization._pair_keeps_prime(close, x, twins, p, q)
+                    got = decomposition._pair_keeps_prime(close, x, twins, p, q)
                     assert got == expected, (h, x, p, q)
                     seen[expected] += 1
         assert seen[True] and seen[False], seen
@@ -866,26 +866,23 @@ def chain_corpus():
         yield planted_hypergraph(rng.randint(2, 9), rng)
 
 
+def walk_chain(host):
+    """The chain of prime sets within the host's vertex set, walked in full,
+    and whether it reaches the whole set."""
+    chain = list(decomposition._chain(host, decomposition._closure(host), host.vertex_mask))
+    return chain, decomposition._reaches(chain, host.vertex_mask)
+
+
 class TestPrimeChain:
-    """The chain of prime sets (``decomposition._grows_prime``) that proves a
+    """The chain of prime sets (``decomposition._chain``) that proves a
     tree's root prime with only vertex 0's pair closures and its own pair
     tests, against brute force."""
 
-    def test_every_set_of_the_chain_is_prime(self, monkeypatch):
-        reached = []
-        real_next = decomposition._next_prime
-
-        def next_spy(twin, close, x, w):
-            step = real_next(twin, close, x, w)
-            reached.append(x)
-            if step is not None:
-                reached.append(step[0])
-            return step
-        monkeypatch.setattr(decomposition, "_next_prime", next_spy)
+    def test_every_set_of_the_chain_is_prime(self):
         verdicts = Counter()
         for host in chain_corpus():
-            reached.clear()
-            proved = decomposition._grows_prime(host, decomposition._closure(host))
+            chain, proved = walk_chain(host)
+            reached = chain[:1] + [z for z, _, _ in chain[1:]]
             kind = "tournament" if isinstance(host, Tournament) else "hypergraph"
             verdicts[kind, proved, oracle_prime_within(host, host.vertex_mask)] += 1
             for x in reached:
@@ -907,7 +904,7 @@ class TestPrimeChain:
         for t in tournaments:
             if oracle_prime_within(t, t.vertex_mask):
                 prime += 1
-                assert decomposition._grows_prime(t, decomposition._closure(t)), t
+                assert walk_chain(t)[1], t
         assert prime >= 200
 
     def test_fewer_than_three_vertices(self):
@@ -924,7 +921,7 @@ class TestPrimeChain:
                     is_prime(host))
         corpus = list(chain_corpus())
         with_chain = [outputs(host) for host in corpus]
-        monkeypatch.setattr(decomposition, "_grows_prime", lambda host, close: False)
+        monkeypatch.setattr(decomposition, "_chain", lambda host, close, w: iter(()))
         assert [outputs(host) for host in corpus] == with_chain
 
 
@@ -935,15 +932,17 @@ class TestGrowthAgainstOracle:
     (no pair keeps the base prime); a spy on ``_pair_keeps_prime`` sees a
     two-vertex step end in a realization and in a witness; a spy on
     ``_dense_four`` sees a larger witness give way to a 4-set holding three
-    edges."""
+    edges.  On every input, ``realize`` (the tree's kept root chain) and
+    ``realize_prime`` with and without its precheck (a lazy chain, the
+    precheck's chain) give the same tournament or witness."""
 
     def test_each_path_against_brute_force(self, monkeypatch):
         grown, shrunk, steps = [], [], []
         real_grow, real_four = realization._grow, realization._dense_four
         real_pair = decomposition._pair_keeps_prime
 
-        def grow_spy(h, close, w):
-            res = real_grow(h, close, w)
+        def grow_spy(h, spans, w, chain):
+            res = real_grow(h, spans, w, chain)
             grown.append((w, res))
             return res
 
@@ -996,6 +995,11 @@ class TestGrowthAgainstOracle:
             keys = ["shrunk"] if replaced else [(h.n, path())]
             if not replaced and two_step():
                 keys.append((h.n, two_step()))
+            # growth along the tree's kept root chain, along the precheck's
+            # chain and along a chain walked as growth takes it agree
+            answers = [x if isinstance(x, Tournament) else x.to_json()
+                       for x in (got, realize(h), realize_prime(h, _assume_prime=True))]
+            assert answers[1:] == answers[:1] * 2, h
             if all(quota[key] <= 0 for key in keys):
                 continue
             for key in keys:
@@ -1108,9 +1112,9 @@ class TestStepChecks:
         runs = []
         real_grow, real_check = realization._grow, realization._realizes_within
 
-        def grow_spy(h, close, w):
+        def grow_spy(h, spans, w, chain):
             runs.append([])
-            return real_grow(h, close, w)
+            return real_grow(h, spans, w, chain)
 
         def check_spy(spans, succ, w, new):
             runs[-1].append((w, new))
