@@ -315,7 +315,8 @@ def _chain(host: Hypergraph | Tournament, close: Closure,
                 step = x | (1 << y), y, None
                 break
         else:
-            step = next(((x | (1 << p) | (1 << q), q, twins[p]) for p, q in combinations(outside, 2)
+            step = next(((x | (1 << p) | (1 << q), q, twins[p])
+                         for p, q in combinations(outside, 2)
                          if _pair_keeps_prime(close, x, twins, p, q)), None)
             if step is None:
                 return
@@ -508,7 +509,8 @@ def maximal_proper_strong_modules(host: Hypergraph | Tournament) -> ModularParti
     strong modules."""
     if host.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    return ModularPartition._of_children(host, _children(host, _closure(host))[0][full_mask(host.n)])
+    children = _children(host, _closure(host))[0]
+    return ModularPartition._of_children(host, children[full_mask(host.n)])
 
 
 def quotient(host: Hypergraph | Tournament,

@@ -42,14 +42,15 @@ O(n^2 + |E|), which also proves every quotient realization (``_items``); a
 later item only at the pairs whose arcs differ from the item before, with
 the kernel growth uses (``_realizes_at``), in O(n) plus O(n) per changed
 pair.  ``choice_to_tournament`` checks a caller's quotient realizations
-against the quotients the tree keeps (``TreeNode.quotient``).
+against the quotients the tree keeps (``TreeNode.quotient``), then takes
+the one item of the same walk over the parts chosen, fully checked.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import factorial, prod
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits
 from .core import Graph, Hypergraph, Tournament, c3_structure
@@ -82,7 +83,7 @@ VERDICT_ODD_CYCLE = "odd-cycle"
 VERDICT_E0 = "E0-violation"
 VERDICT_Y_OVERLAP = "Y-overlap"
 VERDICT_Y_NOT_COVERING = "Y-not-covering"
-VERDICT_M2_ARC = "M2-arc-violation"
+VERDICT_M2_ARC = "M2-arc-violation"  # never returned: ``_extension`` says why
 
 
 class NonRealizabilityWitness:
@@ -183,7 +184,11 @@ def _extension(spans: list[list[int]], succ: list[int], w: int, x: int) -> Exten
     """The conditions of ``extension_certificate`` for adding x to the
     tournament on w - x held in ``succ``, with the link graph within w.
     Returns the verdict, the link graph rows (indexed by vertex), I_x, X-,
-    X+, Y- and Y+."""
+    X+, Y- and Y+.
+
+    Disjoint closures leave no arc between the sides to check: an isolated
+    u of Y+ beaten by a v of X- + Y- would lie in Y-, and a u of Y- that
+    beat one of X+ would lie in Y+.  So ``VERDICT_M2_ARC`` is never returned."""
     rest = w & ~(1 << x)
     row = spans[x]
     adj = [0] * len(succ)
@@ -249,19 +254,9 @@ def _extension(spans: list[list[int]], succ: list[int], w: int, x: int) -> Exten
         y_plus |= nxt
         frontier = nxt
 
-    sides = (x_minus, x_plus, y_minus, y_plus)
-    if y_minus & y_plus:
-        return result(VERDICT_Y_OVERLAP, *sides)
-    if y_minus | y_plus != i_x:
-        return result(VERDICT_Y_NOT_COVERING, *sides)
-    below = x_minus | y_minus
-    for u in iter_bits(y_plus):
-        if succ[u] & below != below:
-            return result(VERDICT_M2_ARC, *sides)
-    for u in iter_bits(x_plus):
-        if succ[u] & y_minus != y_minus:
-            return result(VERDICT_M2_ARC, *sides)
-    return result(VERDICT_OK, *sides)
+    verdict = (VERDICT_Y_OVERLAP if y_minus & y_plus else
+               VERDICT_Y_NOT_COVERING if y_minus | y_plus != i_x else VERDICT_OK)
+    return result(verdict, x_minus, x_plus, y_minus, y_plus)
 
 
 def _extend(spans: list[list[int]], succ: list[int], w: int, x: int,
@@ -622,10 +617,10 @@ def _prepare(h: Hypergraph):
     return tree, prime_base
 
 
-def default_choice(tree: DecompositionTree, prime_base: Mapping[int, Tournament]) -> RealizationChoice:
+def default_choice(tree: DecompositionTree,
+                   prime_base: Mapping[int, Tournament]) -> RealizationChoice:
     """Identity permutations and as-computed orientations."""
-    perms = {}
-    flags = {}
+    perms, flags = {}, {}
     for node in tree.internal_nodes():
         key = int(node.members)
         if node.label == LABEL_EMPTY:
@@ -649,9 +644,12 @@ def _order_parts(ordered: list[int]) -> Parts:
     return parts
 
 
-def _prime_parts(blocks: list[int], r: Tournament) -> Parts:
-    """Block a beats the blocks that quotient vertex a beats in ``r``."""
-    return [(b, sum(blocks[j] for j in iter_bits(r.succ[a]))) for a, b in enumerate(blocks)]
+def _prime_parts(m: int, blocks: list[int], r: Tournament) -> tuple[Parts, Parts]:
+    """The parts of a prime node m and of its dual: block a beats the
+    blocks that quotient vertex a beats in ``r``, and in the dual the other
+    blocks of m it loses to."""
+    parts = [(b, sum(blocks[j] for j in iter_bits(r.succ[a]))) for a, b in enumerate(blocks)]
+    return parts, [(b, m & ~(b | out)) for b, out in parts]
 
 
 def _or_parts(succ: list[int], parts: Parts) -> None:
@@ -669,16 +667,18 @@ def choice_to_tournament(h: Hypergraph, tree: DecompositionTree,
 
     Each vertex pair is oriented at the lowest tree node containing both,
     by the chosen linear order (empty label) or quotient realization (prime
-    label) between their child blocks: each node ORs its parts into the
-    successor masks, and the validating constructor builds the tournament.
-    Each stored quotient realization the caller gives is checked against
-    the quotient the tree keeps at its node, so ``tree`` must be
-    ``decomposition_tree(h)``.  With bases that pass, the output realizes
-    h by the decomposition theorem, and it is not compared with h again.
+    label) between their child blocks.  The choice is checked node by node
+    in preorder: each permutation, and each stored quotient realization
+    against the quotient the tree keeps at its node.  The tournament is the
+    one item of ``_enumerate`` over the parts chosen, with ``realize``'s full
+    check.  Once the choice passes, only a tree other than
+    ``decomposition_tree(h)`` can fail that check, since h's own tree
+    assembles a realization of h from any such choice (the decomposition
+    theorem); so a failure says that the tree does not match.
     """
-    if tree.n != h.n or int(tree.root.members) != full_mask(h.n):
+    if tree.n != h.n or int(tree.root.members) != full_mask(h.n) or tree.kind != "hypergraph":
         raise PreconditionError("tree does not match the hypergraph")
-    succ = [0] * h.n
+    chosen = []
     for node in tree.internal_nodes():
         key = int(node.members)
         blocks = [int(c.members) for c in node.children]
@@ -688,7 +688,7 @@ def choice_to_tournament(h: Hypergraph, tree: DecompositionTree,
             if perm is None or sorted(perm) != list(range(k)):
                 raise PreconditionError(
                     f"choice needs a permutation of {k} children at node {bit_list(key)}")
-            _or_parts(succ, _order_parts([blocks[i] for i in perm]))
+            parts = _order_parts([blocks[i] for i in perm])
         elif node.label == LABEL_PRIME:
             base = choice.prime_base.get(key)
             flag = choice.prime_flags.get(key)
@@ -698,17 +698,14 @@ def choice_to_tournament(h: Hypergraph, tree: DecompositionTree,
             if c3_structure(base) != node.quotient:
                 raise PreconditionError(
                     f"stored tournament does not realize the quotient at node {bit_list(key)}")
-            _or_parts(succ, _prime_parts(blocks, base.dual() if flag else base))
+            parts = _prime_parts(key, blocks, base)[1 if flag else 0]
         else:
             raise PreconditionError("complete-labelled nodes admit no realization")
-    return Tournament(h.n, succ)
-
-
-def _checked(t: Tournament, h: Hypergraph, what: str) -> Tournament:
-    """``t``, once its 3-cycle structure is seen to be ``h``."""
-    if c3_structure(t) != h:
-        raise InvariantError(f"{what} produced a tournament that does not realize the input")
-    return t
+        chosen.append((blocks, [parts]))
+    try:
+        return next(_enumerate(h, None, chosen))
+    except InvariantError:
+        raise PreconditionError("tree does not match the hypergraph") from None
 
 
 def realize(h: Hypergraph) -> Tournament | NonRealizabilityWitness:
@@ -758,8 +755,8 @@ def _items(h: Hypergraph, tree: DecompositionTree,
     realization of each prime quotient in child order.
 
     Each node's child blocks and, for a prime node, the parts of both
-    orientations are set up here, once: in the dual each block beats the
-    other blocks it loses to in the base.  The bases are not checked here.
+    orientations (``_prime_parts``, as ``choice_to_tournament`` sets them up)
+    are found here, once.  The bases are not checked here.
     The first item gets the full check (``_verified``): the validating
     constructor and ``c3_structure(t) == h``.  Restricted to the transverse
     of a prime node, that item is the node's stored base in child order, so
@@ -770,12 +767,9 @@ def _items(h: Hypergraph, tree: DecompositionTree,
     """
     nodes = []
     for node in tree.internal_nodes():
+        m = int(node.members)
         blocks = [int(c.members) for c in node.children]
-        oriented = None
-        if node.label == LABEL_PRIME:
-            m = int(node.members)
-            parts = _prime_parts(blocks, prime_base[m])
-            oriented = (parts, [(b, m & ~(b | out)) for b, out in parts])
+        oriented = _prime_parts(m, blocks, prime_base[m]) if node.label == LABEL_PRIME else None
         nodes.append((blocks, oriented))
     return _enumerate(h, tree._close.spans, nodes)
 
@@ -786,15 +780,16 @@ def _orders(blocks: list[int]) -> Iterator[Parts]:
     return (_order_parts([blocks[i] for i in perm]) for perm in permutations(range(len(blocks))))
 
 
-def _enumerate(h: Hypergraph, spans: list[list[int]],
-               nodes: list[tuple[list[int], tuple[Parts, Parts] | None]]) -> Iterator[Tournament]:
+def _enumerate(h: Hypergraph, spans: list[list[int]] | None,
+               nodes: list[tuple[list[int], Sequence[Parts] | None]]) -> Iterator[Tournament]:
     """The realizations in enumeration order, by an odometer over the
-    nodes' choices, the last node turning fastest: ``left[d]`` iterates
-    over node d's choices not taken yet, and ``rows[d]`` holds the
-    successor masks with the parts chosen at the first d nodes ORed in, so
-    no call nests per node.  Each permutation is built only when its turn
-    comes.  ``last[0]`` holds the successor masks of the item yielded
-    before, or None."""
+    nodes' choices (the parts listed, or with None each linear order of the
+    blocks), the last node turning fastest: ``left[d]`` iterates over node
+    d's choices not taken yet, and ``rows[d]`` holds the successor masks
+    with the parts chosen at the first d nodes ORed in, so no call nests
+    per node.  Each permutation is built only when its turn comes.
+    ``last[0]`` holds the successor masks of the item yielded before, or
+    None; the first item does not read ``spans``."""
     rows, left, last = [[0] * h.n], [], [None]
     while True:
         if len(left) < len(nodes):
@@ -833,12 +828,14 @@ def _verified(h: Hypergraph, spans: list[list[int]], succ: list[int], last: list
     """
     prev = last[0]
     if prev is None:
-        t = _checked(Tournament(h.n, succ), h, "enumeration")
+        t = Tournament(h.n, succ)
+        ok = c3_structure(t) == h
     else:
         pairs = _changed_pairs(prev, succ)
-        if pairs is None or not _realizes_at(spans, succ, full_mask(h.n), pairs):
-            raise InvariantError("enumeration produced a tournament that does not realize the input")
+        ok = pairs is not None and _realizes_at(spans, succ, full_mask(h.n), pairs)
         t = Tournament._from_succ(h.n, tuple(succ))
+    if not ok:
+        raise InvariantError("enumeration produced a tournament that does not realize the input")
     last[0] = t.succ
     return t
 

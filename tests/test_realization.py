@@ -24,10 +24,11 @@ from c3realize import (
     realize_critical, realize_prime,
 )
 from c3realize.bitset import iter_bits
-from c3realize.decomposition import LABEL_PRIME
+from c3realize.decomposition import LABEL_EMPTY, LABEL_PRIME
 from c3realize.realization import (
     STAGE_BASE, STAGE_CRITICAL_MISMATCH, STAGE_EXTENSION_M1,
-    VERDICT_ODD_CYCLE, VERDICT_Y_NOT_COVERING, _prepare,
+    VERDICT_E0, VERDICT_M2_ARC, VERDICT_ODD_CYCLE, VERDICT_OK, VERDICT_Y_NOT_COVERING,
+    VERDICT_Y_OVERLAP, _prepare,
 )
 
 C3 = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -106,6 +107,8 @@ class TestRealizePrime:
             realize_prime(Hypergraph(3, []))
         with pytest.raises(PreconditionError):
             realize_prime(H4)
+        with pytest.raises(PreconditionError, match="input must be 3-uniform"):
+            realize_prime(Hypergraph(3, [[0, 1]]))
 
 
 @contextmanager
@@ -142,6 +145,10 @@ class TestRealizeCritical:
         # complete-5 is prime but deleting any vertex keeps it prime
         with pytest.raises(PreconditionError):
             realize_critical(complete_3_uniform(5))
+        with pytest.raises(PreconditionError, match="input must be prime"):
+            realize_critical(Hypergraph(5, []))
+        with pytest.raises(PreconditionError, match="input must be 3-uniform"):
+            realize_critical(Hypergraph(5, [[0, 1]]))
 
     def test_even_order_parity_rejection(self):
         # no 6-vertex critical instance is known; exercise the parity branch
@@ -222,6 +229,133 @@ class TestExtendRealization:
             extend_realization(h, 0, linear_order(4))  # does not realize H-0
         with pytest.raises(PreconditionError):
             extend_realization(h, 9, linear_order(4))
+        with pytest.raises(PreconditionError, match="one vertex fewer"):
+            extension_certificate(h, 0, linear_order(3))
+        with pytest.raises(PreconditionError, match="3-uniform"):
+            extension_certificate(Hypergraph(3, [[0, 1]]), 0, linear_order(2))
+        # H4 - 3 is one edge, prime, and realized; H4 itself is not prime
+        with pytest.raises(PreconditionError, match="both hypergraphs prime"):
+            extension_certificate(H4, 3, C3)
+
+    def test_same_certificates_as_with_arc_checks(self, monkeypatch):
+        # the arcs between the sides need no check once Y- and Y+ are
+        # disjoint (``realization._extension``): the reference that still
+        # checks them gives the same certificate every time
+        seen = Counter()
+        for h, x, t_x in extension_cases(2000, random.Random(17)):
+            got = extension_certificate(h, x, t_x, _verified=True)
+            with monkeypatch.context() as m:
+                m.setattr(realization, "_extension", extension_with_arc_checks)
+                want = extension_certificate(h, x, t_x, _verified=True)
+            assert certificate_fields(got) == certificate_fields(want)
+            seen[got.verdict] += 1
+        assert seen[VERDICT_M2_ARC] == 0
+        assert all(seen[v] for v in (VERDICT_OK, VERDICT_ODD_CYCLE, VERDICT_E0,
+                                     VERDICT_Y_OVERLAP, VERDICT_Y_NOT_COVERING)), seen
+
+
+def extension_with_arc_checks(spans, succ, w, x):
+    """``realization._extension`` plus the two loops that check the arcs
+    between the sides and return ``VERDICT_M2_ARC``: the reference for the
+    claim that those loops never fire."""
+    rest = w & ~(1 << x)
+    row = spans[x]
+    adj = [0] * len(succ)
+    i_x = 0
+    for v in iter_bits(rest):
+        adj[v] = row[v] & rest & ~(1 << v)
+        if not adj[v]:
+            i_x |= 1 << v
+
+    def result(verdict, x_minus=0, x_plus=0, y_minus=0, y_plus=0):
+        return verdict, adj, i_x, x_minus, x_plus, y_minus, y_plus
+
+    x_minus = x_plus = 0
+    colored = 0
+    side = [0] * len(succ)
+    for r in iter_bits(rest & ~i_x):
+        if (colored >> r) & 1:
+            continue
+        comp_sides = [1 << r, 0]
+        side[r] = 0
+        frontier = [r]
+        colored |= 1 << r
+        while frontier:
+            u = frontier.pop()
+            for v in iter_bits(adj[u]):
+                if (colored >> v) & 1:
+                    if side[v] == side[u]:
+                        return result(VERDICT_ODD_CYCLE)
+                    continue
+                side[v] = 1 - side[u]
+                comp_sides[side[v]] |= 1 << v
+                colored |= 1 << v
+                frontier.append(v)
+        nb = (adj[r] & -adj[r]).bit_length() - 1
+        minus = side[r] if (succ[r] >> nb) & 1 else side[nb]
+        x_minus |= comp_sides[minus]
+        x_plus |= comp_sides[1 - minus]
+
+    for v in iter_bits(x_minus):
+        if adj[v] & x_plus != succ[v] & x_plus:
+            return result(VERDICT_E0, x_minus, x_plus)
+
+    y_minus = 0
+    frontier = x_minus
+    while frontier:
+        nxt = 0
+        for u in iter_bits(frontier):
+            nxt |= succ[u]
+        nxt &= i_x & ~y_minus
+        y_minus |= nxt
+        frontier = nxt
+    y_plus = 0
+    frontier = x_plus
+    while frontier:
+        nxt = 0
+        for u in iter_bits(frontier):
+            nxt |= rest & ~succ[u] & ~(1 << u)
+        nxt &= i_x & ~y_plus
+        y_plus |= nxt
+        frontier = nxt
+
+    sides = (x_minus, x_plus, y_minus, y_plus)
+    if y_minus & y_plus:
+        return result(VERDICT_Y_OVERLAP, *sides)
+    if y_minus | y_plus != i_x:
+        return result(VERDICT_Y_NOT_COVERING, *sides)
+    below = x_minus | y_minus
+    for u in iter_bits(y_plus):
+        if succ[u] & below != below:
+            return result(VERDICT_M2_ARC, *sides)
+    for u in iter_bits(x_plus):
+        if succ[u] & y_minus != y_minus:
+            return result(VERDICT_M2_ARC, *sides)
+    return result(VERDICT_OK, *sides)
+
+
+def certificate_fields(cert):
+    return (cert.x, cert.g_x, int(cert.i_x), int(cert.x_minus), int(cert.x_plus),
+            int(cert.y_minus), int(cert.y_plus), cert.verdict)
+
+
+def extension_cases(count, rng):
+    """Seeded (h, x, t_x) for ``extension_certificate(..., _verified=True)``:
+    h the C3 structure of a random tournament t, sometimes with one triple
+    toggled, and t_x the tournament t - x, sometimes with one arc reversed."""
+    for _ in range(count):
+        n = rng.randint(4, 9)
+        t = random_tournament(n, rng)
+        edges = set(c3_structure(t).edges)
+        if rng.random() < 0.3:
+            edges ^= {sum(1 << v for v in rng.sample(range(n), 3))}
+        x = rng.randrange(n)
+        rest = [v for v in range(n) if v != x]
+        arcs = list(t.induced(rest).arcs())
+        if rng.random() < 0.3:
+            i = rng.randrange(len(arcs))
+            arcs[i] = arcs[i][::-1]
+        yield Hypergraph(n, edges), x, Tournament.from_arcs(n - 1, arcs)
 
 
 class TestCounting:
@@ -316,6 +450,38 @@ class TestChoiceToTournament:
             choice_to_tournament(
                 H4, tree, RealizationChoice({inner: (0, 1)}, {root: False},
                                             {root: linear_order(3)}))
+        # a quotient realization missing, unflagged or of the wrong size
+        for flags, bases in (({root: False}, {}), ({}, base),
+                             ({root: False}, {root: linear_order(2)})):
+            with pytest.raises(PreconditionError, match="needs a quotient realization"):
+                choice_to_tournament(H4, tree, RealizationChoice({inner: (0, 1)}, flags, bases))
+        mixed = Hypergraph(6, [[0, 1], [1, 2], [0, 2], [3, 4, 5]])
+        mixed_tree = decomposition_tree(mixed)
+        with pytest.raises(PreconditionError, match="complete-labelled"):
+            choice_to_tournament(mixed, mixed_tree, default_choice(mixed_tree, {}))
+        # another hypergraph's tree, with choices that pass on that tree
+        for h, other in ((Hypergraph(3, [[0, 1, 2]]), Hypergraph(3, [])),
+                         (H4, Hypergraph(4, [[0, 1, 2]]))):
+            other_tree, other_base = _prepare(other)
+            with pytest.raises(PreconditionError, match="tree does not match"):
+                choice_to_tournament(h, other_tree, default_choice(other_tree, other_base))
+        with pytest.raises(PreconditionError, match="tree does not match"):
+            choice_to_tournament(Hypergraph(3, []), decomposition_tree(linear_order(3)),
+                                 RealizationChoice({}, {}, {}))
+
+    def test_output_checked_once_per_call(self, monkeypatch):
+        # the tournament is the one item of the enumeration over the choice
+        calls = []
+        real = realization._verified
+        monkeypatch.setattr(realization, "_verified",
+                            lambda *a: calls.append(a[0]) or real(*a))
+        tree, base = _prepare(H4)
+        for choice in (default_choice(tree, base),
+                       RealizationChoice({x: (1, 0) for x in default_choice(tree, base).perms},
+                                         {int(tree.root.members): True}, base)):
+            calls.clear()
+            assert c3_structure(choice_to_tournament(H4, tree, choice)) == H4
+            assert calls == [H4]
 
 
 def spy_kernel(monkeypatch):
@@ -514,18 +680,33 @@ class TestLazyEnumeration:
         t = Tournament.from_arcs(5, [
             (0, 1), (1, 2), (1, 3), (2, 0), (3, 0), (2, 3),
             (0, 4), (1, 4), (2, 4), (3, 4)])
-        h = c3_structure(t)
-        tree, base = _prepare(h)
-        nodes = list(tree.internal_nodes())
-        values = [(False, True) if x.label == LABEL_PRIME
-                  else tuple(permutations(range(len(x.children)))) for x in nodes]
-        expected = []
-        for combo in product(*values):
-            perms = {int(x.members): v for x, v in zip(nodes, combo) if x.label != LABEL_PRIME}
-            flags = {int(x.members): v for x, v in zip(nodes, combo) if x.label == LABEL_PRIME}
-            expected.append(choice_to_tournament(h, tree, RealizationChoice(perms, flags, base)))
-        assert list(enumerate_realizations(h)) == expected
-        assert len(expected) == count_realizations(h) == 8
+        corpus = [c3_structure(t)]
+        rng = random.Random(23)
+        while len(corpus) < 41:
+            h = c3_structure(random_tournament(rng.randint(3, 7), rng))
+            if count_realizations(h) <= 500:
+                corpus.append(h)
+        corpus += [planted_blocks(sizes, random.Random(len(sizes)))
+                   for sizes in ((3, 1, 3), (1, 3, 1, 3), (3, 3, 1), (3, 1, 1, 1, 3))]
+        labels = Counter()
+        for h in corpus:
+            tree, base = _prepare(h)
+            nodes = list(tree.internal_nodes())
+            labels.update(x.label for x in nodes)
+            values = [(False, True) if x.label == LABEL_PRIME
+                      else tuple(permutations(range(len(x.children)))) for x in nodes]
+            expected = []
+            for combo in product(*values):
+                perms = {int(x.members): v for x, v in zip(nodes, combo)
+                         if x.label != LABEL_PRIME}
+                flags = {int(x.members): v for x, v in zip(nodes, combo)
+                         if x.label == LABEL_PRIME}
+                expected.append(
+                    choice_to_tournament(h, tree, RealizationChoice(perms, flags, base)))
+            assert list(enumerate_realizations(h)) == expected
+            assert len(expected) == count_realizations(h)
+        assert count_realizations(corpus[0]) == 8
+        assert labels[LABEL_PRIME] >= 40 and labels[LABEL_EMPTY] >= 20, labels
 
 
 class TestOutputChecksAreNotAsserts:
