@@ -16,8 +16,9 @@ quotient, like that of any modular partition (``quotient``), is the
 structure induced on its transverse, the smallest vertex of each block: an
 edge that meets two or more blocks meets each in one vertex and stays an
 edge when each is swapped for its block's smallest, and the arcs between
-two blocks all point one way.  Each internal node keeps its quotient and
-the tree keeps the closure it was read from, so later stages rebuild
+two blocks all point one way.  Each internal node keeps its quotient, and
+``_tree`` hands realization the closure and the chain the tree was read
+from beside the tree, which holds only its nodes, so later stages rebuild
 neither.  The sweep counts how many vertex pairs close to each set, and a
 node's prime label is confirmed from that count.  A tree first closes the
 pairs of vertex 0; when all of them close to the whole set, a chain of
@@ -25,8 +26,8 @@ prime sets from a triple through vertex 0 (``_chain``, the one walk of the
 step rule, after Schmerl & Trotter, Discrete Math. 1993) can prove a prime
 root with no other closure, and otherwise the sweep closes each remaining
 pair once.  On 3-uniform input the realization of a prime quotient reads
-the same tables, and a prime root grows along the chain the tree kept, so
-an input needs one closure table and one walk.  Nothing here scans vertex
+the same tables, and a prime root grows along the chain its tree walked,
+so an input needs one closure table and one walk.  Nothing here scans vertex
 subsets: the listers of all modules, whose output can have 2^n members,
 are brute force and live in ``oracle``.
 """
@@ -272,12 +273,13 @@ def _pair_keeps_prime(close: Closure, x: int, twins: dict[int, int], p: int, q: 
 
 
 def _chain(host: Hypergraph | Tournament, close: Closure,
-           w: int) -> Iterator[int | tuple[int, int, int | None]]:
-    """A chain of prime sets within w, walked lazily: first the base, the
-    first triple {a, b, c} through the smallest vertex a of w with b, then
-    c, as small as can be (an edge of a 3-uniform hypergraph, a 3-cycle
-    a -> b -> c -> a of a tournament; none yields nothing), then one
-    ``(z, q, a)`` per step, ending at w or at a stall.
+           w: int) -> Iterator[tuple[int, int, int | None]]:
+    """A chain of prime sets within w, walked lazily, one ``(z, q, a)`` per
+    set, ending at w or at a stall.  The base comes first, as
+    ``(z, c, None)``: the first triple z = {a, b, c} through the smallest
+    vertex a of w with b, then c, as small as can be (an edge of a
+    3-uniform hypergraph, a 3-cycle a -> b -> c -> a of a tournament; none
+    yields nothing).  So a walked chain reaches w iff its last set is w.
 
     A step adds to the prime x the smallest outside y that ``_twin``
     (``_tournament_twin``) keeps prime, else the first pair p < q that
@@ -298,15 +300,16 @@ def _chain(host: Hypergraph | Tournament, close: Closure,
     if isinstance(host, Tournament):
         succ = host.succ
         twin = partial(_tournament_twin, succ)
-        x = next(((1 << a) | (1 << b) | (c & -c) for b in iter_bits(succ[a] & rest)
-                  if (c := succ[b] & rest & ~succ[a])), 0)
+        b, c = next(((b, c & -c) for b in iter_bits(succ[a] & rest)
+                     if (c := succ[b] & rest & ~succ[a])), (0, 0))
     else:
         twin, row = partial(_twin, close.spans), close.spans[a]
-        x = next(((1 << a) | (1 << b) | (c & -c) for b in iter_bits(rest)
-                  if (c := row[b] & rest & ~(1 << b))), 0)
-    if not x:
+        b, c = next(((b, c & -c) for b in iter_bits(rest)
+                     if (c := row[b] & rest & ~(1 << b))), (0, 0))
+    if not c:
         return
-    yield x
+    x = (1 << a) | (1 << b) | c
+    yield x, _lowest(c), None
     while x != w:
         outside, twins = bit_list(w & ~x), {}
         for y in outside:
@@ -326,7 +329,7 @@ def _chain(host: Hypergraph | Tournament, close: Closure,
 
 def _reaches(chain: list, w: int) -> bool:
     """True when a walked chain ends at w, which proves H[w] prime."""
-    return bool(chain) and (chain[0] if len(chain) == 1 else chain[-1][0]) == w
+    return bool(chain) and chain[-1][0] == w
 
 
 def _children(host: Hypergraph | Tournament, close: Closure
@@ -337,7 +340,7 @@ def _children(host: Hypergraph | Tournament, close: Closure
     chain of prime sets walked within V, or None when none was walked.
 
     The pairs of vertex 0 are closed first.  When all of them close to the
-    whole set V, the chain within V (``_chain``) is walked and kept.  When
+    whole set V, the chain within V (``_chain``) is walked and returned.  When
     it reaches V, the host is prime, since each set of the chain is.  Then
     every pair closes to V, so V has the n single vertices as children and
     ``hits[V] = n(n - 1)/2`` is a fact, not a count, and no other pair is
@@ -389,12 +392,13 @@ def _children(host: Hypergraph | Tournament, close: Closure
     return out, hits, chain
 
 
-def _tree(host: Hypergraph | Tournament, close: Closure) -> DecompositionTree:
-    """The inclusion tree of the strong modules, built bottom-up.  Each
-    internal node's quotient is the structure induced on its transverse (the
-    smallest vertex of each child), the host itself when that is every
-    vertex; ``_hypergraph_label`` or ``_tournament_label`` names it, and the
-    tree keeps ``close`` and the chain ``_children`` walked within V.
+def _tree(host: Hypergraph | Tournament) -> tuple[DecompositionTree, Closure, list | None]:
+    """The inclusion tree of the strong modules, built bottom-up, with the
+    host's closure it was read from and the chain ``_children`` walked
+    within V, for realization to reuse.  Each internal node's quotient is
+    the structure induced on its transverse (the smallest vertex of each
+    child), the host itself when that is every vertex; ``_hypergraph_label``
+    or ``_tournament_label`` names it.
 
     A node m with k >= 3 children c_1..c_k has a prime quotient iff each of
     the (|m|^2 - sum |c_i|^2) / 2 pairs that cross two children closes to
@@ -405,6 +409,9 @@ def _tree(host: Hypergraph | Tournament, close: Closure) -> DecompositionTree:
     them and overlaps none: a union of children, which is a module of the
     quotient.  So the count falls short exactly when the quotient has a
     nontrivial module, since two of its vertices close within it."""
+    if host.n < 1:
+        raise PreconditionError("need at least 1 vertex")
+    close = _closure(host)
     children, hits, chain = _children(host, close)
     full = full_mask(host.n)
     tournament = isinstance(host, Tournament)
@@ -418,8 +425,8 @@ def _tree(host: Hypergraph | Tournament, close: Closure) -> DecompositionTree:
             prime = len(blocks) >= 3 and hits[m] == crossing
             name = _tournament_label(q, prime) if tournament else _hypergraph_label(host, q, prime)
         built[m] = TreeNode(m, name, tuple(built.pop(b) for b in blocks), q)
-    return DecompositionTree(built[full], host.n, "tournament" if tournament else "hypergraph",
-                             close, chain)
+    kind = "tournament" if tournament else "hypergraph"
+    return DecompositionTree(built[full], host.n, kind), close, chain
 
 
 def is_strong_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
@@ -588,23 +595,17 @@ class DecompositionTree:
 
     The root is the full vertex set, leaves are singletons, and the children
     of an internal node are the maximal proper strong modules of the induced
-    substructure, ordered by smallest contained vertex.  A tree built by
-    ``decomposition_tree`` or ``tournament_decomposition_tree`` also keeps
-    the closure it was read from (``_close``), so later stages reuse its
-    tables instead of building them again, and the chain of prime sets it
-    walked within the whole vertex set (``_chain``, a list, or None), along
-    which realization grows a prime root.
+    substructure, ordered by smallest contained vertex.  The tree holds
+    only its nodes: the closure and the chain it was read from go to
+    realization through ``_tree``, not through the tree.
     """
 
-    __slots__ = ("root", "n", "kind", "_close", "_chain")
+    __slots__ = ("root", "n", "kind")
 
-    def __init__(self, root: TreeNode, n: int, kind: str, close: Closure | None = None,
-                 _chain: list | None = None):
+    def __init__(self, root: TreeNode, n: int, kind: str):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_close", close)
-        object.__setattr__(self, "_chain", _chain)
 
     def __setattr__(self, name, value):
         raise AttributeError("DecompositionTree is immutable")
@@ -695,9 +696,7 @@ def _hypergraph_label(h: Hypergraph, q: Hypergraph, prime: bool) -> str:
 def decomposition_tree(host: Hypergraph | Tournament) -> DecompositionTree:
     """The full labeled modular decomposition tree of a hypergraph or a
     tournament (a tournament's labels are linear or prime)."""
-    if host.n < 1:
-        raise PreconditionError("need at least 1 vertex")
-    return _tree(host, _closure(host))
+    return _tree(host)[0]
 
 
 def smallest_strong_module_containing(h: Hypergraph,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 
 from .core import Hypergraph, Tournament
-from .errors import ParseError, PreconditionError
+from .errors import ParseError
 
 __all__ = [
     "parse_hypergraph", "parse_tournament",
@@ -76,13 +76,13 @@ def parse_tournament(text: str, source: str = "<input>") -> Tournament:
     if not isinstance(arcs, list):
         raise ParseError("expected a list of arcs", source=source, path="arcs")
     # checked before anything of size n is built; with more arcs than pairs
-    # the loop below meets a repeated or invalid pair
+    # the loop below meets a repeated or invalid pair, and with no repeated
+    # pair the C(n, 2) or more arcs give each pair exactly one
     expected = n * (n - 1) // 2
     if len(arcs) < expected:
         raise ParseError(f"need exactly one arc per pair: got {len(arcs)} of {expected}",
                          source=source, path="arcs")
     succ = [0] * n
-    seen_pairs = set()
     for k, arc in enumerate(arcs):
         path = f"arcs[{k}]"
         if not isinstance(arc, list) or len(arc) != 2:
@@ -96,16 +96,11 @@ def parse_tournament(text: str, source: str = "<input>") -> Tournament:
                              source=source, path=path)
         if u == v:
             raise ParseError(f"arc {arc} is a self-loop", source=source, path=path)
-        key = (min(u, v), max(u, v))
-        if key in seen_pairs:
-            raise ParseError(f"pair {{{key[0]},{key[1]}}} oriented more than once",
+        if (succ[u] >> v | succ[v] >> u) & 1:
+            raise ParseError(f"pair {{{min(u, v)},{max(u, v)}}} oriented more than once",
                              source=source, path=path)
-        seen_pairs.add(key)
         succ[u] |= 1 << v
-    try:
-        return Tournament(n, succ)
-    except PreconditionError as exc:  # unreachable given the checks above
-        raise ParseError(str(exc), source=source, path="arcs") from exc
+    return Tournament._from_succ(n, tuple(succ))
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:

@@ -11,10 +11,10 @@ distinct realization and all arise this way, which also yields the count
 
 A prime node's quotient is the subhypergraph induced by its transverse
 (the smallest vertex of each child), so it is realized on the closure the
-tree was read from (``decomposition._hypergraph_closure``), within the
-transverse and in the input's labels: each vertex set on the way is a mask
-read through that closure's span table, not a hypergraph of its own, which
-is exact because the input is 3-uniform.  So one closure table serves the
+tree was read from, which ``decomposition._tree`` returns beside the tree,
+within the transverse and in the input's labels: each vertex set on the
+way is a mask read through that closure's span table, not a hypergraph of
+its own, which is exact because the input is 3-uniform.  So one closure table serves the
 whole input.  Each growth step checks the realization at the vertices it
 adds (``_realizes_within``).
 
@@ -27,7 +27,7 @@ pair).  The realization of H[X] extends to H[X + y] in at most one way,
 and a pair step tries both realizations of H[X + p] that extend the one
 of H[X].  A failed extension makes the set reached a witness.  No chain is
 walked twice: a prime root over single vertices grows along the chain its
-tree kept, and ``realize_prime`` along its precheck's.  Of the two
+tree walked, and ``realize_prime`` along its precheck's.  Of the two
 realizations of a prime quotient, the one kept is the one in which its
 first vertex beats its second.  ``realize_prime`` and ``realize_critical`` run the same growth on a
 whole input; no isomorphism search is needed, since growth reaches the
@@ -56,7 +56,7 @@ from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits
 from .core import Graph, Hypergraph, Tournament, c3_structure
 from .decomposition import (
     LABEL_EMPTY, LABEL_PRIME, Closure, DecompositionTree, _chain, _hypergraph_closure,
-    _is_prime_within, _reaches, decomposition_tree,
+    _is_prime_within, _reaches, _tree,
 )
 from .errors import InvariantError, PreconditionError
 
@@ -548,7 +548,7 @@ def _grow(h: Hypergraph, spans: list[list[int]], w: int,
     1,322 random prime tournaments with n <= 10).
     """
     steps = iter(chain)
-    base = x = next(steps)
+    base = x = next(steps)[0]
     a, b, c = bit_list(base)
     succ = [0] * h.n
     succ[a], succ[b], succ[c] = 1 << b, 1 << c, 1 << a
@@ -587,34 +587,34 @@ def _extension_witness(w: int, verdict: str) -> NonRealizabilityWitness:
 # --- whole-hypergraph pipeline ---------------------------------------------------
 
 def _prepare(h: Hypergraph):
-    """Decomposition tree plus a realization of each prime quotient.
+    """Decomposition tree plus a realization of each prime quotient, and
+    the span table of the closure the tree was read from.
 
     A prime node's quotient is H[transverse], with the smallest vertex of
-    each child standing for it, so it is realized on the tree's closure
-    within the transverse, in the labels of h; the result is squeezed to
-    child order.  A transverse that is the whole vertex set is a prime root
-    over single vertices, whose chain the tree walked and kept
-    (``tree._chain``), so growth takes its steps; any other node's chain is
-    walked lazily.  Returns a witness if any prime quotient is not
-    realizable.
+    each child standing for it, so it is realized on that closure within
+    the transverse, in the labels of h; the result is squeezed to child
+    order.  A transverse that is the whole vertex set is a prime root over
+    single vertices, whose chain ``_tree`` walked and returned, so growth
+    takes its steps; any other node's chain is walked lazily.  Returns a
+    witness if any prime quotient is not realizable.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
-    tree = decomposition_tree(h)
-    close, full = tree._close, full_mask(h.n)
+    tree, close, chain = _tree(h)
+    full = full_mask(h.n)
     prime_base: dict[int, Tournament] = {}
     for node in tree.internal_nodes():
         if node.label != LABEL_PRIME:
             continue
         firsts = [c.members & -c.members for c in node.children]
         w = sum(firsts)
-        res = _realize_within(h, close, w, tree._chain if w == full else _chain(h, close, w))
+        res = _realize_within(h, close, w, chain if w == full else _chain(h, close, w))
         if isinstance(res, NonRealizabilityWitness):
             return res
         rows = (res[f.bit_length() - 1] for f in firsts)
         prime_base[int(node.members)] = Tournament._from_succ(len(firsts), tuple(
             sum(1 << j for j, f in enumerate(firsts) if row & f) for row in rows))
-    return tree, prime_base
+    return tree, prime_base, close.spans
 
 
 def default_choice(tree: DecompositionTree,
@@ -749,10 +749,11 @@ def enumerate_realizations(h: Hypergraph) -> Iterator[Tournament]:
     return _items(h, *prep)
 
 
-def _items(h: Hypergraph, tree: DecompositionTree,
-           prime_base: Mapping[int, Tournament]) -> Iterator[Tournament]:
-    """The realizations of ``h`` in enumeration order, from its tree and a
-    realization of each prime quotient in child order.
+def _items(h: Hypergraph, tree: DecompositionTree, prime_base: Mapping[int, Tournament],
+           spans: list[list[int]]) -> Iterator[Tournament]:
+    """The realizations of ``h`` in enumeration order, from its tree, a
+    realization of each prime quotient in child order and the span table
+    of h's closure, which checks each item after the first.
 
     Each node's child blocks and, for a prime node, the parts of both
     orientations (``_prime_parts``, as ``choice_to_tournament`` sets them up)
@@ -771,7 +772,7 @@ def _items(h: Hypergraph, tree: DecompositionTree,
         blocks = [int(c.members) for c in node.children]
         oriented = _prime_parts(m, blocks, prime_base[m]) if node.label == LABEL_PRIME else None
         nodes.append((blocks, oriented))
-    return _enumerate(h, tree._close.spans, nodes)
+    return _enumerate(h, spans, nodes)
 
 
 def _orders(blocks: list[int]) -> Iterator[Parts]:

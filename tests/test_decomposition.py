@@ -1,5 +1,7 @@
+import gc
 import random
 import time
+import tracemalloc
 from itertools import combinations
 from math import factorial
 
@@ -562,3 +564,25 @@ class TestCountGuard:
             decomposition_tree(c3_structure(self.T))
         with pytest.raises(InvariantError, match="linear or prime"):
             tournament_decomposition_tree(self.T)
+
+
+class TestTreeIsAPlainValue:
+    """A tree holds its nodes and nothing of the engine that built them: the
+    closure tables and the chain go to realization through ``_tree``."""
+
+    def test_slots(self):
+        assert decomposition.DecompositionTree.__slots__ == ("root", "n", "kind")
+
+    def test_tree_retains_no_closure_tables(self):
+        # the closure of a prime 60-vertex 3-uniform input holds about 3 MB
+        h = c3_structure(random_tournament(60, random.Random(1)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tree = decomposition_tree(h)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.root.label == LABEL_PRIME
+        assert held < 64 * 2**10

@@ -417,14 +417,14 @@ class TestChoiceToTournament:
 
     def test_dual_flag_on_prime_root(self):
         h = c3_structure(critical_family("T", 5))
-        tree, base = _prepare(h)
+        tree, base, _ = _prepare(h)
         key = int(tree.root.members)
         as_computed = choice_to_tournament(h, tree, RealizationChoice({}, {key: False}, base))
         flipped = choice_to_tournament(h, tree, RealizationChoice({}, {key: True}, base))
         assert flipped == dual(as_computed)
 
     def test_nested_blowup_has_four_realizations(self):
-        tree, base = _prepare(H4)
+        tree, base, _ = _prepare(H4)
         root = int(tree.root.members)
         inner = next(int(x.members) for x in tree.internal_nodes() if x is not tree.root)
         got = set()
@@ -438,7 +438,7 @@ class TestChoiceToTournament:
         assert set(brute_force_realizations(H4)) == got
 
     def test_malformed_choice_rejected(self):
-        tree, base = _prepare(H4)
+        tree, base, _ = _prepare(H4)
         root = int(tree.root.members)
         inner = next(int(x.members) for x in tree.internal_nodes() if x is not tree.root)
         with pytest.raises(PreconditionError):
@@ -462,7 +462,7 @@ class TestChoiceToTournament:
         # another hypergraph's tree, with choices that pass on that tree
         for h, other in ((Hypergraph(3, [[0, 1, 2]]), Hypergraph(3, [])),
                          (H4, Hypergraph(4, [[0, 1, 2]]))):
-            other_tree, other_base = _prepare(other)
+            other_tree, other_base, _ = _prepare(other)
             with pytest.raises(PreconditionError, match="tree does not match"):
                 choice_to_tournament(h, other_tree, default_choice(other_tree, other_base))
         with pytest.raises(PreconditionError, match="tree does not match"):
@@ -475,7 +475,7 @@ class TestChoiceToTournament:
         real = realization._verified
         monkeypatch.setattr(realization, "_verified",
                             lambda *a: calls.append(a[0]) or real(*a))
-        tree, base = _prepare(H4)
+        tree, base, _ = _prepare(H4)
         for choice in (default_choice(tree, base),
                        RealizationChoice({x: (1, 0) for x in default_choice(tree, base).perms},
                                          {int(tree.root.members): True}, base)):
@@ -540,7 +540,7 @@ class TestOneOutputCheck:
 
     def test_spoiled_base_rejected(self):
         h = c3_structure(PRIME6)
-        tree, base = _prepare(h)
+        tree, base, _ = _prepare(h)
         key = int(tree.root.members)
         good = base[key]
         u, v = next(good.arcs())
@@ -632,9 +632,9 @@ class TestOneTreePerCount:
 
         def spy(h):
             calls.append(h)
-            return decomposition_tree(h)
+            return decomposition._tree(h)
 
-        monkeypatch.setattr(realization, "decomposition_tree", spy)
+        monkeypatch.setattr(realization, "_tree", spy)
         for h in (H4, Hypergraph(5, []), c3_structure(PRIME6)):
             calls.clear()
             count_realizations(h)
@@ -690,7 +690,7 @@ class TestLazyEnumeration:
                    for sizes in ((3, 1, 3), (1, 3, 1, 3), (3, 3, 1), (3, 1, 1, 1, 3))]
         labels = Counter()
         for h in corpus:
-            tree, base = _prepare(h)
+            tree, base, _ = _prepare(h)
             nodes = list(tree.internal_nodes())
             labels.update(x.label for x in nodes)
             values = [(False, True) if x.label == LABEL_PRIME
@@ -970,7 +970,7 @@ class TestOneOutputCheckPerItem:
         # no stored base checked at set-up, the first item by c3_structure,
         # and each later item by one kernel call on the pairs it changes
         h = planted_blocks((1, 3, 1, 1, 3, 1), random.Random(71))
-        tree, base = _prepare(h)
+        tree, base, _ = _prepare(h)
         bases = [base[int(x.members)] for x in tree.internal_nodes() if x.label == LABEL_PRIME]
         assert len(bases) == 2
         real = realization.c3_structure
@@ -995,8 +995,8 @@ class TestOneOutputCheckPerItem:
         real = realization._prepare
 
         def spoiled(g):
-            tree, base = real(g)
-            return tree, {key: linear_order(3) for key in base}
+            tree, base, spans = real(g)
+            return tree, {key: linear_order(3) for key in base}, spans
 
         monkeypatch.setattr(realization, "_prepare", spoiled)
         it = enumerate_realizations(h)
