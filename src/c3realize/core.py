@@ -25,7 +25,20 @@ __all__ = [
 ]
 
 
-class Hypergraph:
+class Frozen:
+    """The base of the package's value classes: each sets its attributes
+    once, in its constructor, through ``object.__setattr__``, after which
+    none can be reassigned or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Hypergraph(Frozen):
     """A finite hypergraph: ``n`` vertices and a set of edges of size >= 2.
 
     Edges are stored as a frozenset of bit masks, which makes membership
@@ -50,9 +63,6 @@ class Hypergraph:
         object.__setattr__(self, "edges", masks)
         object.__setattr__(self, "is_3_uniform",
                            all(e.bit_count() == 3 for e in masks))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Hypergraph is immutable")
 
     @classmethod
     def _from_masks(cls, n: int, masks: frozenset[int]) -> "Hypergraph":
@@ -116,7 +126,7 @@ def induced_subhypergraph(h: Hypergraph, vertices: int | Iterable[int]) -> Hyper
     return Hypergraph._from_masks(w.bit_count(), frozenset(kept))
 
 
-class Tournament:
+class Tournament(Frozen):
     """A complete antisymmetric orientation of the pairs on 0..n-1.
 
     ``succ[i]`` is the bit mask of vertices that i beats (arcs i -> j).
@@ -141,9 +151,6 @@ class Tournament:
             raise PreconditionError(f"pair {{{i},{j}}} must have exactly one arc")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "succ", succ)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tournament is immutable")
 
     @classmethod
     def _from_succ(cls, n: int, succ: tuple[int, ...]) -> "Tournament":
@@ -229,7 +236,7 @@ def _two_way_arc(succ: tuple[int, ...]) -> bool:
     return False
 
 
-class Graph:
+class Graph(Frozen):
     """A simple undirected graph on 0..n-1 with bit-mask adjacency rows."""
 
     __slots__ = ("n", "adj")
@@ -243,9 +250,6 @@ class Graph:
             adj[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
 
     @classmethod
     def _from_adj(cls, n: int, adj: tuple[int, ...]) -> "Graph":

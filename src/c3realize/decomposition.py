@@ -40,7 +40,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits
-from .core import Hypergraph, Tournament, is_linear_order
+from .core import Frozen, Hypergraph, Tournament, is_linear_order
 from .errors import InvariantError, PreconditionError
 from .oracle import _check_subset, _is_module_over, _is_tournament_module
 
@@ -73,22 +73,28 @@ def _lowest(m: int) -> int:
     return (m & -m).bit_length() - 1
 
 
-# --- hypergraph module predicates -------------------------------------------
+# --- module predicates ---------------------------------------------------------
 
-def is_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
-    """True iff the vertex set is a module of ``h``."""
+def is_module(host: Hypergraph | Tournament, vertices: int | Iterable[int]) -> bool:
+    """True iff the vertex set is a module of a hypergraph or a tournament
+    (of a tournament: no outside vertex splits the set by arcs)."""
     m = as_mask(vertices)
-    _check_subset(h, m)
-    return _is_module_over(h.edges, h.edges, m)
+    _check_subset(host, m)
+    if isinstance(host, Tournament):
+        return _is_tournament_module(host, m)
+    return _is_module_over(host.edges, host.edges, m)
 
 
 def module_violation(h: Hypergraph, vertices: int | Iterable[int]) -> VertexSet | None:
-    """The first edge witnessing that the set is not a module, else None.
+    """The first edge witnessing that the set is not a module of the
+    hypergraph ``h``, else None.
 
     Edges are scanned in canonical order (sorted vertex lists); the returned
     edge either meets the set in two or more vertices while leaving it, or
     has a member swap that is not an edge.
     """
+    if isinstance(h, Tournament):
+        raise PreconditionError("module_violation needs a hypergraph")
     m = as_mask(vertices)
     _check_subset(h, m)
     for e in sorted(h.edges, key=bit_list):
@@ -332,6 +338,16 @@ def _reaches(chain: list, w: int) -> bool:
     return bool(chain) and chain[-1][0] == w
 
 
+def _prime_chain(host: Hypergraph | Tournament, close: Closure, w: int) -> list | None:
+    """The chain of prime sets within w (``_chain``), walked in full, when
+    H[w] is prime, else None: a chain that reaches w proves it, and after a
+    stall every pair of w is closed (``_is_prime_within``).  The primality
+    check of ``is_prime`` and of realization's entry points; those that
+    grow H[w] take the steps walked."""
+    chain = list(_chain(host, close, w))
+    return chain if _reaches(chain, w) or _is_prime_within(close, w) else None
+
+
 def _children(host: Hypergraph | Tournament, close: Closure
               ) -> tuple[dict[int, list[int]], Counter[int], list | None]:
     """Each nonempty strong module's children (its maximal proper strong
@@ -444,16 +460,13 @@ def strong_modules(host: Hypergraph | Tournament) -> frozenset[VertexSet]:
 
 def is_prime(host: Hypergraph | Tournament) -> bool:
     """True iff a hypergraph or a tournament has at least 3 vertices and
-    only trivial modules: a chain of prime sets that reaches the whole set
-    proves it (``_chain``); on a stall every pair is closed."""
-    close = _closure(host)
-    full = full_mask(host.n)
-    return _reaches(list(_chain(host, close, full)), full) or _is_prime_within(close, full)
+    only trivial modules (``_prime_chain``)."""
+    return _prime_chain(host, _closure(host), full_mask(host.n)) is not None
 
 
 # --- modular partitions and quotients ----------------------------------------
 
-class ModularPartition:
+class ModularPartition(Frozen):
     """A partition of the host's vertices into modules, validated on construction
     (the engine's own partitions come through ``_of_children`` unchecked).
 
@@ -475,8 +488,7 @@ class ModularPartition:
             union |= b
         if union != full_mask(host.n):
             raise PreconditionError("partition blocks must cover the vertex set")
-        test = tournament_is_module if isinstance(host, Tournament) else is_module
-        bad = [b for b in masks if not test(host, b)]
+        bad = [b for b in masks if not is_module(host, b)]
         if bad:
             raise PreconditionError(f"block {bit_list(bad[0])} is not a module")
         object.__setattr__(self, "host", host)
@@ -491,9 +503,6 @@ class ModularPartition:
         object.__setattr__(p, "host", host)
         object.__setattr__(p, "blocks", tuple(VertexSet(b) for b in blocks))
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModularPartition is immutable")
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -563,7 +572,7 @@ def components(h: Hypergraph) -> list[VertexSet]:
 
 # --- decomposition trees -------------------------------------------------------
 
-class TreeNode:
+class TreeNode(Frozen):
     """A strong module with its children and, when internal, a quotient label
     and the quotient: the structure induced on the smallest vertex of each
     child, so vertex i is child i (leaves hold None)."""
@@ -577,9 +586,6 @@ class TreeNode:
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "quotient", quotient)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TreeNode is immutable")
-
     @property
     def is_leaf(self) -> bool:
         return not self.children
@@ -590,7 +596,7 @@ class TreeNode:
         return f"TreeNode({bit_list(self.members)}, {self.label}, {len(self.children)} children)"
 
 
-class DecompositionTree:
+class DecompositionTree(Frozen):
     """The inclusion tree of the nonempty strong modules.
 
     The root is the full vertex set, leaves are singletons, and the children
@@ -606,9 +612,6 @@ class DecompositionTree:
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DecompositionTree is immutable")
 
     def nodes(self) -> Iterator[TreeNode]:
         """All nodes in depth-first preorder."""
@@ -707,13 +710,7 @@ def smallest_strong_module_containing(h: Hypergraph,
 
 # --- tournament analogues ------------------------------------------------------
 
-def tournament_is_module(t: Tournament, vertices: int | Iterable[int]) -> bool:
-    """Interval-style module test: no outside vertex splits the set by arcs."""
-    m = as_mask(vertices)
-    _check_subset(t, m)
-    return _is_tournament_module(t, m)
-
-
+tournament_is_module = is_module
 tournament_is_prime = is_prime
 tournament_strong_modules = strong_modules
 tournament_pi = maximal_proper_strong_modules

@@ -181,13 +181,14 @@ def brute_force_realizations(h: Hypergraph) -> list[Tournament]:
 
 # --- isomorphism -----------------------------------------------------------
 
-def _codegrees(h: Hypergraph) -> list[list[int]]:
-    """``cd[a][b]``: the number of edges through both a and b."""
-    cd = [[0] * h.n for _ in range(h.n)]
+def _codegrees(h: Hypergraph) -> list[dict[int, int]]:
+    """``cd[a][b]``: the number of edges through both a and b, kept only
+    when nonzero."""
+    cd: list[dict[int, int]] = [{} for _ in range(h.n)]
     for e in h.edges:
         for a, b in combinations(bit_list(e), 2):
-            cd[a][b] += 1
-            cd[b][a] += 1
+            cd[a][b] = cd[a].get(b, 0) + 1
+            cd[b][a] = cd[b].get(a, 0) + 1
     return cd
 
 
@@ -206,9 +207,11 @@ def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
         return None
     cd1, cd2 = _codegrees(h1), _codegrees(h2)
     # each edge through v adds 1 to two entries of row v
-    deg1, deg2 = [sum(row) // 2 for row in cd1], [sum(row) // 2 for row in cd2]
-    prof1 = [(deg1[v], sorted(cd1[v])) for v in range(n)]
-    prof2 = [(deg2[v], sorted(cd2[v])) for v in range(n)]
+    deg1 = [sum(row.values()) // 2 for row in cd1]
+    deg2 = [sum(row.values()) // 2 for row in cd2]
+    # the nonzero co-degrees stand for the whole row, since both have n entries
+    prof1 = [(deg1[v], sorted(cd1[v].values())) for v in range(n)]
+    prof2 = [(deg2[v], sorted(cd2[v].values())) for v in range(n)]
     if sorted(prof1) != sorted(prof2):
         return None
 
@@ -231,7 +234,7 @@ def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
             used[phi[v]] = False
             phi[v] = -1
         for w in tries[i]:
-            if used[w] or any(cd1[v][u] != cd2[w][phi[u]] for u in order[:i]):
+            if used[w] or any(cd1[v].get(u, 0) != cd2[w].get(phi[u], 0) for u in order[:i]):
                 continue
             phi[v] = w
             if all(sum(1 << phi[u] for u in iter_bits(e)) in h2.edges

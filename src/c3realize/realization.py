@@ -25,13 +25,17 @@ mask operations says whether H[X + y] stays prime, and failing a single
 vertex, the first pair p, q that keeps X prime is added (2-4 closures per
 pair).  The realization of H[X] extends to H[X + y] in at most one way,
 and a pair step tries both realizations of H[X + p] that extend the one
-of H[X].  A failed extension makes the set reached a witness.  No chain is
+of H[X].  A failed extension makes the set reached a witness, and a
+witness holding a 4-set with three or more edges is cut down to that
+4-set at stage ``extension-M1``, with no growth within it.  No chain is
 walked twice: a prime root over single vertices grows along the chain its
-tree walked, and ``realize_prime`` along its precheck's.  Of the two
+tree walked, and ``realize_prime`` and ``realize_critical`` along the one
+their prime check walked (``decomposition._prime_chain``).  Of the two
 realizations of a prime quotient, the one kept is the one in which its
-first vertex beats its second.  ``realize_prime`` and ``realize_critical`` run the same growth on a
-whole input; no isomorphism search is needed, since growth reaches the
-critical families too (the exhaustive searches are in ``oracle``).
+first vertex beats its second.  ``realize_prime`` and ``realize_critical``
+run the same growth on a whole input; no isomorphism search is needed,
+since growth reaches the critical families too (the exhaustive searches
+are in ``oracle``).
 
 Enumeration sets up each node once per tree and walks the product of the
 nodes' choices, each choice ORing its node's parts into a copy of the
@@ -53,10 +57,10 @@ from math import factorial, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits
-from .core import Graph, Hypergraph, Tournament, c3_structure
+from .core import Frozen, Graph, Hypergraph, Tournament, c3_structure
 from .decomposition import (
-    LABEL_EMPTY, LABEL_PRIME, Closure, DecompositionTree, _chain, _hypergraph_closure,
-    _is_prime_within, _reaches, _tree,
+    LABEL_EMPTY, LABEL_PRIME, DecompositionTree, _chain, _hypergraph_closure,
+    _is_prime_within, _prime_chain, _tree,
 )
 from .errors import InvariantError, PreconditionError
 
@@ -86,7 +90,7 @@ VERDICT_Y_NOT_COVERING = "Y-not-covering"
 VERDICT_M2_ARC = "M2-arc-violation"  # never returned: ``_extension`` says why
 
 
-class NonRealizabilityWitness:
+class NonRealizabilityWitness(Frozen):
     """A vertex set whose induced subhypergraph is prime and not realizable."""
 
     __slots__ = ("vertices", "stage")
@@ -95,9 +99,6 @@ class NonRealizabilityWitness:
         object.__setattr__(self, "vertices", tuple(sorted(vertices)))
         object.__setattr__(self, "stage", stage)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NonRealizabilityWitness is immutable")
-
     def to_json(self) -> dict:
         return {"non_realizable": {"witness": list(self.vertices), "stage": self.stage}}
 
@@ -105,7 +106,7 @@ class NonRealizabilityWitness:
         return f"NonRealizabilityWitness({list(self.vertices)}, stage={self.stage!r})"
 
 
-class ExtensionCertificate:
+class ExtensionCertificate(Frozen):
     """The single-vertex extension data: link graph, bipartition, closures.
 
     ``g_x`` lives on the deleted-vertex coordinates (vertex j of ``g_x`` is
@@ -128,9 +129,6 @@ class ExtensionCertificate:
         object.__setattr__(self, "y_plus", VertexSet(y_plus))
         object.__setattr__(self, "verdict", verdict)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtensionCertificate is immutable")
-
     @property
     def ok(self) -> bool:
         return self.verdict == VERDICT_OK
@@ -139,7 +137,7 @@ class ExtensionCertificate:
         return f"ExtensionCertificate(x={self.x}, verdict={self.verdict!r})"
 
 
-class RealizationChoice:
+class RealizationChoice(Frozen):
     """One point of the realization space of a decomposition tree.
 
     ``perms`` maps each empty-labelled internal node (by member mask) to a
@@ -156,9 +154,6 @@ class RealizationChoice:
         object.__setattr__(self, "perms", dict(perms))
         object.__setattr__(self, "prime_flags", dict(prime_flags))
         object.__setattr__(self, "prime_base", dict(prime_base))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealizationChoice is immutable")
 
 
 # --- single-vertex extension --------------------------------------------------
@@ -341,7 +336,7 @@ def _extension_at(h: Hypergraph, x: int, t_x: Tournament,
     if not verified:
         if c3_structure(t_x) != h.induced(rest):
             raise PreconditionError("tournament does not realize the deleted hypergraph")
-        if not _is_prime_within(close, full) or not _is_prime_within(close, rest):
+        if _prime_chain(h, close, full) is None or _prime_chain(h, close, rest) is None:
             raise PreconditionError("extension requires both hypergraphs prime")
     succ = [0] * h.n
     for j, s in enumerate(t_x.succ):
@@ -398,11 +393,13 @@ def realize_critical(h: Hypergraph,
     Its realizations are critical prime tournaments, which have odd order
     (Schmerl and Trotter, Discrete Math. 1993), so an even order is
     rejected outright (stage ``base``).  An odd order is settled by the
-    growth of ``realize_prime`` on the closure the checks build; if growth
-    fails, all of h is the witness (stage ``critical-mismatch``).  The
-    realization returned is the one in which vertex 0 beats vertex 1.
-    ``_assume_critical=True`` skips the checks and is the caller's promise
-    that h is prime and critical.
+    growth of ``realize_prime``, along the chain the prime check walked
+    (``decomposition._prime_chain``) and on the closure the checks build;
+    if growth fails, all of h is the witness (stage
+    ``critical-mismatch``).  The realization returned is the one in which
+    vertex 0 beats vertex 1.  ``_assume_critical=True`` skips the checks
+    and is the caller's promise that h is prime and critical; growth then
+    draws each step as it takes it.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
@@ -410,15 +407,18 @@ def realize_critical(h: Hypergraph,
         raise PreconditionError("critical realization needs at least 5 vertices")
     close = _hypergraph_closure(h)
     full = full_mask(h.n)
-    if not _assume_critical:
-        if not _is_prime_within(close, full):
+    if _assume_critical:
+        chain = _chain(h, close, full)
+    else:
+        chain = _prime_chain(h, close, full)
+        if chain is None:
             raise PreconditionError("input must be prime")
         for x in range(h.n):
             if _is_prime_within(close, full & ~(1 << x)):
                 raise PreconditionError(f"input is not critical: deleting {x} keeps it prime")
     if h.n % 2 == 0:
         return NonRealizabilityWitness(range(h.n), STAGE_BASE)
-    res = _realize_within(h, close, full, _chain(h, close, full))
+    res = _realize_within(h, close.spans, full, chain)
     if isinstance(res, NonRealizabilityWitness):
         return NonRealizabilityWitness(range(h.n), STAGE_CRITICAL_MISMATCH)
     return Tournament._from_succ(h.n, tuple(res))
@@ -439,49 +439,50 @@ def realize_prime(h: Hypergraph,
     is not realizable, and that set is the witness (stage ``extension-M1``
     or ``extension-M2``); when no pair keeps X prime, h is not realizable
     and all of it is the witness (stage ``stall``).  A witness that holds a
-    4-set with three or more edges is replaced by the first such 4-set.
+    4-set with three or more edges is replaced by the first such 4-set, at
+    stage ``extension-M1`` (``_dense_four``).
 
     A prime realizable hypergraph has exactly two realizations, a
     tournament and its dual; the one returned is the one in which vertex 0
     beats vertex 1.  This builds one closure of h and runs
-    ``_realize_within`` on it.  The primality check walks the chain once,
-    as ``is_prime`` does, and closes every pair only on a stall; growth then
-    takes the kept steps.  ``_assume_prime=True`` skips the check and is
-    the caller's promise that h is prime; growth then draws each step as it
+    ``_realize_within`` on its span table.  The primality check is
+    ``is_prime``'s (``decomposition._prime_chain``), and growth takes the
+    steps it walked.  ``_assume_prime=True`` skips the check and is the
+    caller's promise that h is prime; growth then draws each step as it
     takes it.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
     close = _hypergraph_closure(h)
     full = full_mask(h.n)
-    chain = _chain(h, close, full) if _assume_prime else list(_chain(h, close, full))
-    if not (_assume_prime or _reaches(chain, full) or _is_prime_within(close, full)):
+    chain = _chain(h, close, full) if _assume_prime else _prime_chain(h, close, full)
+    if chain is None:
         raise PreconditionError("input must be prime")
-    res = _realize_within(h, close, full, chain)
+    res = _realize_within(h, close.spans, full, chain)
     if isinstance(res, NonRealizabilityWitness):
         return res
     return Tournament._from_succ(h.n, tuple(res))
 
 
-def _realize_within(h: Hypergraph, close: Closure, w: int,
+def _realize_within(h: Hypergraph, spans: list[list[int]], w: int,
                     chain: Iterable) -> list[int] | NonRealizabilityWitness:
     """``realize_prime`` on H[w], which must be prime, run on the labels of
-    h and a closure ``close`` of h: the successor masks of a realization of
-    H[w] (0 outside w), or a witness in the labels of h.
+    h and the span table ``spans`` of h's closure: the successor masks of a
+    realization of H[w] (0 outside w), or a witness in the labels of h.
 
     Growth (``_grow``) along ``chain``, the chain of prime sets within w
     (``decomposition._chain``, walked already or lazily), settles H[w]; the
     realization is then oriented so that the smallest vertex of w beats the
     second smallest.  A witness that holds a 4-set with three or more edges
-    gives way to the first such 4-set (``_dense_four``), reported as growth
-    reports it on that 4-set, along a lazy chain within it.
+    gives way to the first such 4-set (``_dense_four``), at stage
+    ``extension-M1``, the stage growth within it would report.
     """
-    res = _grow(h, close.spans, w, chain)
+    res = _grow(h, spans, w, chain)
     if isinstance(res, NonRealizabilityWitness):
         if len(res.vertices) > 4:
-            four = _dense_four(close.spans, as_mask(res.vertices))
+            four = _dense_four(spans, as_mask(res.vertices))
             if four is not None:
-                return _grow(h, close.spans, four, _chain(h, close, four))
+                return NonRealizabilityWitness(iter_bits(four), STAGE_EXTENSION_M1)
         return res
     first = w & -w
     second = (w ^ first) & -(w ^ first)
@@ -497,6 +498,13 @@ def _dense_four(spans: list[list[int]], w: int) -> int | None:
     Such a set is prime and not realizable, since a 4-vertex tournament has
     at most two 3-cycles.  Two of its edges share a pair {u, v} and the third
     holds u or v, so it is found from the links of the pairs within w.
+
+    Growth within the set would fail at stage ``extension-M1``: it reads
+    only H[set] in vertex order, and each of the five 3-uniform hypergraphs
+    on {0, 1, 2, 3} with three or more edges fails the step after the base
+    3-cycle at M1.  With three edges the link graph of the added vertex is
+    a path whose middle vertex beats exactly one of its ends on the base
+    3-cycle (E0); with four it is a triangle, an odd cycle.
     """
     for u, v in combinations(bit_list(w), 2):
         pair = (1 << u) | (1 << v)
@@ -608,7 +616,7 @@ def _prepare(h: Hypergraph):
             continue
         firsts = [c.members & -c.members for c in node.children]
         w = sum(firsts)
-        res = _realize_within(h, close, w, chain if w == full else _chain(h, close, w))
+        res = _realize_within(h, close.spans, w, chain if w == full else _chain(h, close, w))
         if isinstance(res, NonRealizabilityWitness):
             return res
         rows = (res[f.bit_length() - 1] for f in firsts)

@@ -5,9 +5,9 @@ from itertools import combinations, permutations
 import pytest
 
 from c3realize import (
-    Graph, Hypergraph, PreconditionError, Tournament, VertexSet,
-    c3_structure, critical_family, dual, induced_subhypergraph,
-    is_linear_order, linear_order, random_tournament,
+    ExtensionCertificate, Graph, Hypergraph, PreconditionError, RealizationChoice, Tournament,
+    VertexSet, c3_structure, critical_family, decomposition_tree, dual, induced_subhypergraph,
+    is_linear_order, linear_order, maximal_proper_strong_modules, random_tournament, realize,
 )
 
 C3 = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -249,3 +249,28 @@ class TestGraph:
     def test_rejects_loops(self):
         with pytest.raises(PreconditionError):
             Graph(2, [(1, 1)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Hypergraph(3, [[0, 1, 2]]),
+    lambda: C3,
+    lambda: Graph(2, [(0, 1)]),
+    lambda: maximal_proper_strong_modules(Hypergraph(3, [])),
+    lambda: decomposition_tree(Hypergraph(3, [])).root,
+    lambda: decomposition_tree(Hypergraph(3, [])),
+    lambda: realize(Hypergraph(4, list(combinations(range(4), 3)))),
+    lambda: ExtensionCertificate(0, Graph(0), 0, 0, 0, 0, 0, "ok"),
+    lambda: RealizationChoice({}, {}, {}),
+], ids=["Hypergraph", "Tournament", "Graph", "ModularPartition", "TreeNode",
+        "DecompositionTree", "NonRealizabilityWitness", "ExtensionCertificate",
+        "RealizationChoice"])
+def test_values_refuse_assignment_and_deletion(make):
+    value = make()
+    name = type(value).__slots__[0]
+    kept = getattr(value, name)
+    message = f"^{type(value).__name__} is immutable$"
+    with pytest.raises(AttributeError, match=message):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError, match=message):
+        delattr(value, name)
+    assert getattr(value, name) is kept

@@ -57,6 +57,17 @@ class TestIsModule:
         h2 = Hypergraph(4, [[0, 1, 2]])
         assert module_violation(h2, [1, 3]) == vs(0, 1, 2)
 
+    def test_tournament(self):
+        # in 0 -> 1 -> 2 -> 3 (and every arc upward), 1 splits {0, 2}
+        t = linear_order(4)
+        assert is_module(t, [1, 2]) and is_module(t, range(4))
+        assert not is_module(t, [0, 2])
+        assert tournament_is_module is is_module
+        with pytest.raises(PreconditionError, match="not within"):
+            is_module(t, [4])
+        with pytest.raises(PreconditionError, match="needs a hypergraph"):
+            module_violation(t, [1, 2])
+
 
 class TestIsUsualModule:
     def test_remark_pair_is_usual(self):
@@ -151,6 +162,12 @@ class TestModularPartition:
     def test_block_canonical_order(self):
         p = ModularPartition(H4, [[2, 3], [1], [0]])
         assert [list(b) for b in p.blocks] == [[0], [1], [2, 3]]
+
+    def test_block_of(self):
+        p = ModularPartition(H4, [[2, 3], [1], [0]])
+        assert [p.block_of(v) for v in range(4)] == [0, 1, 2, 2]
+        with pytest.raises(PreconditionError, match="vertex 4 not covered"):
+            p.block_of(4)
 
 
 class TestQuotient:

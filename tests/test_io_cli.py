@@ -40,6 +40,7 @@ class TestHypergraphFormat:
         ('{"n": 3, "edges": [[0, 0, 1]]}', "not strictly increasing"),
         ('{"n": 3, "edges": [[0, 1, 5]]}', "out of range"),
         ('{"n": 3, "edges": [[0]]}', "length >= 2"),
+        ('{"n": 3, "edges": {"0": [0, 1, 2]}}', "expected a list of edges"),
     ])
     def test_semantic_errors(self, text, fragment):
         with pytest.raises(ParseError, match=fragment):
@@ -61,6 +62,9 @@ class TestTournamentFormat:
         ('{"n": 3, "arcs": [[0, 1]]}', "exactly one arc per pair"),
         ('{"n": 2, "arcs": [[0, 2]]}', "out of range"),
         ('{"n": 2, "arcs": [[0, 1, 1]]}', "ordered pair"),
+        ('[[0, 1]]', "expected a JSON object"),
+        ('{"n": 2}', 'expected keys "n" and "arcs"'),
+        ('{"n": 2, "arcs": "0 1"}', "expected a list of arcs"),
     ])
     def test_rejects_violations(self, text, fragment):
         with pytest.raises(ParseError, match=fragment):

@@ -26,6 +26,7 @@ from c3realize.decomposition import (
     LABEL_COMPLETE, LABEL_EMPTY, LABEL_PRIME, _hypergraph_closure, _is_prime_within,
 )
 from c3realize.oracle import modules_within, subsets_where
+from c3realize.realization import STAGE_EXTENSION_M1
 
 
 def tournament_from_code(n, code):
@@ -932,9 +933,10 @@ class TestGrowthAgainstOracle:
     (no pair keeps the base prime); a spy on ``_pair_keeps_prime`` sees a
     two-vertex step end in a realization and in a witness; a spy on
     ``_dense_four`` sees a larger witness give way to a 4-set holding three
-    edges.  On every input, ``realize`` (the tree's kept root chain) and
-    ``realize_prime`` with and without its precheck (a lazy chain, the
-    precheck's chain) give the same tournament or witness."""
+    edges, reported at ``extension-M1`` with no growth within it.  On every
+    input, ``realize`` (the tree's kept root chain) and ``realize_prime``
+    with and without its precheck (a lazy chain, the precheck's chain) give
+    the same tournament or witness."""
 
     def test_each_path_against_brute_force(self, monkeypatch):
         grown, shrunk, steps = [], [], []
@@ -1014,7 +1016,9 @@ class TestGrowthAgainstOracle:
             if replaced:
                 (w, four), = replaced
                 assert four & ~w == 0 and list(iter_bits(four)) == list(got.vertices)
-                assert len(sub.edges) >= 3 and grown[-1][0] == four, (h, got)
+                assert len(sub.edges) >= 3, (h, got)
+                assert all(g != four for g, _ in grown), (h, got)
+                assert got.stage == STAGE_EXTENSION_M1, (h, got)
         assert not +quota, quota
 
 
@@ -1163,6 +1167,62 @@ class TestDenseFour:
                     assert four is None, (h, w)
                 seen[bool(dense)] += 1
         assert seen[True] and seen[False], seen
+
+
+def regrow(h, four):
+    """The reference for a witness cut down to the dense 4-set ``four``:
+    growth within ``four`` along a chain walked within it, as
+    ``realization._realize_within`` once ran it."""
+    close = _hypergraph_closure(h)
+    return realization._grow(h, close.spans, four, decomposition._chain(h, close, four))
+
+
+class TestDenseFourStage:
+    """A witness cut down to a dense 4-set is reported at ``extension-M1``
+    with no growth within the 4-set, as the regrowth reported it."""
+
+    def test_regrowth_of_each_dense_four_fails_at_m1(self):
+        # growth within a 4-set reads only H[four] in vertex order, so the
+        # five labelled hypergraphs on {0, 1, 2, 3} with three or more edges
+        # are every case
+        triples = list(combinations(range(4), 3))
+        dense = [Hypergraph(4, edges) for k in (3, 4) for edges in combinations(triples, k)]
+        assert len(dense) == 5
+        for h in dense:
+            got = regrow(h, h.vertex_mask)
+            assert got.to_json() == {"non_realizable": {"witness": [0, 1, 2, 3],
+                                                        "stage": STAGE_EXTENSION_M1}}, h
+
+    def test_no_growth_within_a_dense_four(self, monkeypatch):
+        grown, cut = [], []
+        real_grow, real_four = realization._grow, realization._dense_four
+
+        def grow_spy(h, spans, w, chain):
+            grown.append(w)
+            return real_grow(h, spans, w, chain)
+
+        def four_spy(spans, w):
+            four = real_four(spans, w)
+            cut.append(four)
+            return four
+
+        monkeypatch.setattr(realization, "_grow", grow_spy)
+        monkeypatch.setattr(realization, "_dense_four", four_spy)
+        rng = random.Random(70)
+        seen = 0
+        for h in three_uniform_inputs(rng, 150, 10):
+            if h.n < 5:
+                continue
+            grown.clear()
+            cut.clear()
+            got = realize(h)
+            four = next((f for f in cut if f is not None), None)
+            if four is None:
+                continue
+            assert four not in grown, h
+            assert got.to_json() == regrow(h, four).to_json(), h
+            seen += 1
+        assert seen >= 40, seen
 
 
 class TestExhaustiveSmallOrders:

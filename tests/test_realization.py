@@ -1,4 +1,5 @@
 import gc
+import inspect
 import os
 import random
 import subprocess
@@ -20,7 +21,7 @@ from c3realize import (
     decomposition_tree, default_choice, dual, enumerate_realizations,
     tournament_decomposition_tree,
     extend_realization, extension_certificate, hypergraph_isomorphism,
-    is_prime, linear_order, random_tournament, realization, realize,
+    is_prime, linear_order, oracle, random_tournament, realization, realize,
     realize_critical, realize_prime,
 )
 from c3realize.bitset import iter_bits
@@ -161,8 +162,8 @@ class TestRealizeCritical:
         assert list(w.vertices) == list(range(6))
 
     def test_odd_order_mismatch_stage(self):
-        # prime, every deletion decomposable would be required; bypass the
-        # criticality check to reach the isomorphism scan and miss all three
+        # complete-5 is prime but not critical: with the criticality check
+        # bypassed, growth fails on it, so all of it is the witness
         h = complete_3_uniform(5)
         w = realize_critical(h, _assume_critical=True)
         assert isinstance(w, NonRealizabilityWitness)
@@ -182,6 +183,28 @@ class TestRealizeCritical:
         got = realize_critical(h)
         assert got == realize_prime(h) and got.has_arc(0, 1)
         assert got in (src, dual(src))
+
+    @pytest.mark.parametrize("kind", ["T", "U", "W"])
+    def test_grows_along_the_chain_its_prime_check_walked(self, monkeypatch, kind):
+        # the prime check walks the chain within V once and closes no pair
+        # of V; the deletion scan closes only within V minus one vertex
+        n = 31
+        perm = list(range(n))
+        random.Random(95).shuffle(perm)
+        src = critical_family(kind, n).relabel(perm)
+        h = c3_structure(src)
+        full = h.vertex_mask
+        walked, checked = [], []
+        real_chain, real_prime = decomposition._chain, decomposition._is_prime_within
+        for module in (decomposition, realization):
+            monkeypatch.setattr(module, "_chain", lambda host, close, w:
+                                walked.append(w) or real_chain(host, close, w))
+            monkeypatch.setattr(module, "_is_prime_within", lambda close, w:
+                                checked.append(w) or real_prime(close, w))
+        got = realize_critical(h)
+        assert got in (src, dual(src)) and got.has_arc(0, 1)
+        assert walked.count(full) == 1
+        assert full not in checked and len(checked) == n
 
 
 class TestExtendRealization:
@@ -595,6 +618,55 @@ class TestHypergraphIsomorphism:
         with recursion_headroom(40):
             phi = hypergraph_isomorphism(h, h)
         assert sorted(phi) == list(range(100)) and sorted(phi[:3]) == [0, 1, 2]
+
+    # pairs with equal degree and co-degree profiles, found by a seeded
+    # search at n = 6: the first is isomorphic, the second is not
+    BACKTRACKING = [
+        (Hypergraph(6, [[0, 1, 2], [0, 4, 5], [1, 3, 4], [2, 4, 5]]),
+         Hypergraph(6, [[0, 1, 2], [0, 3, 5], [1, 2, 3], [1, 4, 5]])),
+        (Hypergraph(6, [[0, 1, 4], [0, 1, 5], [0, 2, 4], [0, 2, 5], [0, 3, 4], [0, 3, 5],
+                        [1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 3, 5], [1, 4, 5], [2, 3, 4],
+                        [3, 4, 5]]),
+         Hypergraph(6, [[0, 1, 2], [0, 1, 3], [0, 1, 4], [0, 2, 3], [0, 2, 5], [0, 3, 5],
+                        [0, 4, 5], [1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 4, 5], [2, 3, 4],
+                        [3, 4, 5]])),
+    ]
+
+    @pytest.mark.parametrize("h1,h2", BACKTRACKING)
+    def test_backtracking_against_every_permutation(self, h1, h2):
+        # the search abandons a depth (pops ``tries``) before its answer,
+        # which a scan of all n! bijections confirms
+        images = [[sum(1 << p[v] for v in iter_bits(e)) for e in h1.edges]
+                  for p in permutations(range(h1.n))]
+        isomorphic = any(set(img) == h2.edges for img in images)
+        popped, phi = lines_run(oracle.hypergraph_isomorphism, "tries.pop()", h1, h2)
+        assert popped
+        assert (phi is not None) == isomorphic
+        if phi is not None:
+            assert {sum(1 << phi[v] for v in iter_bits(e)) for e in h1.edges} == h2.edges
+
+
+def lines_run(func, text, *args):
+    """Whether ``func(*args)`` runs its source line holding ``text``, and
+    its result."""
+    lines, first = inspect.getsourcelines(func)
+    target = first + next(i for i, line in enumerate(lines) if text in line)
+    hit = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not func.__code__:
+            return None
+        if event == "line" and frame.f_lineno == target:
+            hit.append(target)
+        return trace
+
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = func(*args)
+    finally:
+        sys.settrace(before)
+    return bool(hit), result
 
 
 class TestDeepTrees:
