@@ -3,12 +3,15 @@
 Every structure in this package indexes its vertices densely as 0..n-1, so a
 subset of vertices is a Python int with bit i set iff vertex i is a member.
 Set algebra is then exact integer arithmetic: union ``|``, intersection ``&``,
-difference ``a & ~b``, subset ``a & b == a``.
+difference ``a & ~b``, subset ``a & b == a``.  Renumbering a set is
+``remap`` through a table of images, and ``ranks`` is the table that numbers
+the members of a set by their rank in it, the one rule by which an induced
+structure, a quotient or a structure with a vertex deleted is indexed.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
 
@@ -42,20 +45,60 @@ class VertexSet(int):
         return f"VertexSet({{{', '.join(map(str, iter_bits(self)))}}})"
 
 
+def is_int(value: object) -> bool:
+    """True iff ``value`` is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_count(n: object) -> int:
+    """A vertex count, which must be an int >= 0 (not a bool)."""
+    if not is_int(n) or n < 0:
+        raise PreconditionError(f"vertex count must be an int >= 0, got {n!r}")
+    return n
+
+
 def as_mask(vertices: int | Iterable[int]) -> int:
-    """Coerce an int mask or an iterable of vertex indices to an int mask;
-    a negative mask or index raises ``PreconditionError`` (a negative mask
-    has infinitely many set bits)."""
-    if isinstance(vertices, int):
+    """Coerce an int mask or an iterable of distinct vertex indices to an
+    int mask.  A negative mask or index, a bool, any other non-int and an
+    index listed twice raise ``PreconditionError`` (a negative mask has
+    infinitely many set bits)."""
+    if is_int(vertices):
         if vertices < 0:
             raise PreconditionError(f"negative vertex mask {vertices}")
         return vertices
+    if not isinstance(vertices, Iterable):
+        raise PreconditionError(f"expected a mask or vertex indices, got {vertices!r}")
     m = 0
     for v in vertices:
+        if not is_int(v):
+            raise PreconditionError(f"vertex index must be an int, got {v!r}")
         if v < 0:
             raise PreconditionError(f"negative vertex index {v}")
+        if (m >> v) & 1:
+            raise PreconditionError(f"vertex index {v} listed twice")
         m |= 1 << v
     return m
+
+
+def remap(mask: int, images: Sequence[int]) -> int:
+    """The union of ``images[v]`` over the members v of ``mask``: with one
+    bit per image, the set renumbered by that table."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= images[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def ranks(w: int, n: int) -> list[int]:
+    """The n images that renumber the members of w by rank (the i-th
+    smallest member goes to ``1 << i``) and send every other vertex to 0;
+    ``remap(m, ranks(w, n))`` is ``m & w`` indexed within w."""
+    images = [0] * n
+    for i, v in enumerate(iter_bits(w)):
+        images[v] = 1 << i
+    return images
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .bitset import as_mask, bit_list, full_mask, iter_bits
+from .bitset import as_mask, bit_list, full_mask, is_int, iter_bits, ranks, remap, require_count
 from .errors import PreconditionError
 
 __all__ = [
@@ -28,7 +28,8 @@ __all__ = [
 class Frozen:
     """The base of the package's value classes: each sets its attributes
     once, in its constructor, through ``object.__setattr__``, after which
-    none can be reassigned or deleted."""
+    none can be reassigned or deleted.  A copy or an unpickled value is
+    rebuilt from the slots (``_rebuild``), so it is frozen too."""
 
     __slots__ = ()
 
@@ -36,6 +37,18 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):
+        cls = type(self)
+        return _rebuild, (cls, tuple(getattr(self, name) for name in cls.__slots__))
+
+
+def _rebuild(cls: type, values: tuple) -> Frozen:
+    """The value of class ``cls`` whose slots hold ``values``, in order."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 class Hypergraph(Frozen):
@@ -48,8 +61,7 @@ class Hypergraph(Frozen):
     __slots__ = ("n", "edges", "is_3_uniform")
 
     def __init__(self, n: int, edges: Iterable[int | Iterable[int]] = ()):
-        if n < 0:
-            raise PreconditionError(f"vertex count must be >= 0, got {n}")
+        require_count(n)
         masks = frozenset(as_mask(e) for e in edges)
         full = full_mask(n)
         for e in masks:
@@ -102,28 +114,16 @@ class Hypergraph(Frozen):
 def induced_subhypergraph(h: Hypergraph, vertices: int | Iterable[int]) -> Hypergraph:
     """The subhypergraph induced by a vertex subset, re-indexed to 0..k-1.
 
-    Vertex i of the result corresponds to the i-th smallest member of
-    ``vertices``; that sorted order is the recorded old->new index map.
-    Keeps exactly the edges contained in the subset.
+    Vertex i of the result is the i-th smallest member of ``vertices``
+    (``bitset.ranks``).  Keeps exactly the edges contained in the subset.
     """
     w = as_mask(vertices)
     if w & ~h.vertex_mask:
         raise PreconditionError(
             f"subset {bit_list(w)} not within 0..{h.n - 1}")
-    bit = [0] * w.bit_length()
-    for i, v in enumerate(iter_bits(w)):
-        bit[v] = 1 << i
-    outside = ~w
-    kept = []
-    for e in h.edges:
-        if not e & outside:
-            m = 0
-            while e:
-                low = e & -e
-                m |= bit[low.bit_length() - 1]
-                e ^= low
-            kept.append(m)
-    return Hypergraph._from_masks(w.bit_count(), frozenset(kept))
+    images = ranks(w, h.n)
+    kept = frozenset(remap(e, images) for e in h.edges if not e & ~w)
+    return Hypergraph._from_masks(w.bit_count(), kept)
 
 
 class Tournament(Frozen):
@@ -136,7 +136,10 @@ class Tournament(Frozen):
 
     def __init__(self, n: int, succ: Iterable[int]):
         succ = tuple(succ)
-        if n < 0 or len(succ) != n:
+        require_count(n)
+        if not all(map(is_int, succ)):
+            raise PreconditionError("out-neighbour masks must be ints")
+        if len(succ) != n:
             raise PreconditionError(f"need {n} out-neighbour masks, got {len(succ)}")
         full = full_mask(n)
         arcs = 0
@@ -161,9 +164,9 @@ class Tournament(Frozen):
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Tournament":
-        succ = [0] * n
+        succ = [0] * require_count(n)
         for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
+            if not _is_pair(u, v, n):
                 raise PreconditionError(f"invalid arc ({u},{v})")
             succ[u] |= 1 << v
         return cls(n, succ)
@@ -184,29 +187,22 @@ class Tournament(Frozen):
         return dual(self)
 
     def induced(self, vertices: int | Iterable[int]) -> "Tournament":
-        """Subtournament on a vertex subset, re-indexed by sorted position."""
+        """Subtournament on a vertex subset: vertex i is the i-th smallest
+        member of the subset (``bitset.ranks``)."""
         w = as_mask(vertices)
         if w & ~self.vertex_mask:
             raise PreconditionError(
                 f"subset {bit_list(w)} not within 0..{self.n - 1}")
-        old = bit_list(w)
-        succ = []
-        for v in old:
-            s = 0
-            for j, u in enumerate(old):
-                if (self.succ[v] >> u) & 1:
-                    s |= 1 << j
-            succ.append(s)
-        return Tournament._from_succ(len(old), tuple(succ))
+        images = ranks(w, self.n)
+        return Tournament._from_succ(w.bit_count(), tuple(
+            remap(self.succ[v] & w, images) for v in iter_bits(w)))
 
     def relabel(self, phi: dict[int, int] | list[int]) -> "Tournament":
         """Image under a vertex bijection: arc u->v becomes phi[u]->phi[v]."""
+        images = [1 << phi[v] for v in range(self.n)]
         succ = [0] * self.n
-        for u in range(self.n):
-            s = 0
-            for v in iter_bits(self.succ[u]):
-                s |= 1 << phi[v]
-            succ[phi[u]] = s
+        for u, s in enumerate(self.succ):
+            succ[phi[u]] = remap(s, images)
         return Tournament._from_succ(self.n, tuple(succ))
 
     def scores(self) -> list[int]:
@@ -236,15 +232,20 @@ def _two_way_arc(succ: tuple[int, ...]) -> bool:
     return False
 
 
+def _is_pair(u: object, v: object, n: int) -> bool:
+    """True iff u and v are two distinct int vertex indices in 0..n-1."""
+    return is_int(u) and is_int(v) and 0 <= u < n and 0 <= v < n and u != v
+
+
 class Graph(Frozen):
     """A simple undirected graph on 0..n-1 with bit-mask adjacency rows."""
 
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        adj = [0] * n
+        adj = [0] * require_count(n)
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
+            if not _is_pair(u, v, n):
                 raise PreconditionError(f"invalid edge ({u},{v})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u

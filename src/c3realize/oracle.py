@@ -15,7 +15,7 @@ from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits, iter_submasks
+from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits, iter_submasks, remap
 from .core import Hypergraph, Tournament
 from .errors import CapacityError, PreconditionError
 
@@ -198,7 +198,11 @@ def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
     Backtracking over vertices in descending degree order, pruned by degree
     and pairwise co-degree invariants, with an explicit stack of the images
     left to try at each depth, so any order is searched without recursion.
-    Returns ``phi`` with vertex v of h1 mapped to ``phi[v]``, or None.
+    The images tried for v are the vertices of h2 with v's profile, and a
+    candidate's co-degrees are compared only with the assigned vertices
+    that have a nonzero co-degree with v or with it, so a step costs
+    O(degree).  Returns ``phi`` with vertex v of h1 mapped to ``phi[v]``, or
+    None.
     """
     if not (h1.is_3_uniform and h2.is_3_uniform):
         raise PreconditionError("isomorphism search expects 3-uniform hypergraphs")
@@ -210,8 +214,8 @@ def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
     deg1 = [sum(row.values()) // 2 for row in cd1]
     deg2 = [sum(row.values()) // 2 for row in cd2]
     # the nonzero co-degrees stand for the whole row, since both have n entries
-    prof1 = [(deg1[v], sorted(cd1[v].values())) for v in range(n)]
-    prof2 = [(deg2[v], sorted(cd2[v].values())) for v in range(n)]
+    prof1 = [(deg1[v], tuple(sorted(cd1[v].values()))) for v in range(n)]
+    prof2 = [(deg2[v], tuple(sorted(cd2[v].values()))) for v in range(n)]
     if sorted(prof1) != sorted(prof2):
         return None
 
@@ -222,23 +226,30 @@ def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
     for e in h1.edges:
         edges_by_last[max(rank[v] for v in iter_bits(e))].append(e)
 
-    cands = [[w for w in range(n) if prof2[w] == prof1[v]] for v in range(n)]
+    alike: dict[tuple, list[int]] = {}  # the vertices of h2 with each profile
+    for w, p in enumerate(prof2):
+        alike.setdefault(p, []).append(w)
     phi, used = [-1] * n, [False] * n
+    image = [0] * n  # image[v] = 1 << phi[v] once v is assigned, for ``remap``
     tries: list[Iterator[int]] = []  # tries[i]: the images of order[i] left to try
     i = 0
     while i < n:
         v = order[i]
         if i == len(tries):
-            tries.append(iter(cands[v]))
+            tries.append(iter(alike[prof1[v]]))
         else:  # back from depth i + 1, where the image of v found no completion
             used[phi[v]] = False
             phi[v] = -1
+        # the co-degrees of v with assigned vertices, carried over by phi:
+        # w must have the same ones and no other assigned co-degree partner
+        known = [(phi[u], c) for u, c in cd1[v].items() if phi[u] >= 0]
         for w in tries[i]:
-            if used[w] or any(cd1[v].get(u, 0) != cd2[w].get(phi[u], 0) for u in order[:i]):
+            row = cd2[w]
+            if (used[w] or any(row.get(a) != c for a, c in known)
+                    or sum(used[a] for a in row) != len(known)):
                 continue
-            phi[v] = w
-            if all(sum(1 << phi[u] for u in iter_bits(e)) in h2.edges
-                   for e in edges_by_last[i]):
+            phi[v], image[v] = w, 1 << w
+            if all(remap(e, image) in h2.edges for e in edges_by_last[i]):
                 used[w] = True
                 i += 1
                 break

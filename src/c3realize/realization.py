@@ -56,7 +56,7 @@ from itertools import combinations, permutations
 from math import factorial, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits
+from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits, ranks, remap
 from .core import Frozen, Graph, Hypergraph, Tournament, c3_structure
 from .decomposition import (
     LABEL_EMPTY, LABEL_PRIME, DecompositionTree, _chain, _hypergraph_closure,
@@ -109,11 +109,11 @@ class NonRealizabilityWitness(Frozen):
 class ExtensionCertificate(Frozen):
     """The single-vertex extension data: link graph, bipartition, closures.
 
-    ``g_x`` lives on the deleted-vertex coordinates (vertex j of ``g_x`` is
-    hypergraph vertex j when j < x, else j+1), as do the masks.  When the
-    verdict is "ok", ``x_minus``/``x_plus`` bipartition the non-isolated
-    link-graph vertices and ``y_minus``/``y_plus`` partition the isolated
-    ones.
+    ``g_x`` lives on the coordinates of H - x (vertex j of ``g_x`` is the
+    j-th smallest vertex of h other than x, ``bitset.ranks``), as do the
+    masks.  When the verdict is "ok", ``x_minus``/``x_plus`` bipartition the
+    non-isolated link-graph vertices and ``y_minus``/``y_plus`` partition
+    the isolated ones.
     """
 
     __slots__ = ("x", "g_x", "i_x", "x_minus", "x_plus", "y_minus", "y_plus", "verdict")
@@ -165,21 +165,17 @@ class RealizationChoice(Frozen):
 Extension = tuple[str, list[int], int, int, int, int, int]
 
 
-def _squeeze(mask: int, x: int) -> int:
-    """Drop bit x and shift the higher bits down by one."""
-    return (mask & ((1 << x) - 1)) | ((mask >> (x + 1)) << x)
-
-
-def _unsqueeze(mask: int, x: int) -> int:
-    """Insert a zero bit at position x."""
-    return (mask & ((1 << x) - 1)) | ((mask >> x) << (x + 1))
-
-
 def _extension(spans: list[list[int]], succ: list[int], w: int, x: int) -> Extension:
     """The conditions of ``extension_certificate`` for adding x to the
     tournament on w - x held in ``succ``, with the link graph within w.
     Returns the verdict, the link graph rows (indexed by vertex), I_x, X-,
     X+, Y- and Y+.
+
+    Each non-singleton component of the link graph is 2-coloured one
+    breadth-first layer at a time from its smallest vertex r, on side 0: a
+    layer whose neighbourhood meets its own side closes an odd cycle, and
+    otherwise the new vertices of that neighbourhood are the next layer, on
+    the other side.  The colouring is then oriented by r's lowest neighbour.
 
     Disjoint closures leave no arc between the sides to check: an isolated
     u of Y+ beaten by a v of X- + Y- would lie in Y-, and a u of Y- that
@@ -197,32 +193,24 @@ def _extension(spans: list[list[int]], succ: list[int], w: int, x: int) -> Exten
                y_minus: int = 0, y_plus: int = 0) -> Extension:
         return verdict, adj, i_x, x_minus, x_plus, y_minus, y_plus
 
-    # two-colour each non-singleton component, then orient via one edge
+    # two-colour each non-singleton component by layers, orient it by r
     x_minus = x_plus = 0
-    colored = 0
-    side = [0] * len(succ)
-    for r in iter_bits(rest & ~i_x):
-        if (colored >> r) & 1:
-            continue
-        comp_sides = [1 << r, 0]
-        side[r] = 0
-        frontier = [r]
-        colored |= 1 << r
-        while frontier:
-            u = frontier.pop()
-            for v in iter_bits(adj[u]):
-                if (colored >> v) & 1:
-                    if side[v] == side[u]:
-                        return result(VERDICT_ODD_CYCLE)
-                    continue
-                side[v] = 1 - side[u]
-                comp_sides[side[v]] |= 1 << v
-                colored |= 1 << v
-                frontier.append(v)
-        nb = (adj[r] & -adj[r]).bit_length() - 1
-        minus = side[r] if (succ[r] >> nb) & 1 else side[nb]
-        x_minus |= comp_sides[minus]
-        x_plus |= comp_sides[1 - minus]
+    left = rest & ~i_x
+    while left:
+        layer, s = left & -left, 0
+        sides = [layer, 0]
+        r = layer.bit_length() - 1
+        while layer:
+            near = remap(layer, adj)
+            if near & sides[s]:
+                return result(VERDICT_ODD_CYCLE)
+            s = 1 - s
+            layer = near & ~sides[s]
+            sides[s] |= layer
+        minus, plus = sides if succ[r] & adj[r] & -adj[r] else sides[::-1]
+        x_minus |= minus
+        x_plus |= plus
+        left &= ~(minus | plus)
 
     # adjacency between the sides must match arcs pointing minus -> plus
     for v in iter_bits(x_minus):
@@ -233,12 +221,8 @@ def _extension(spans: list[list[int]], succ: list[int], w: int, x: int) -> Exten
     y_minus = 0
     frontier = x_minus
     while frontier:
-        nxt = 0
-        for u in iter_bits(frontier):
-            nxt |= succ[u]
-        nxt &= i_x & ~y_minus
-        y_minus |= nxt
-        frontier = nxt
+        frontier = remap(frontier, succ) & i_x & ~y_minus
+        y_minus |= frontier
     y_plus = 0
     frontier = x_plus
     while frontier:
@@ -322,8 +306,9 @@ def _realizes_at(spans: list[list[int]], succ: list[int], w: int,
 def _extension_at(h: Hypergraph, x: int, t_x: Tournament,
                   verified: bool) -> tuple[list[list[int]], list[int], Extension]:
     """Check the preconditions, lift ``t_x`` into the labels of h (vertex j
-    of ``t_x`` is vertex j of h when j < x, else j+1) and evaluate the
-    extension with w the whole vertex set."""
+    of ``t_x`` is the j-th smallest vertex of h other than x, as
+    ``bitset.ranks`` numbers them) and evaluate the extension with w the
+    whole vertex set."""
     if not (0 <= x < h.n):
         raise PreconditionError(f"vertex {x} out of range")
     if t_x.n != h.n - 1:
@@ -338,18 +323,19 @@ def _extension_at(h: Hypergraph, x: int, t_x: Tournament,
             raise PreconditionError("tournament does not realize the deleted hypergraph")
         if _prime_chain(h, close, full) is None or _prime_chain(h, close, rest) is None:
             raise PreconditionError("extension requires both hypergraphs prime")
-    succ = [0] * h.n
-    for j, s in enumerate(t_x.succ):
-        succ[j if j < x else j + 1] = _unsqueeze(s, x)
+    lift = [1 << v for v in iter_bits(rest)]
+    succ = [remap(s, lift) for s in t_x.succ]
+    succ.insert(x, 0)
     return close.spans, succ, _extension(close.spans, succ, full, x)
 
 
 def _certificate(x: int, ext: Extension) -> ExtensionCertificate:
     """The certificate of an evaluated extension, in the coordinates of H-x."""
     verdict, adj, *masks = ext
-    g_x = Graph._from_adj(len(adj) - 1,
-                          tuple(_squeeze(a, x) for v, a in enumerate(adj) if v != x))
-    return ExtensionCertificate(x, g_x, *(_squeeze(m, x) for m in masks), verdict)
+    n = len(adj)
+    down = ranks(full_mask(n) & ~(1 << x), n)
+    g_x = Graph._from_adj(n - 1, tuple(remap(a, down) for v, a in enumerate(adj) if v != x))
+    return ExtensionCertificate(x, g_x, *(remap(m, down) for m in masks), verdict)
 
 
 def extension_certificate(h: Hypergraph, x: int, t_x: Tournament,
@@ -600,11 +586,11 @@ def _prepare(h: Hypergraph):
 
     A prime node's quotient is H[transverse], with the smallest vertex of
     each child standing for it, so it is realized on that closure within
-    the transverse, in the labels of h; the result is squeezed to child
-    order.  A transverse that is the whole vertex set is a prime root over
-    single vertices, whose chain ``_tree`` walked and returned, so growth
-    takes its steps; any other node's chain is walked lazily.  Returns a
-    witness if any prime quotient is not realizable.
+    the transverse, in the labels of h; the result is renumbered to child
+    order by ``bitset.ranks``.  A transverse that is the whole vertex set
+    is a prime root over single vertices, whose chain ``_tree`` walked and
+    returned, so growth takes its steps; any other node's chain is walked
+    lazily.  Returns a witness if any prime quotient is not realizable.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
@@ -614,14 +600,13 @@ def _prepare(h: Hypergraph):
     for node in tree.internal_nodes():
         if node.label != LABEL_PRIME:
             continue
-        firsts = [c.members & -c.members for c in node.children]
-        w = sum(firsts)
+        w = sum(c.members & -c.members for c in node.children)
         res = _realize_within(h, close.spans, w, chain if w == full else _chain(h, close, w))
         if isinstance(res, NonRealizabilityWitness):
             return res
-        rows = (res[f.bit_length() - 1] for f in firsts)
-        prime_base[int(node.members)] = Tournament._from_succ(len(firsts), tuple(
-            sum(1 << j for j, f in enumerate(firsts) if row & f) for row in rows))
+        images = ranks(w, h.n)
+        prime_base[int(node.members)] = Tournament._from_succ(
+            len(node.children), tuple(remap(res[v], images) for v in iter_bits(w)))
     return tree, prime_base, close.spans
 
 
@@ -656,7 +641,7 @@ def _prime_parts(m: int, blocks: list[int], r: Tournament) -> tuple[Parts, Parts
     """The parts of a prime node m and of its dual: block a beats the
     blocks that quotient vertex a beats in ``r``, and in the dual the other
     blocks of m it loses to."""
-    parts = [(b, sum(blocks[j] for j in iter_bits(r.succ[a]))) for a, b in enumerate(blocks)]
+    parts = [(b, remap(out, blocks)) for b, out in zip(blocks, r.succ)]
     return parts, [(b, m & ~(b | out)) for b, out in parts]
 
 

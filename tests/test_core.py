@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from itertools import combinations, permutations
@@ -9,6 +11,9 @@ from c3realize import (
     VertexSet, c3_structure, critical_family, decomposition_tree, dual, induced_subhypergraph,
     is_linear_order, linear_order, maximal_proper_strong_modules, random_tournament, realize,
 )
+from c3realize.bitset import as_mask, ranks, remap
+from c3realize.core import Frozen
+from c3realize.decomposition import is_module
 
 C3 = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -274,3 +279,111 @@ def test_values_refuse_assignment_and_deletion(make):
     with pytest.raises(AttributeError, match=message):
         delattr(value, name)
     assert getattr(value, name) is kept
+
+
+class TestRenumbering:
+    """``remap`` and ``ranks`` against their per-bit definitions, and the
+    renumbering of every structure against one written from the members
+    in sorted order."""
+
+    def test_remap_is_the_union_of_the_images(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            n = rng.randint(0, 70)
+            images = [rng.getrandbits(n) for _ in range(n)]
+            mask = rng.getrandbits(n)
+            want = 0
+            for v in range(n):
+                if (mask >> v) & 1:
+                    want |= images[v]
+            assert remap(mask, images) == want
+
+    def test_ranks_number_the_members_in_order(self):
+        rng = random.Random(62)
+        for _ in range(300):
+            n = rng.randint(0, 70)
+            w = rng.getrandbits(n)
+            members = [v for v in range(n) if (w >> v) & 1]
+            images = ranks(w, n)
+            assert images == [1 << members.index(v) if v in members else 0
+                              for v in range(n)]
+            m = rng.getrandbits(n)
+            assert remap(m, images) == sum(1 << i for i, v in enumerate(members)
+                                           if (m >> v) & 1)
+
+    def test_induced_and_relabel_against_brute_force(self):
+        rng = random.Random(63)
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            t = random_tournament(n, rng)
+            w = rng.getrandbits(n)
+            old = [v for v in range(n) if (w >> v) & 1]
+            sub = t.induced(w)
+            assert sub.n == len(old)
+            assert set(sub.arcs()) == {(i, j) for i, u in enumerate(old)
+                                       for j, v in enumerate(old) if t.has_arc(u, v)}
+            phi = list(range(n))
+            rng.shuffle(phi)
+            assert set(t.relabel(phi).arcs()) == {(phi[u], phi[v]) for u, v in t.arcs()}
+            edges = [rng.sample(range(n), rng.randint(2, n)) for _ in range(5)] if n > 1 else []
+            h = c3_structure(t) if rng.random() < 0.5 else Hypergraph(n, edges)
+            assert induced_subhypergraph(h, w).edge_lists() == sorted(
+                [old.index(v) for v in e] for e in h.edge_lists() if set(e) <= set(old))
+
+
+def value_state(value):
+    """The slots of a value, recursively, as plain data to compare."""
+    if isinstance(value, Frozen):
+        return (type(value), tuple(value_state(getattr(value, name))
+                                   for name in type(value).__slots__))
+    if isinstance(value, (tuple, list)):
+        return tuple(map(value_state, value))
+    if isinstance(value, dict):
+        return sorted((k, value_state(v)) for k, v in value.items())
+    return value
+
+
+H_BLOWN = Hypergraph(5, [[0, 1, 2], [0, 1, 3], [2, 3, 4], [1, 2, 4]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: H_BLOWN,
+    lambda: critical_family("T", 5),
+    lambda: Graph(4, [(0, 1), (1, 3)]),
+    lambda: maximal_proper_strong_modules(c3_structure(linear_order(4))),
+    lambda: decomposition_tree(c3_structure(critical_family("U", 5))).root,
+    lambda: decomposition_tree(critical_family("W", 7)),
+    lambda: realize(Hypergraph(5, list(combinations(range(4), 3)))),
+    lambda: ExtensionCertificate(1, Graph(3, [(0, 2)]), 2, 1, 4, 0, 2, "ok"),
+    lambda: RealizationChoice({7: (1, 0, 2)}, {31: True}, {31: critical_family("T", 5)}),
+], ids=["Hypergraph", "Tournament", "Graph", "ModularPartition", "TreeNode",
+        "DecompositionTree", "NonRealizabilityWitness", "ExtensionCertificate",
+        "RealizationChoice"])
+def test_values_copy_and_pickle(make):
+    value = make()
+    name = type(value).__slots__[0]
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is type(value)
+        assert value_state(clone) == value_state(value)
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(clone, name, None)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(clone, name)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Hypergraph(3, [[True, 2]]),
+    lambda: Tournament(True, [0]),
+    lambda: Tournament.from_arcs(2, [(True, 0)]),
+    lambda: Graph(2, [(True, 0)]),
+    lambda: is_module(Hypergraph(3, []), True),
+    lambda: Hypergraph(3, [[0, 0, 1]]),
+    lambda: Hypergraph(3, [[0.0, 1, 2]]),
+    lambda: Hypergraph(2.0, []),
+    lambda: Graph(2.0),
+    lambda: as_mask(1.5),
+], ids=["bool-index", "bool-count", "bool-arc", "bool-edge", "bool-mask", "repeated-index",
+        "float-index", "float-count", "graph-float-count", "float-mask"])
+def test_malformed_indices_and_counts_refused(make):
+    with pytest.raises(PreconditionError):
+        make()

@@ -15,7 +15,7 @@ import pytest
 import c3realize
 from c3realize import core
 from c3realize import (
-    Hypergraph, InvariantError, NonRealizabilityWitness, PreconditionError,
+    Graph, Hypergraph, InvariantError, NonRealizabilityWitness, PreconditionError,
     RealizationChoice, Tournament, brute_force_realizations, c3_structure,
     choice_to_tournament, count_realizations, critical_family, decomposition,
     decomposition_tree, default_choice, dual, enumerate_realizations,
@@ -275,6 +275,29 @@ class TestExtendRealization:
         assert seen[VERDICT_M2_ARC] == 0
         assert all(seen[v] for v in (VERDICT_OK, VERDICT_ODD_CYCLE, VERDICT_E0,
                                      VERDICT_Y_OVERLAP, VERDICT_Y_NOT_COVERING)), seen
+
+    def test_certificate_coordinates_against_brute_force(self):
+        # vertex j of H - x is others[j]: the link graph, I_x and, on an ok
+        # verdict, the arcs at x of the extension, read in those coordinates
+        seen = Counter()
+        for h, x, t_x in extension_cases(600, random.Random(19)):
+            cert = extension_certificate(h, x, t_x, _verified=True)
+            others = [v for v in range(h.n) if v != x]
+            link = [(i, j) for i, j in combinations(range(h.n - 1), 2)
+                    if (1 << x | 1 << others[i] | 1 << others[j]) in h.edges]
+            assert cert.g_x == Graph(h.n - 1, link)
+            assert set(cert.i_x) == {i for i in range(h.n - 1) if not cert.g_x.adj[i]}
+            assert cert.x_minus | cert.x_plus | cert.y_minus | cert.y_plus < 1 << (h.n - 1)
+            seen[cert.verdict] += 1
+            if cert.ok and c3_structure(t_x) == h.induced(sum(1 << v for v in others)):
+                t = extend_realization(h, x, t_x, _verified=True)
+                seen["extended"] += 1
+                assert t.induced(sum(1 << v for v in others)) == t_x
+                assert set(iter_bits(cert.x_minus | cert.y_minus)) == {
+                    i for i, v in enumerate(others) if t.has_arc(x, v)}
+                assert set(iter_bits(cert.x_plus | cert.y_plus)) == {
+                    i for i, v in enumerate(others) if t.has_arc(v, x)}
+        assert seen["extended"] and len(seen) > 3, seen
 
 
 def extension_with_arc_checks(spans, succ, w, x):
