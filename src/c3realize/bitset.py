@@ -7,6 +7,8 @@ difference ``a & ~b``, subset ``a & b == a``.  Renumbering a set is
 ``remap`` through a table of images, and ``ranks`` is the table that numbers
 the members of a set by their rank in it, the one rule by which an induced
 structure, a quotient or a structure with a vertex deleted is indexed.
+A set that a caller gives is read by ``as_mask``, which checks it against
+the vertex count of its structure before it shifts by any member.
 """
 
 from __future__ import annotations
@@ -57,26 +59,39 @@ def require_count(n: object) -> int:
     return n
 
 
-def as_mask(vertices: int | Iterable[int]) -> int:
+def as_mask(vertices: int | Iterable[int], n: int | None = None) -> int:
     """Coerce an int mask or an iterable of distinct vertex indices to an
-    int mask.  A negative mask or index, a bool, any other non-int and an
-    index listed twice raise ``PreconditionError`` (a negative mask has
-    infinitely many set bits)."""
+    int mask of a vertex set of a structure with ``n`` vertices.
+
+    This is the one place where a vertex set is validated: a member
+    outside 0..n-1 is refused before anything is shifted by it, so a huge
+    index costs no memory, and the message names the largest such member.
+    A negative mask or index, a bool, any other non-int and an index listed
+    twice raise ``PreconditionError`` too (a negative mask has infinitely
+    many set bits).  Only ``VertexSet.of``, which belongs to no structure,
+    passes no ``n``; its indices are then unbounded.
+    """
     if is_int(vertices):
         if vertices < 0:
             raise PreconditionError(f"negative vertex mask {vertices}")
-        return vertices
-    if not isinstance(vertices, Iterable):
+        m, top = vertices, vertices.bit_length() - 1
+    elif isinstance(vertices, Iterable):
+        m, top = 0, -1  # top: the largest member outside 0..n-1
+        for v in vertices:
+            if not is_int(v):
+                raise PreconditionError(f"vertex index must be an int, got {v!r}")
+            if v < 0:
+                raise PreconditionError(f"negative vertex index {v}")
+            if n is not None and v >= n:
+                top = max(top, v)
+                continue
+            if (m >> v) & 1:
+                raise PreconditionError(f"vertex index {v} listed twice")
+            m |= 1 << v
+    else:
         raise PreconditionError(f"expected a mask or vertex indices, got {vertices!r}")
-    m = 0
-    for v in vertices:
-        if not is_int(v):
-            raise PreconditionError(f"vertex index must be an int, got {v!r}")
-        if v < 0:
-            raise PreconditionError(f"negative vertex index {v}")
-        if (m >> v) & 1:
-            raise PreconditionError(f"vertex index {v} listed twice")
-        m |= 1 << v
+    if n is not None and top >= n:
+        raise PreconditionError(f"vertex {top} not within 0..{n - 1}")
     return m
 
 

@@ -62,12 +62,8 @@ class Hypergraph(Frozen):
 
     def __init__(self, n: int, edges: Iterable[int | Iterable[int]] = ()):
         require_count(n)
-        masks = frozenset(as_mask(e) for e in edges)
-        full = full_mask(n)
+        masks = frozenset(as_mask(e, n) for e in edges)
         for e in masks:
-            if e & ~full:
-                raise PreconditionError(
-                    f"edge {bit_list(e)} has members outside 0..{n - 1}")
             if e.bit_count() < 2:
                 raise PreconditionError(
                     f"edge {bit_list(e)} has fewer than 2 vertices")
@@ -95,7 +91,7 @@ class Hypergraph(Frozen):
         return sorted(bit_list(e) for e in self.edges)
 
     def has_edge(self, vertices: int | Iterable[int]) -> bool:
-        return as_mask(vertices) in self.edges
+        return as_mask(vertices, self.n) in self.edges
 
     def induced(self, vertices: int | Iterable[int]) -> "Hypergraph":
         return induced_subhypergraph(self, vertices)
@@ -117,10 +113,7 @@ def induced_subhypergraph(h: Hypergraph, vertices: int | Iterable[int]) -> Hyper
     Vertex i of the result is the i-th smallest member of ``vertices``
     (``bitset.ranks``).  Keeps exactly the edges contained in the subset.
     """
-    w = as_mask(vertices)
-    if w & ~h.vertex_mask:
-        raise PreconditionError(
-            f"subset {bit_list(w)} not within 0..{h.n - 1}")
+    w = as_mask(vertices, h.n)
     images = ranks(w, h.n)
     kept = frozenset(remap(e, images) for e in h.edges if not e & ~w)
     return Hypergraph._from_masks(w.bit_count(), kept)
@@ -141,10 +134,9 @@ class Tournament(Frozen):
             raise PreconditionError("out-neighbour masks must be ints")
         if len(succ) != n:
             raise PreconditionError(f"need {n} out-neighbour masks, got {len(succ)}")
-        full = full_mask(n)
         arcs = 0
         for i, s in enumerate(succ):
-            if s & ~full or (s >> i) & 1:
+            if (as_mask(s, n) >> i) & 1:
                 raise PreconditionError(f"invalid out-neighbour mask for vertex {i}")
             arcs += s.bit_count()
         # no pair has two arcs, and there are n(n-1)/2 arcs: so every pair has one
@@ -189,21 +181,31 @@ class Tournament(Frozen):
     def induced(self, vertices: int | Iterable[int]) -> "Tournament":
         """Subtournament on a vertex subset: vertex i is the i-th smallest
         member of the subset (``bitset.ranks``)."""
-        w = as_mask(vertices)
-        if w & ~self.vertex_mask:
-            raise PreconditionError(
-                f"subset {bit_list(w)} not within 0..{self.n - 1}")
+        w = as_mask(vertices, self.n)
         images = ranks(w, self.n)
         return Tournament._from_succ(w.bit_count(), tuple(
             remap(self.succ[v] & w, images) for v in iter_bits(w)))
 
     def relabel(self, phi: dict[int, int] | list[int]) -> "Tournament":
-        """Image under a vertex bijection: arc u->v becomes phi[u]->phi[v]."""
-        images = [1 << phi[v] for v in range(self.n)]
-        succ = [0] * self.n
+        """Image under a vertex bijection: arc u->v becomes phi[u]->phi[v].
+
+        ``phi`` is a list of n images or a dict keyed by 0..n-1.  Anything
+        else, and images that are not n distinct ints within 0..n-1 (read
+        by ``bitset.as_mask``), raise ``PreconditionError``.
+        """
+        n = self.n
+        try:
+            to = [phi[v] for v in range(n)] if len(phi) == n else None
+        except (KeyError, TypeError):
+            to = None
+        if to is None:
+            raise PreconditionError(f"phi must map exactly the vertices 0..{n - 1}")
+        as_mask(to, n)  # n distinct images within 0..n-1 form a bijection
+        images = [1 << v for v in to]
+        succ = [0] * n
         for u, s in enumerate(self.succ):
-            succ[phi[u]] = remap(s, images)
-        return Tournament._from_succ(self.n, tuple(succ))
+            succ[to[u]] = remap(s, images)
+        return Tournament._from_succ(n, tuple(succ))
 
     def scores(self) -> list[int]:
         return [s.bit_count() for s in self.succ]

@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator
 from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits
 from .core import Frozen, Hypergraph, Tournament, is_linear_order
 from .errors import InvariantError, PreconditionError
-from .oracle import _check_subset, _is_module_over, _is_tournament_module
+from .oracle import _is_module_over, _is_tournament_module
 
 __all__ = [
     "LABEL_PRIME", "LABEL_EMPTY", "LABEL_COMPLETE", "LABEL_LINEAR",
@@ -78,8 +78,7 @@ def _lowest(m: int) -> int:
 def is_module(host: Hypergraph | Tournament, vertices: int | Iterable[int]) -> bool:
     """True iff the vertex set is a module of a hypergraph or a tournament
     (of a tournament: no outside vertex splits the set by arcs)."""
-    m = as_mask(vertices)
-    _check_subset(host, m)
+    m = as_mask(vertices, host.n)
     if isinstance(host, Tournament):
         return _is_tournament_module(host, m)
     return _is_module_over(host.edges, host.edges, m)
@@ -95,8 +94,7 @@ def module_violation(h: Hypergraph, vertices: int | Iterable[int]) -> VertexSet 
     """
     if isinstance(h, Tournament):
         raise PreconditionError("module_violation needs a hypergraph")
-    m = as_mask(vertices)
-    _check_subset(h, m)
+    m = as_mask(vertices, h.n)
     for e in sorted(h.edges, key=bit_list):
         if not _is_module_over((e,), h.edges, m):
             return VertexSet(e)
@@ -457,9 +455,7 @@ def _tree(host: Hypergraph | Tournament) -> tuple[DecompositionTree, Closure, li
 
 def is_strong_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
     """True iff the set is a module overlapping no other module of ``h``."""
-    m = as_mask(vertices)
-    _check_subset(h, m)
-    return m in strong_modules(h)
+    return as_mask(vertices, h.n) in strong_modules(h)
 
 
 def strong_modules(host: Hypergraph | Tournament) -> frozenset[VertexSet]:
@@ -487,7 +483,7 @@ class ModularPartition(Frozen):
     __slots__ = ("host", "blocks")
 
     def __init__(self, host: Hypergraph | Tournament, blocks: Iterable[int | Iterable[int]]):
-        masks = [as_mask(b) for b in blocks]
+        masks = [as_mask(b, host.n) for b in blocks]
         masks.sort(key=_lowest)
         union = 0
         for b in masks:
@@ -496,7 +492,7 @@ class ModularPartition(Frozen):
             if b & union:
                 raise PreconditionError("partition blocks must be disjoint")
             union |= b
-        if union != full_mask(host.n):
+        if union.bit_count() != host.n:  # n members in disjoint blocks within 0..n-1
             raise PreconditionError("partition blocks must cover the vertex set")
         bad = [b for b in masks if not is_module(host, b)]
         if bad:
@@ -640,8 +636,8 @@ class DecompositionTree(Frozen):
         return frozenset(x.members for x in self.nodes())
 
     def lowest_node_containing(self, vertices: int | Iterable[int]) -> TreeNode:
-        s = as_mask(vertices)
-        if s == 0 or s & ~int(self.root.members):
+        s = as_mask(vertices, self.n)
+        if s == 0:
             raise PreconditionError("need a nonempty subset of the vertex set")
         node = self.root
         while True:

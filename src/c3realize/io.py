@@ -1,7 +1,7 @@
 """JSON file formats for hypergraphs and tournaments.
 
 Hypergraph: ``{"n": <int>, "edges": [[i,j,k], ...]}`` with each edge a
-strictly increasing index list (any length >= 2).
+strictly increasing index list (any length >= 2), each listed once.
 Tournament: ``{"n": <int>, "arcs": [[i,j], ...]}`` with exactly one ordered
 pair per unordered vertex pair.
 
@@ -62,7 +62,15 @@ def parse_hypergraph(text: str, source: str = "<input>") -> Hypergraph:
             raise ParseError(f"edge {edge} is not strictly increasing",
                              source=source, path=path)
         masks.append(sum(1 << v for v in edge))
-    return Hypergraph._from_masks(n, frozenset(masks))
+    distinct = frozenset(masks)
+    if len(distinct) < len(masks):  # found after the loop, with no set work per edge
+        seen = set()
+        for k, m in enumerate(masks):
+            if m in seen:
+                raise ParseError(f"edge {edges[k]} listed more than once",
+                                 source=source, path=f"edges[{k}]")
+            seen.add(m)
+    return Hypergraph._from_masks(n, distinct)
 
 
 def parse_tournament(text: str, source: str = "<input>") -> Tournament:

@@ -308,13 +308,11 @@ def _extension_at(h: Hypergraph, x: int, t_x: Tournament,
     """Check the preconditions, lift ``t_x`` into the labels of h (vertex j
     of ``t_x`` is the j-th smallest vertex of h other than x, as
     ``bitset.ranks`` numbers them) and evaluate the extension with w the
-    whole vertex set."""
-    if not (0 <= x < h.n):
-        raise PreconditionError(f"vertex {x} out of range")
+    whole vertex set.  ``x`` is read by ``bitset.as_mask``."""
+    full = full_mask(h.n)
+    rest = full & ~as_mask([x], h.n)
     if t_x.n != h.n - 1:
         raise PreconditionError("tournament must have one vertex fewer than the hypergraph")
-    full = full_mask(h.n)
-    rest = full & ~(1 << x)
     if not verified and not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
     close = _hypergraph_closure(h)
@@ -371,8 +369,7 @@ def extend_realization(h: Hypergraph, x: int, t_x: Tournament,
 
 # --- prime and critical realization ---------------------------------------------
 
-def realize_critical(h: Hypergraph,
-                     _assume_critical: bool = False) -> Tournament | NonRealizabilityWitness:
+def realize_critical(h: Hypergraph) -> Tournament | NonRealizabilityWitness:
     """Realize a critical prime hypergraph (no vertex deletion leaves it
     prime) or produce a witness.
 
@@ -383,9 +380,8 @@ def realize_critical(h: Hypergraph,
     (``decomposition._prime_chain``) and on the closure the checks build;
     if growth fails, all of h is the witness (stage
     ``critical-mismatch``).  The realization returned is the one in which
-    vertex 0 beats vertex 1.  ``_assume_critical=True`` skips the checks
-    and is the caller's promise that h is prime and critical; growth then
-    draws each step as it takes it.
+    vertex 0 beats vertex 1.  Criticality is checked by proving each of
+    the n one-vertex deletions not prime (``_is_prime_within``).
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
@@ -393,15 +389,12 @@ def realize_critical(h: Hypergraph,
         raise PreconditionError("critical realization needs at least 5 vertices")
     close = _hypergraph_closure(h)
     full = full_mask(h.n)
-    if _assume_critical:
-        chain = _chain(h, close, full)
-    else:
-        chain = _prime_chain(h, close, full)
-        if chain is None:
-            raise PreconditionError("input must be prime")
-        for x in range(h.n):
-            if _is_prime_within(close, full & ~(1 << x)):
-                raise PreconditionError(f"input is not critical: deleting {x} keeps it prime")
+    chain = _prime_chain(h, close, full)
+    if chain is None:
+        raise PreconditionError("input must be prime")
+    for x in range(h.n):
+        if _is_prime_within(close, full & ~(1 << x)):
+            raise PreconditionError(f"input is not critical: deleting {x} keeps it prime")
     if h.n % 2 == 0:
         return NonRealizabilityWitness(range(h.n), STAGE_BASE)
     res = _realize_within(h, close.spans, full, chain)
@@ -466,7 +459,7 @@ def _realize_within(h: Hypergraph, spans: list[list[int]], w: int,
     res = _grow(h, spans, w, chain)
     if isinstance(res, NonRealizabilityWitness):
         if len(res.vertices) > 4:
-            four = _dense_four(spans, as_mask(res.vertices))
+            four = _dense_four(spans, as_mask(res.vertices, h.n))
             if four is not None:
                 return NonRealizabilityWitness(iter_bits(four), STAGE_EXTENSION_M1)
         return res

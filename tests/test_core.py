@@ -188,6 +188,20 @@ class TestTournament:
         t = C3.relabel([1, 2, 0])
         assert t.has_arc(1, 2) and t.has_arc(2, 0) and t.has_arc(0, 1)
 
+    @pytest.mark.parametrize("phi,fragment", [
+        # the images were not checked: vertex 0 came out beating itself
+        ([0, 0, 1, 2, 3], "listed twice"),
+        ([0, 1, 2, 3, 5], "not within 0..4"),
+        ({0: 1, 1: 2, 2: 3, 3: 4, 5: 0}, "phi must map"),
+        ([1, 2, 3, 4, 0, 5], "phi must map"),
+        ({0: 1, 1: 2, 2: 3, 3: 4, 4: 0, 5: 5}, "phi must map"),
+        ([True, 2, 3, 4, 0], "must be an int"),
+    ], ids=["repeated-image", "image-out-of-range", "missing-key", "longer-list",
+            "longer-dict", "bool-image"])
+    def test_relabel_refuses_non_bijection(self, phi, fragment):
+        with pytest.raises(PreconditionError, match=fragment):
+            critical_family("T", 5).relabel(phi)
+
     def test_scores(self):
         assert linear_order(4).scores() == [3, 2, 1, 0]
 

@@ -41,6 +41,8 @@ class TestHypergraphFormat:
         ('{"n": 3, "edges": [[0, 1, 5]]}', "out of range"),
         ('{"n": 3, "edges": [[0]]}', "length >= 2"),
         ('{"n": 3, "edges": {"0": [0, 1, 2]}}', "expected a list of edges"),
+        ('{"n": 3, "edges": [[0, 1, 2], [0, 1, 2]]}',
+         r"at edges\[1\]: edge \[0, 1, 2\] listed more than once"),
     ])
     def test_semantic_errors(self, text, fragment):
         with pytest.raises(ParseError, match=fragment):

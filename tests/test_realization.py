@@ -151,21 +151,25 @@ class TestRealizeCritical:
         with pytest.raises(PreconditionError, match="input must be 3-uniform"):
             realize_critical(Hypergraph(5, [[0, 1]]))
 
-    def test_even_order_parity_rejection(self):
+    def test_even_order_parity_rejection(self, monkeypatch):
         # no 6-vertex critical instance is known; exercise the parity branch
-        # directly on a prime input with criticality checking bypassed
+        # directly on a prime input whose one-vertex deletions are all
+        # reported not prime (the prime check keeps its own reference)
         h = c3_structure(PRIME6)
         assert is_prime(h)
-        w = realize_critical(h, _assume_critical=True)
+        monkeypatch.setattr(realization, "_is_prime_within", lambda close, w: False)
+        w = realize_critical(h)
         assert isinstance(w, NonRealizabilityWitness)
         assert w.stage == STAGE_BASE
         assert list(w.vertices) == list(range(6))
 
-    def test_odd_order_mismatch_stage(self):
-        # complete-5 is prime but not critical: with the criticality check
-        # bypassed, growth fails on it, so all of it is the witness
+    def test_odd_order_mismatch_stage(self, monkeypatch):
+        # complete-5 is prime but not critical: with its one-vertex
+        # deletions reported not prime, growth fails on it, so all of it is
+        # the witness
         h = complete_3_uniform(5)
-        w = realize_critical(h, _assume_critical=True)
+        monkeypatch.setattr(realization, "_is_prime_within", lambda close, w: False)
+        w = realize_critical(h)
         assert isinstance(w, NonRealizabilityWitness)
         assert w.stage == STAGE_CRITICAL_MISMATCH
 

@@ -45,3 +45,37 @@ def test_every_private_definition_is_used_in_src():
                                 for where, line in uses.get(node.name, ()))):
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+# the parameters that a public callable may take although their names start
+# with "_", each with the reason it is still needed
+PRIVATE_PARAMETERS_ALLOWED = {
+    ("realize_prime", "_assume_prime"):
+        "bench/run.py's traced staged_realize passes it",
+    ("extension_certificate", "_verified"):
+        "the certificate tests evaluate inputs that the checked call refuses",
+    ("extend_realization", "_verified"):
+        "the certificate tests evaluate inputs that the checked call refuses",
+}
+
+
+def test_public_functions_take_no_private_parameters():
+    # a private parameter of a public function is a back door past its
+    # checks; the public callables are the module-level functions and the
+    # methods of public classes whose names do not start with "_"
+    src = Path(c3realize.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [tree.body] + [node.body for node in tree.body
+                                if isinstance(node, ast.ClassDef)
+                                and not node.name.startswith("_")]
+        for body in scopes:
+            for node in body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and (node.name == "__init__" or not node.name.startswith("_"))):
+                    a = node.args
+                    names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+                             + [a.vararg, a.kwarg] if x is not None]
+                    found += [(node.name, name) for name in names if name.startswith("_")]
+    assert sorted(set(found) - PRIVATE_PARAMETERS_ALLOWED.keys()) == []
