@@ -24,9 +24,10 @@ class VertexSet(int):
     __slots__ = ()
 
     @classmethod
-    def of(cls, vertices: Iterable[int]) -> "VertexSet":
-        """The set of the given vertex indices, checked by ``as_mask``."""
-        return cls(as_mask(vertices))
+    def of(cls, vertices: Iterable[int], n: int) -> "VertexSet":
+        """The set of the given indices of a structure with ``n`` vertices,
+        checked by ``as_mask``."""
+        return cls(as_mask(vertices, n))
 
     def __iter__(self) -> Iterator[int]:
         return iter_bits(self)
@@ -59,7 +60,7 @@ def require_count(n: object) -> int:
     return n
 
 
-def as_mask(vertices: int | Iterable[int], n: int | None = None) -> int:
+def as_mask(vertices: int | Iterable[int], n: int) -> int:
     """Coerce an int mask or an iterable of distinct vertex indices to an
     int mask of a vertex set of a structure with ``n`` vertices.
 
@@ -68,8 +69,7 @@ def as_mask(vertices: int | Iterable[int], n: int | None = None) -> int:
     index costs no memory, and the message names the largest such member.
     A negative mask or index, a bool, any other non-int and an index listed
     twice raise ``PreconditionError`` too (a negative mask has infinitely
-    many set bits).  Only ``VertexSet.of``, which belongs to no structure,
-    passes no ``n``; its indices are then unbounded.
+    many set bits).
     """
     if is_int(vertices):
         if vertices < 0:
@@ -82,7 +82,7 @@ def as_mask(vertices: int | Iterable[int], n: int | None = None) -> int:
                 raise PreconditionError(f"vertex index must be an int, got {v!r}")
             if v < 0:
                 raise PreconditionError(f"negative vertex index {v}")
-            if n is not None and v >= n:
+            if v >= n:
                 top = max(top, v)
                 continue
             if (m >> v) & 1:
@@ -90,7 +90,7 @@ def as_mask(vertices: int | Iterable[int], n: int | None = None) -> int:
             m |= 1 << v
     else:
         raise PreconditionError(f"expected a mask or vertex indices, got {vertices!r}")
-    if n is not None and top >= n:
+    if top >= n:
         raise PreconditionError(f"vertex {top} not within 0..{n - 1}")
     return m
 

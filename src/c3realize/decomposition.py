@@ -492,7 +492,7 @@ class ModularPartition(Frozen):
             if b & union:
                 raise PreconditionError("partition blocks must be disjoint")
             union |= b
-        if union.bit_count() != host.n:  # n members in disjoint blocks within 0..n-1
+        if union != full_mask(host.n):
             raise PreconditionError("partition blocks must cover the vertex set")
         bad = [b for b in masks if not is_module(host, b)]
         if bad:

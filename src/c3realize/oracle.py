@@ -192,12 +192,11 @@ def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
     Backtracking over vertices in descending degree order, pruned by degree
     and pairwise co-degree invariants, with an explicit stack of the images
     left to try at each depth, so any order is searched without recursion.
-    The images tried for v are the unused vertices of h2 with v's profile,
-    in increasing order, kept in one ring per profile (``_unused``), so no
-    step is spent on a used image, and a candidate's co-degrees are
-    compared only with the assigned vertices that have a nonzero co-degree
-    with v or with it, so a step costs O(degree).  Returns ``phi`` with
-    vertex v of h1 mapped to ``phi[v]``, or None.
+    The images tried for v are the vertices of h2 with v's profile, and a
+    candidate's co-degrees are compared only with the assigned vertices
+    that have a nonzero co-degree with v or with it, so a step costs
+    O(degree).  Returns ``phi`` with vertex v of h1 mapped to ``phi[v]``, or
+    None.
     """
     if not (h1.is_3_uniform and h2.is_3_uniform):
         raise PreconditionError("isomorphism search expects 3-uniform hypergraphs")
@@ -224,14 +223,6 @@ def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
     alike: dict[tuple, list[int]] = {}  # the vertices of h2 with each profile
     for w, p in enumerate(prof2):
         alike.setdefault(p, []).append(w)
-    # the images of each profile in increasing order, in a ring through a
-    # head numbered from n, which ``_unused`` walks
-    nxt, head = [0] * n, {}
-    for p, ws in alike.items():
-        head[p] = len(nxt)
-        nxt.append(ws[0])
-        for a, b in zip(ws, ws[1:] + [head[p]]):
-            nxt[a] = b
     phi, used = [-1] * n, [False] * n
     image = [0] * n  # image[v] = 1 << phi[v] once v is assigned, for ``remap``
     tries: list[Iterator[int]] = []  # tries[i]: the images of order[i] left to try
@@ -239,7 +230,7 @@ def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
     while i < n:
         v = order[i]
         if i == len(tries):
-            tries.append(_unused(nxt, head[prof1[v]]))
+            tries.append(iter(alike[prof1[v]]))
         else:  # back from depth i + 1, where the image of v found no completion
             used[phi[v]] = False
             phi[v] = -1
@@ -248,7 +239,7 @@ def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
         known = [(phi[u], c) for u, c in cd1[v].items() if phi[u] >= 0]
         for w in tries[i]:
             row = cd2[w]
-            if (any(row.get(a) != c for a, c in known)
+            if (used[w] or any(row.get(a) != c for a, c in known)
                     or sum(used[a] for a in row) != len(known)):
                 continue
             phi[v], image[v] = w, 1 << w
@@ -263,19 +254,6 @@ def hypergraph_isomorphism(h1: Hypergraph, h2: Hypergraph) -> list[int] | None:
             if i < 0:
                 return None
     return phi
-
-
-def _unused(nxt: list[int], head: int) -> Iterator[int]:
-    """The members of the ring through ``head``, in order.  Each is unlinked
-    from its yield until the walk goes on, so the walks a deeper depth of
-    the search starts meanwhile skip it; they end before this one goes on,
-    so each relink undoes the last unlink and restores the ring in place."""
-    before, w = head, nxt[head]
-    while w != head:
-        nxt[before] = nxt[w]
-        yield w
-        nxt[before] = w
-        before, w = w, nxt[w]
 
 
 # --- set-family law checking -------------------------------------------------

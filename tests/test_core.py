@@ -20,24 +20,24 @@ C3 = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
 class TestVertexSet:
     def test_set_behaviour(self):
-        s = VertexSet.of([0, 2, 5])
+        s = VertexSet.of([0, 2, 5], 6)
         assert int(s) == 0b100101
         assert list(s) == [0, 2, 5]
         assert len(s) == 3
         assert 2 in s and 1 not in s
-        assert s.issubset(VertexSet.of(range(6)))
-        assert not VertexSet.of([1]).issubset(s)
+        assert s.issubset(VertexSet.of(range(6), 6))
+        assert not VertexSet.of([1], 6).issubset(s)
 
     def test_algebra_is_exact(self):
-        a = VertexSet.of([0, 1, 2])
-        b = VertexSet.of([2, 3])
-        assert a & b == VertexSet.of([2])
-        assert a | b == VertexSet.of([0, 1, 2, 3])
-        assert a & ~b == VertexSet.of([0, 1])
+        a = VertexSet.of([0, 1, 2], 4)
+        b = VertexSet.of([2, 3], 4)
+        assert a & b == VertexSet.of([2], 4)
+        assert a | b == VertexSet.of([0, 1, 2, 3], 4)
+        assert a & ~b == VertexSet.of([0, 1], 4)
 
     def test_negative_index_is_a_precondition_error(self):
         with pytest.raises(PreconditionError, match="negative vertex index -1"):
-            VertexSet.of([0, -1])
+            VertexSet.of([0, -1], 2)
         assert issubclass(PreconditionError, ValueError)
 
 
@@ -395,7 +395,7 @@ def test_values_copy_and_pickle(make):
     lambda: Hypergraph(3, [[0.0, 1, 2]]),
     lambda: Hypergraph(2.0, []),
     lambda: Graph(2.0),
-    lambda: as_mask(1.5),
+    lambda: as_mask(1.5, 2),
 ], ids=["bool-index", "bool-count", "bool-arc", "bool-edge", "bool-mask", "repeated-index",
         "float-index", "float-count", "graph-float-count", "float-mask"])
 def test_malformed_indices_and_counts_refused(make):

@@ -26,7 +26,7 @@ C3 = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
 
 def vs(*vertices):
-    return VertexSet.of(vertices)
+    return VertexSet.of(vertices, 6)  # the sets expected below lie within 0..5
 
 
 class TestIsModule:

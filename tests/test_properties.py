@@ -977,7 +977,7 @@ class TestGrowthAgainstOracle:
                 return None
             if isinstance(first, list):
                 return "two-step realization"
-            return "two-step witness" if as_mask(first.vertices) == steps[-1] else None
+            return "two-step witness" if as_mask(first.vertices, h.n) == steps[-1] else None
 
         rng = random.Random(66)
         quota = Counter({(n, p): 3 for n in (5, 6) for p in ("grown", "4-set", "witness")})
