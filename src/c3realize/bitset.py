@@ -8,7 +8,8 @@ difference ``a & ~b``, subset ``a & b == a``.  Renumbering a set is
 the members of a set by their rank in it, the one rule by which an induced
 structure, a quotient or a structure with a vertex deleted is indexed.
 A set that a caller gives is read by ``as_mask``, which checks it against
-the vertex count of its structure before it shifts by any member.
+the vertex count of its structure before it shifts by any member, and a
+single vertex by ``as_vertex``, under the same rule.
 """
 
 from __future__ import annotations
@@ -93,6 +94,12 @@ def as_mask(vertices: int | Iterable[int], n: int) -> int:
     if top >= n:
         raise PreconditionError(f"vertex {top} not within 0..{n - 1}")
     return m
+
+
+def as_vertex(v: object, n: int) -> int:
+    """One vertex index of a structure with ``n`` vertices, checked by the
+    rule of ``as_mask``."""
+    return as_mask([v], n).bit_length() - 1
 
 
 def remap(mask: int, images: Sequence[int]) -> int:

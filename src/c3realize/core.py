@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .bitset import as_mask, bit_list, full_mask, is_int, iter_bits, ranks, remap, require_count
+from .bitset import (
+    as_mask, as_vertex, bit_list, full_mask, is_int, iter_bits, ranks, remap, require_count,
+)
 from .errors import PreconditionError
 
 __all__ = [
@@ -168,7 +170,7 @@ class Tournament(Frozen):
         return full_mask(self.n)
 
     def has_arc(self, u: int, v: int) -> bool:
-        return bool((self.succ[u] >> v) & 1)
+        return bool((self.succ[as_vertex(u, self.n)] >> as_vertex(v, self.n)) & 1)
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -262,7 +264,7 @@ class Graph(Frozen):
         return g
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
+        return bool((self.adj[as_vertex(u, self.n)] >> as_vertex(v, self.n)) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         out = []

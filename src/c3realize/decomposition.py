@@ -39,7 +39,7 @@ from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits
+from .bitset import VertexSet, as_mask, bit_list, full_mask, is_int, iter_bits
 from .core import Frozen, Hypergraph, Tournament, is_linear_order
 from .errors import InvariantError, PreconditionError
 from .oracle import _is_module_over, _is_tournament_module
@@ -108,22 +108,125 @@ def _hypergraph_closure(h: Hypergraph) -> Closure:
     module of the induced subhypergraph H[w] containing s (w defaults to the
     whole vertex set).
 
+    The span table ``spans[u][b]`` is the union of the edges through u and
+    b (``spans[u][u]``, the diagonal, of those through u), built in one
+    pass that decodes each edge {a, b, c} once and ORs it into the 9 cells
+    of rows a, b and c.  ``close.spans`` exposes it, so that ``spans[x][v]``
+    minus x and v is the link of the pair x, v.  On 3-uniform input it is
+    the only table, read within w by cutting a span to w: an edge through u
+    and b lies in H[w] exactly when its third vertex lies in w.
+
+    Each member u of the growing set m, with r the smallest vertex of s, is
+    spanned once: it absorbs ``spans[u][b] & w`` for each member b spanned
+    before it.  Each member u other than r is linked once, when every
+    member is spanned: each y of w that lies in an edge with u or with r
+    (in ``spans[u][u] | spans[r][r]``) and is still outside m absorbs y
+    and ``d = (spans[u][y] ^ spans[r][y]) & w & ~m & ~(1 << y)`` when d is
+    not empty.  Spanning is cheap and usually fills a prime structure before
+    any linking.  This is exact:
+
+    - Each absorption is forced.  Every module M of H[w] holding m holds u
+      and r.  An edge of H[w] through two members meets M in two or more
+      vertices, so it lies inside M.  A z in d makes exactly one of {u, y,
+      z} and {r, y, z} an edge of H[w]; were y and z outside M, that edge
+      would meet M in one vertex whose swap for the other member is not an
+      edge, so M holds y or z, hence two vertices of the edge, hence y and
+      z.
+    - When every member is spanned and linked, m is a module of H[w].  An
+      edge of H[w] through two members lies in the span of that pair, which
+      m holds.  An edge {u, y, z} through one member u has y and z outside
+      m; when u was linked, y was visited (it lies in an edge with u) and
+      d, read while m was smaller, missed z, so {r, y, z} is an edge too,
+      and so is {v, y, z} for every member v.
+    - Visiting only the neighbours of u and r misses nothing: a y in no
+      edge with either has ``spans[u][y] = spans[r][y] = 0``.
+    - y's own bit is cut because a span cut to w keeps y whenever y lies in
+      an edge with u, even when every such edge has its third vertex
+      outside w: ``spans[u][y] & w`` is then {u, y}, and against an empty
+      ``spans[r][y]`` the difference would absorb y for an edge H[w] lacks.
+      r needs no linking: its spans differ from themselves nowhere.
+
+    Mixed-size input keeps the link sets (``_link_closure``): pair spans
+    cannot tell the 4-edge {u, y, z, v} from the two 3-edges {u, y, z}
+    and {u, y, v}, so the difference of two spans does not say which links
+    differ.
+    """
+    if not h.is_3_uniform:
+        return _link_closure(h)
+    n = h.n
+    spans = [[0] * n for _ in range(n)]
+    for e in h.edges:
+        low = e & -e
+        rest = e ^ low
+        mid = rest & -rest
+        a, b, c = low.bit_length() - 1, mid.bit_length() - 1, (rest ^ mid).bit_length() - 1
+        row = spans[a]
+        row[a] |= e
+        row[b] |= e
+        row[c] |= e
+        row = spans[b]
+        row[a] |= e
+        row[b] |= e
+        row[c] |= e
+        row = spans[c]
+        row[a] |= e
+        row[b] |= e
+        row[c] |= e
+    full = full_mask(n)
+
+    def close(s: int, w: int = full) -> int:
+        r = (s & -s).bit_length() - 1
+        r_row = spans[r]
+        r_near = r_row[r]
+        m, spanned, order, linked = s, 0, [], 1 << r
+        while m != w and m != linked:
+            if m != spanned:
+                low = m & ~spanned
+                low &= -low
+                row = spans[low.bit_length() - 1]
+                for b in order:
+                    m |= row[b]
+                m &= w
+                spanned |= low
+                order.append(low.bit_length() - 1)
+            else:
+                low = m & ~linked
+                low &= -low
+                u = low.bit_length() - 1
+                row = spans[u]
+                free = w & ~m
+                rest = (row[u] | r_near) & free
+                while rest:
+                    yb = rest & -rest
+                    rest ^= yb
+                    y = yb.bit_length() - 1
+                    d = (row[y] ^ r_row[y]) & free & ~yb
+                    if d:
+                        m |= yb | d
+                        free &= ~m
+                        rest &= free
+                linked |= low
+        return m
+
+    close.spans = spans
+    return close
+
+
+def _link_closure(h: Hypergraph) -> Closure:
+    """``_hypergraph_closure`` of a hypergraph with edges of mixed sizes.
+
     An edge that leaves the set and meets it in two or more vertices, or in
     one vertex u whose swap for another member is not an edge, lies inside
     every module containing the set, so it is absorbed.  Each member u is
-    spanned once: it absorbs the edges through u and each member spanned
-    before it.  Each member u is linked once, when every member is spanned:
-    it absorbs each link f (an edge minus u, or minus the first member r)
-    that misses the set and is a link of only one of u and r.  Spanning is
-    cheap and usually fills a prime structure before any linking.
-
-    The tables are built in one pass over the edges, decoding each edge
-    once, for the whole of h, and read within w: a span
-    ``spans[u][b]`` (the union of the edges through u and b) is cut to w,
-    and a link with a vertex outside w is skipped.  Cutting a span is exact
-    only when h is 3-uniform: an edge through u and b then leaves w exactly
-    when its third vertex does.  ``close.spans`` exposes the span table, so
-    that ``spans[x][v]`` minus x and v is the link of the pair x, v.
+    spanned once, as on 3-uniform input.  Each member u is linked once,
+    when every member is spanned: it absorbs each link f (an edge minus u,
+    or minus the first member r) that misses the set and is a link of only
+    one of u and r.  The tables are built in one pass over the edges and
+    read within w: a span is cut to w, and a link with a vertex outside w
+    is skipped.  Cutting a span is exact only on 3-uniform input: an edge
+    of four or more vertices through u and b can leave w while another of
+    its vertices stays in it.  Trees close mixed-size input within V only
+    (``_chain`` walks only 3-uniform input).
     """
     n = h.n
     links: list[set[int]] = [set() for _ in range(n)]
@@ -517,10 +620,11 @@ class ModularPartition(Frozen):
         return iter(self.blocks)
 
     def block_of(self, v: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if (b >> v) & 1:
-                return i
-        raise PreconditionError(f"vertex {v} not covered")
+        """The index of the block holding vertex v, an int in 0..n-1 (the
+        rule of ``bitset.as_mask``)."""
+        if not (is_int(v) and 0 <= v < self.host.n):
+            raise PreconditionError(f"vertex {v!r} not covered")
+        return next(i for i, b in enumerate(self.blocks) if (b >> v) & 1)
 
     def __repr__(self) -> str:
         return f"ModularPartition({[bit_list(b) for b in self.blocks]})"

@@ -401,3 +401,23 @@ def test_values_copy_and_pickle(make):
 def test_malformed_indices_and_counts_refused(make):
     with pytest.raises(PreconditionError):
         make()
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 1.5, True], ids=["negative", "n", "float", "bool"])
+@pytest.mark.parametrize("read", [
+    lambda x: Graph(3, [(0, 2)]).has_edge(x, 0),
+    lambda x: Graph(3, [(0, 2)]).has_edge(0, x),
+    lambda x: C3.has_arc(x, 0),
+    lambda x: C3.has_arc(0, x),
+], ids=["has_edge-u", "has_edge-v", "has_arc-u", "has_arc-v"])
+def test_vertex_reads_refuse_indices_outside_the_range(read, bad):
+    # Graph(3, [(0, 2)]).has_edge(-1, 0) read row 2 and answered True
+    with pytest.raises(PreconditionError):
+        read(bad)
+
+
+def test_vertex_reads_within_the_range():
+    g = Graph(3, [(0, 2)])
+    assert [g.has_edge(0, v) for v in range(3)] == [False, False, True]
+    assert [C3.has_arc(0, v) for v in range(3)] == [False, True, False]
+    assert [C3.has_arc(v, 0) for v in range(3)] == [False, False, True]

@@ -169,6 +169,14 @@ class TestModularPartition:
         with pytest.raises(PreconditionError, match="vertex 4 not covered"):
             p.block_of(4)
 
+    @pytest.mark.parametrize("bad", [-1, 4, 1.5, True], ids=["negative", "n", "float", "bool"])
+    def test_block_of_refuses_indices_outside_the_range(self, bad):
+        # -1 raised ValueError (a negative shift), 1.5 TypeError, and True
+        # was read as vertex 1
+        p = ModularPartition(H4, [[2, 3], [1], [0]])
+        with pytest.raises(PreconditionError, match="not covered"):
+            p.block_of(bad)
+
 
 class TestQuotient:
     def test_by_singletons_is_isomorphic_copy(self):

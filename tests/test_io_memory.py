@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from c3realize import (
     Hypergraph, PreconditionError, Tournament, c3_structure, cli, decomposition_tree,
     dump_hypergraph, dump_tournament, extension_certificate, is_module, is_strong_module,
-    linear_order, module_violation, parse_tournament,
+    linear_order, module_violation, parse_tournament, random_tournament,
 )
-from c3realize.decomposition import ModularPartition, quotient
+from c3realize.decomposition import ModularPartition, _hypergraph_closure, quotient
 from c3realize.oracle import is_usual_module
 
 BIG = 10 ** 8  # an index whose mask alone is 12.5 MB
@@ -84,3 +85,11 @@ def test_extension_certificate_refuses_bool_vertex():
     assert extension_certificate(h, 1, t_x).ok
     with pytest.raises(PreconditionError, match="must be an int"):
         extension_certificate(h, True, t_x)
+
+
+def test_closure_table_of_a_100_vertex_c3_structure_holds_no_link_sets():
+    # the span table alone is about 0.5 MB here; a set of links per vertex
+    # beside it took the peak past 10 MB
+    h = c3_structure(random_tournament(100, random.Random(1)))
+    assert len(h.edges) == 40_262
+    assert traced_peak(_hypergraph_closure, h) < 1_500_000

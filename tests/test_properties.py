@@ -20,10 +20,10 @@ from c3realize import (
     tournament_is_prime, tournament_modules, tournament_pi, tournament_quotient,
     tournament_strong_modules,
 )
-from c3realize.bitset import as_mask, bit_list, iter_bits
+from c3realize.bitset import as_mask, bit_list, full_mask, iter_bits
 from c3realize import decomposition, realization
 from c3realize.decomposition import (
-    LABEL_COMPLETE, LABEL_EMPTY, LABEL_PRIME, _hypergraph_closure, _is_prime_within,
+    LABEL_COMPLETE, LABEL_EMPTY, LABEL_PRIME, _hypergraph_closure, _is_prime_within, _lowest,
 )
 from c3realize.oracle import modules_within, subsets_where
 from c3realize.realization import STAGE_EXTENSION_M1
@@ -610,6 +610,103 @@ class TestRestrictedClosure:
             for x in range(h.n):
                 rest = h.vertex_mask & ~(1 << x)
                 assert _is_prime_within(close, rest) == is_prime(h.induced(rest)), (h, x)
+
+
+def link_set_closure(h):
+    """The hypergraph closure as it was built before 3-uniform input was
+    closed from the span table alone: a set of links per vertex beside the
+    span table.  Kept verbatim as the reference."""
+    n = h.n
+    links: list[set[int]] = [set() for _ in range(n)]
+    spans = [[0] * n for _ in range(n)]
+    for e in h.edges:
+        members, rest = [], e
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
+        for u in members:
+            links[u].add(e ^ (1 << u))
+            row = spans[u]
+            for b in members:
+                row[b] |= e
+    full = full_mask(n)
+
+    def close(s: int, w: int = full) -> int:
+        r_links = links[_lowest(s)]
+        m, spanned, order, linked = s, 0, [], 0
+        while m != w and m != linked:
+            if m != spanned:
+                u = _lowest(m & ~spanned)
+                row = spans[u]
+                for b in order:
+                    m |= row[b]
+                m &= w
+                spanned |= 1 << u
+                order.append(u)
+            else:
+                u = _lowest(m & ~linked)
+                outside = ~w
+                for f in links[u] ^ r_links:
+                    if not f & (m | outside):
+                        m |= f
+                linked |= 1 << u
+        return m
+
+    close.spans = spans
+    return close
+
+
+class TestSpanClosureAgainstLinkSets:
+    """``_hypergraph_closure`` against the link-set closure it replaced on
+    3-uniform input (``link_set_closure``)."""
+
+    def test_every_pair_of_every_w_up_to_six(self):
+        rng = random.Random(71)
+        compared = 0
+        for h in three_uniform_inputs(rng, 150, 6):
+            close, ref = _hypergraph_closure(h), link_set_closure(h)
+            for w in range(1, 1 << h.n):
+                for x, y in combinations(iter_bits(w), 2):
+                    s = (1 << x) | (1 << y)
+                    assert close(s, w) == ref(s, w), (h, s, w)
+                    compared += 1
+        assert compared == 40_428
+
+    def test_random_sets_within_seeded_w_up_to_nine(self):
+        rng = random.Random(72)
+        for h in three_uniform_inputs(rng, 400, 9):
+            close, ref = _hypergraph_closure(h), link_set_closure(h)
+            assert close.spans == ref.spans, h  # the diagonal included
+            full = h.vertex_mask
+            for w in (full, rng.randint(1, full), rng.randint(1, full)):
+                for _ in range(6):
+                    s = 0
+                    while not s:
+                        s = rng.randint(1, full) & w
+                    assert close(s, w) == ref(s, w), (h, s, w)
+
+    def test_mixed_size_input_keeps_the_link_sets(self):
+        rng = random.Random(73)
+        mixed = (h for h in (random_hypergraph(rng.randint(3, 8), rng) for _ in range(200))
+                 if not h.is_3_uniform)
+        for h in mixed:
+            close, ref = _hypergraph_closure(h), link_set_closure(h)
+            assert close.spans == ref.spans, h
+            for x, y in combinations(range(h.n), 2):
+                s = (1 << x) | (1 << y)
+                assert close(s) == ref(s), (h, s)
+
+    def test_a_span_cut_to_w_keeps_y_alone(self):
+        # every edge through 3 and 5 or through 6 and 5 has its third
+        # vertex outside w, so spans[3][5] & w is {3, 5}; were y = 5's own
+        # bit left in the difference, close({3, 6}, w) would absorb 5
+        h = Hypergraph(7, [[0, 1, 4], [0, 2, 5], [0, 2, 6], [0, 4, 5], [1, 2, 3], [1, 2, 5],
+                           [1, 4, 5], [1, 4, 6], [2, 5, 6], [3, 4, 6], [3, 5, 6], [4, 5, 6]])
+        w = as_mask([0, 3, 5, 6], 7)
+        expected = as_mask([3, 5, 6], 7)
+        assert link_set_closure(h)(as_mask([3, 5], 7), w) == expected
+        assert _hypergraph_closure(h)(as_mask([3, 5], 7), w) == expected
 
 
 class TestRealizePrimeAgainstOracle:
