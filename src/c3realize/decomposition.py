@@ -109,12 +109,12 @@ def _hypergraph_closure(h: Hypergraph) -> Closure:
     whole vertex set).
 
     The span table ``spans[u][b]`` is the union of the edges through u and
-    b (``spans[u][u]``, the diagonal, of those through u), built in one
-    pass that decodes each edge {a, b, c} once and ORs it into the 9 cells
-    of rows a, b and c.  ``close.spans`` exposes it, so that ``spans[x][v]``
-    minus x and v is the link of the pair x, v.  On 3-uniform input it is
-    the only table, read within w by cutting a span to w: an edge through u
-    and b lies in H[w] exactly when its third vertex lies in w.
+    b (``spans[u][u]``, the diagonal, of those through u).  ``close.spans``
+    exposes it, so that ``spans[x][v]`` minus x and v is the link of the
+    pair x, v.  On 3-uniform input it is the only table, built in one pass
+    that decodes each edge {a, b, c} once and ORs it into the 9 cells of
+    rows a, b and c, and read within w by cutting a span to w: an edge
+    through u and b lies in H[w] exactly when its third vertex lies in w.
 
     Each member u of the growing set m, with r the smallest vertex of s, is
     spanned once: it absorbs ``spans[u][b] & w`` for each member b spanned

@@ -698,9 +698,10 @@ class TestSpanClosureAgainstLinkSets:
                 assert close(s) == ref(s), (h, s)
 
     def test_a_span_cut_to_w_keeps_y_alone(self):
-        # every edge through 3 and 5 or through 6 and 5 has its third
-        # vertex outside w, so spans[3][5] & w is {3, 5}; were y = 5's own
-        # bit left in the difference, close({3, 6}, w) would absorb 5
+        # both edges through 5 and 0 have their third vertex (2 or 4)
+        # outside w, so spans[5][0] & w is {0, 5}, and 0 lies in no edge
+        # with 3: were y = 0's own bit left in the difference of the two
+        # spans, linking 5 would absorb 0
         h = Hypergraph(7, [[0, 1, 4], [0, 2, 5], [0, 2, 6], [0, 4, 5], [1, 2, 3], [1, 2, 5],
                            [1, 4, 5], [1, 4, 6], [2, 5, 6], [3, 4, 6], [3, 5, 6], [4, 5, 6]])
         w = as_mask([0, 3, 5, 6], 7)
