@@ -75,13 +75,16 @@ class Hypergraph(Frozen):
                            all(e.bit_count() == 3 for e in masks))
 
     @classmethod
-    def _from_masks(cls, n: int, masks: frozenset[int]) -> "Hypergraph":
-        """Internal fast constructor; caller guarantees validity."""
+    def _from_masks(cls, n: int, masks: frozenset[int],
+                    is_3_uniform: bool | None = None) -> "Hypergraph":
+        """Internal fast constructor; caller guarantees validity, and
+        ``is_3_uniform`` when it passes it (else the edges are scanned)."""
+        if is_3_uniform is None:
+            is_3_uniform = all(e.bit_count() == 3 for e in masks)
         h = object.__new__(cls)
         object.__setattr__(h, "n", n)
         object.__setattr__(h, "edges", masks)
-        object.__setattr__(h, "is_3_uniform",
-                           all(e.bit_count() == 3 for e in masks))
+        object.__setattr__(h, "is_3_uniform", is_3_uniform)
         return h
 
     @property
@@ -118,7 +121,7 @@ def induced_subhypergraph(h: Hypergraph, vertices: int | Iterable[int]) -> Hyper
     w = as_mask(vertices, h.n)
     images = ranks(w, h.n)
     kept = frozenset(remap(e, images) for e in h.edges if not e & ~w)
-    return Hypergraph._from_masks(w.bit_count(), kept)
+    return Hypergraph._from_masks(w.bit_count(), kept, h.is_3_uniform or None)
 
 
 class Tournament(Frozen):
@@ -312,7 +315,7 @@ def c3_structure(t: Tournament) -> Hypergraph:
                 zb = thirds & -thirds
                 thirds ^= zb
                 edges.append(arc | zb)
-    return Hypergraph._from_masks(t.n, frozenset(edges))
+    return Hypergraph._from_masks(t.n, frozenset(edges), True)
 
 
 def dual(t: Tournament) -> Tournament:

@@ -17,19 +17,23 @@ structure induced on its transverse, the smallest vertex of each block: an
 edge that meets two or more blocks meets each in one vertex and stays an
 edge when each is swapped for its block's smallest, and the arcs between
 two blocks all point one way.  Each internal node keeps its quotient, and
-``_tree`` hands realization the closure and the chain the tree was read
+``_tree`` hands realization the closure and the chains the tree was read
 from beside the tree, which holds only its nodes, so later stages rebuild
 neither.  The sweep counts how many vertex pairs close to each set, and a
 node's prime label is confirmed from that count.  A tree first closes the
 pairs of vertex 0; when all of them close to the whole set, a chain of
 prime sets from a triple through vertex 0 (``_chain``, the one walk of the
 step rule, after Schmerl & Trotter, Discrete Math. 1993) can prove a prime
-root with no other closure, and otherwise the sweep closes each remaining
-pair once.  On 3-uniform input the realization of a prime quotient reads
-the same tables, and a prime root grows along the chain its tree walked,
-so an input needs one closure table and one walk.  Nothing here scans vertex
-subsets: the listers of all modules, whose output can have 2^n members,
-are brute force and live in ``oracle``.
+root with no other closure.  Otherwise the root is split into the
+connected components of a hypergraph or the strong components of a
+tournament: two or more are the children of an empty (linear) root, and
+each runs the same engine within it, so only pairs within one part are
+closed; a connected root sweeps each remaining pair once.  On 3-uniform
+input the realization of a prime quotient reads the same tables, and a
+prime node over single vertices grows along the chain its tree walked
+within it, so an input needs one closure table and walks no chain twice.
+Nothing here scans vertex subsets: the listers of all modules, whose
+output can have 2^n members, are brute force and live in ``oracle``.
 """
 
 from __future__ import annotations
@@ -450,57 +454,182 @@ def _prime_chain(host: Hypergraph | Tournament, close: Closure, w: int) -> list 
 
 
 def _children(host: Hypergraph | Tournament, close: Closure
-              ) -> tuple[dict[int, list[int]], Counter[int], list | None]:
+              ) -> tuple[dict[int, list[int]], Counter[int], dict[int, list]]:
     """Each nonempty strong module's children (its maximal proper strong
     modules, by smallest vertex), every child before its parent, ``hits``
-    (``hits[c]`` is the number of vertex pairs whose closure is c) and the
-    chain of prime sets walked within V, or None when none was walked.
+    (``hits[c]`` is the number of vertex pairs closed to c) and the chains
+    of prime sets walked, each keyed by the set it was walked within.
 
     The pairs of vertex 0 are closed first.  When all of them close to the
-    whole set V, the chain within V (``_chain``) is walked and returned.  When
-    it reaches V, the host is prime, since each set of the chain is.  Then
+    whole set V, the chain within V (``_chain``) is walked.  When it
+    reaches V, the host is prime, since each set of the chain is.  Then
     every pair closes to V, so V has the n single vertices as children and
     ``hits[V] = n(n - 1)/2`` is a fact, not a count, and no other pair is
-    closed.  A stall proves nothing; the sweep below then closes the other
-    pairs, so a tree that is not proved prime this way closes each pair
-    once, plus the 2-4 closures within a smaller set of each pair test the
-    stalled chain ran.  Mixed-size input has no chain and keeps the sweep.
+    closed.  Vertex 0's pairs are closed before the chain is walked, and
+    that pass is not redundant: a chain that starts from a 3-cycle block
+    stalls only after all of its pair tests, which the n - 1 closures skip
+    whenever one of them falls short of V.  A copy that walked the chain
+    first (32 inputs of seed 23 from ``bench/workloads.py``, medians of
+    four alternating runs of best of 7, shared 2-core VM, Python 3.11.7)
+    took ``decomposition_tree`` on ``stream``-shaped inputs from 0.32 to
+    0.39 ms (+19 %) and on their tournaments from 0.21 to 0.27 ms (+30 %),
+    against 0.34 to 0.30 ms and 0.15 to 0.11 ms on ``prime``-shaped ones.
 
-    Vertex 0's pairs are closed before the chain is walked, and that pass
-    is not redundant: a chain that starts from a 3-cycle block stalls only
-    after all of its pair tests, which the n - 1 closures skip whenever one
-    of them falls short of V.  A copy that walked the chain first (32
-    inputs of seed 23 from ``bench/workloads.py``, medians of four
-    alternating runs of best of 7, shared 2-core VM, Python 3.11.7) took
-    ``decomposition_tree`` on ``stream``-shaped inputs from 0.32 to 0.39 ms
-    (+19 %) and on their tournaments from 0.21 to 0.27 ms (+30 %), against
-    0.34 to 0.30 ms and 0.15 to 0.11 ms on ``prime``-shaped ones.
+    Otherwise, before any other pair is closed, the root is split
+    (``_split``) into the connected components of a hypergraph or the
+    strong components of a tournament.  Two or more parts are the children
+    of an empty (linear) root, which is exact:
 
-    A pair closure is a strong module, or a union of two or more (not all)
-    children of a node whose quotient is degenerate (empty, complete or
-    linear); no strong module overlaps a module; and a node of two or more
-    vertices is itself a pair closure unless it is degenerate with three or
-    more children, which its smaller closures join.  So the distinct pair
-    closures, smallest first, are swept once, keeping ``top[v]``, the
-    largest node built so far that contains v; the tops partition the
-    vertex set.  A closure inside the top of its smallest vertex adds
-    nothing.  Otherwise each top it meets becomes a child of a new node,
-    except a top that sticks out of it: that top is a union of children of
-    a degenerate node, so it stops being a node and the new node takes its
-    children.  When the sweep ends, each such union has grown to its whole
-    node and the only top is the whole set.
+    - Each component C is a module: no edge leaves it.
+    - Each component C is strong.  Let a module M overlap C and hold z
+      outside it.  C is connected, so some edge within C meets both M and
+      C - M.  That edge leaves M, so it meets M in one vertex u, and
+      swapping u for z keeps it an edge, which joins z to C; but
+      connectivity puts inside C every edge that meets C.
+    - A union of two or more components, but not all of them, is a module
+      but not strong: it overlaps the union of one of its components with
+      one component outside it.
+
+    So a strong module other than V lies within one component, and the
+    components are the root's children.  The same three facts hold for
+    the strong components of a tournament, which follow one another in a
+    linear order (each beats every later one): each is a module; a module
+    M overlapping one, S, at z outside S, has an arc from M ∩ S to some b
+    in S - M and one from some b' in S - M back to it, so b loses to z and
+    b' beats z, which puts z on a cycle through S; and a union of two or
+    more, but not all, is a module only when consecutive, and then
+    overlaps the union of its last one with the next (or of its first one
+    with the one before).  The root's quotient, on the smallest vertex of
+    each part, then has no edge (is transitive).
+
+    Each part of two or more vertices then runs the engine within it,
+    ``_nodes_within``: the closures of the pairs of its smallest vertex
+    (the part holding vertex 0 reuses those of the root's pass, so no pair
+    is closed twice), the chain within the part when they all reach it, and
+    the sweep of its pairs.  Closures are taken within V: a pair in a
+    module closes inside it, to the same set as within it.  A connected
+    root is one part, whose every remaining pair is swept.
+    Mixed-size input has no chain and keeps the sweep.
+
+    A wrong split raises ``InvariantError`` rather than build a wrong tree:
+    ``_split`` checks that the parts partition V and, for a tournament,
+    that each earlier part beats every later one; each part must come out
+    of its sweep as one node, which then is a module, since each closure
+    is; an edge that meets two modular parts puts an edge in the root's
+    quotient, whose label needs a prime count the root never has; and
+    ``_tree`` refuses a part whose own root is degenerate with the root's
+    label (a part that merges two components).
     """
     n, full = host.n, full_mask(host.n)
     out: dict[int, list[int]] = {1 << v: [] for v in range(n)}
-    hits = Counter(close(1 | (1 << y)) for y in range(1, n))
-    chain = None
-    if hits[full] == n - 1:
-        chain = list(_chain(host, close, full))
+    chains: dict[int, list] = {}
+    first = [close(1 | (1 << y)) for y in range(1, n)]
+    if first.count(full) == n - 1:
+        chain = chains[full] = list(_chain(host, close, full))
         if _reaches(chain, full):
             out[full] = list(out)
-            return out, Counter({full: n * (n - 1) // 2}), chain
-    hits.update(close((1 << x) | (1 << y)) for x, y in combinations(range(1, n), 2))
+            return out, Counter({full: n * (n - 1) // 2}), chains
+    parts = _split(host)
     top = [1 << v for v in range(n)]
+    hits: Counter[int] = Counter()
+    for p in parts:
+        low = p & -p
+        if p == low:
+            continue
+        if low == 1:
+            own = [first[y - 1] for y in iter_bits(p ^ 1)]
+        else:
+            own = [close(low | (1 << y)) for y in iter_bits(p ^ low)]
+        hits.update(_nodes_within(host, close, p, own, out, top, chains))
+    if len(parts) > 1:
+        out[full] = parts
+    return out, hits, chains
+
+
+def _split(host: Hypergraph | Tournament) -> list[int]:
+    """The connected components of a hypergraph (``components``) or the
+    strong components of a tournament (``_strong_components``), by smallest
+    vertex: the children of a root that is not connected, checked to
+    partition the vertex set, and for a tournament to follow one another,
+    every vertex of an earlier part beating every vertex of a later one
+    (O(n) mask operations)."""
+    if isinstance(host, Tournament):
+        parts = _strong_components(host.succ)
+        later = 0
+        for p in reversed(parts):
+            if any(host.succ[v] & later != later for v in iter_bits(p)):
+                raise InvariantError("a strong component does not beat every later one")
+            later |= p
+        parts.sort(key=_lowest)
+    else:
+        parts = [int(c) for c in components(host)]
+    union = 0
+    for p in parts:
+        if not p or p & union:
+            raise InvariantError("the root's parts do not partition the vertex set")
+        union |= p
+    if union != full_mask(host.n):
+        raise InvariantError("the root's parts do not partition the vertex set")
+    return parts
+
+
+def _strong_components(succ: tuple[int, ...]) -> list[int]:
+    """The strong components of the tournament with successor masks
+    ``succ``, each beating every later one.
+
+    Such an order puts every vertex of an earlier component above every
+    vertex of a later one by score, so the components are runs of the
+    vertices sorted by falling score.  A run ends after the first k
+    vertices exactly when they beat all n - k others, that is when their
+    scores sum to k(k - 1)/2 + k(n - k) (Landau): O(n log n) steps.
+    """
+    n = len(succ)
+    scores = [row.bit_count() for row in succ]
+    parts, part, total = [], 0, 0
+    for k, v in enumerate(sorted(range(n), key=scores.__getitem__, reverse=True), 1):
+        part |= 1 << v
+        total += scores[v]
+        if total == k * (k - 1) // 2 + k * (n - k):
+            parts.append(part)
+            part = 0
+    return parts
+
+
+def _nodes_within(host: Hypergraph | Tournament, close: Closure, w: int, first: list[int],
+                  out: dict[int, list[int]], top: list[int], chains: dict[int, list]
+                  ) -> Counter[int]:
+    """The engine within the module w of two or more vertices, given
+    ``first``, the closures of the pairs of its smallest vertex r: adds
+    the strong modules within w to ``out``, and returns how many pairs of
+    w closed to each set.
+
+    When every pair of r closes to w and no chain was walked within w yet,
+    the chain within w is walked and kept in ``chains``; when it reaches w,
+    w is prime over single vertices.  Otherwise every other pair of w is
+    closed once, and the distinct closures, smallest first, are swept,
+    keeping ``top[v]``, the largest node built so far that contains v; the
+    tops partition the vertex set.  This is exact: a pair closure is a
+    strong module, or a union of two or more (not all) children of a node
+    whose quotient is degenerate (empty, complete or linear); no strong
+    module overlaps a module; and a node of two or more vertices is itself
+    a pair closure unless it is degenerate with three or more children,
+    which its smaller closures join.  A closure inside the top of its
+    smallest vertex adds nothing.  Otherwise each top it meets becomes a
+    child of a new node, except a top that sticks out of it: that top is a
+    union of children of a degenerate node, so it stops being a node and
+    the new node takes its children.  When the sweep ends, each such union
+    has grown to its whole node and the only top within w is w, else w was
+    not a module and ``InvariantError`` is raised.
+    """
+    k = w.bit_count()
+    if w not in chains and first.count(w) == k - 1:
+        chain = chains[w] = list(_chain(host, close, w))
+        if _reaches(chain, w):
+            out[w] = [1 << v for v in iter_bits(w)]
+            return Counter({w: k * (k - 1) // 2})
+    low = w & -w
+    hits = Counter(first)
+    hits.update(close((1 << x) | (1 << y)) for x, y in combinations(bit_list(w ^ low), 2))
     for c in sorted(hits, key=int.bit_count):
         if c & ~top[_lowest(c)] == 0:
             continue
@@ -516,16 +645,20 @@ def _children(host: Hypergraph | Tournament, close: Closure
         out[node] = sorted(blocks, key=_lowest)
         for v in iter_bits(node):
             top[v] = node
-    return out, hits, chain
+    if top[_lowest(w)] != w:
+        raise InvariantError("a part of the root's split is not a module")
+    return hits
 
 
-def _tree(host: Hypergraph | Tournament) -> tuple[DecompositionTree, Closure, list | None]:
+def _tree(host: Hypergraph | Tournament
+          ) -> tuple[DecompositionTree, Closure, dict[int, list]]:
     """The inclusion tree of the strong modules, built bottom-up, with the
-    host's closure it was read from and the chain ``_children`` walked
-    within V, for realization to reuse.  Each internal node's quotient is
-    the structure induced on its transverse (the smallest vertex of each
-    child), the host itself when that is every vertex; ``_hypergraph_label``
-    or ``_tournament_label`` names it.
+    host's closure it was read from and the chains ``_children`` walked,
+    keyed by the set each was walked within, for realization to reuse.
+    Each internal node's quotient is the structure induced on its
+    transverse (the smallest vertex of each child), the host itself when
+    that is every vertex; ``_hypergraph_label`` or ``_tournament_label``
+    names it.
 
     A node m with k >= 3 children c_1..c_k has a prime quotient iff each of
     the (|m|^2 - sum |c_i|^2) / 2 pairs that cross two children closes to
@@ -535,11 +668,14 @@ def _tree(host: Hypergraph | Tournament) -> tuple[DecompositionTree, Closure, li
     the module m, to a module that meets two strong children, so it holds
     them and overlaps none: a union of children, which is a module of the
     quotient.  So the count falls short exactly when the quotient has a
-    nontrivial module, since two of its vertices close within it."""
+    nontrivial module, since two of its vertices close within it.  No
+    degenerate node has a child of its own label (two of the grandchildren
+    would join a sibling into a module overlapping that child), so such a
+    child raises ``InvariantError``."""
     if host.n < 1:
         raise PreconditionError("need at least 1 vertex")
     close = _closure(host)
-    children, hits, chain = _children(host, close)
+    children, hits, chains = _children(host, close)
     full = full_mask(host.n)
     tournament = isinstance(host, Tournament)
     built: dict[int, TreeNode] = {}
@@ -551,9 +687,11 @@ def _tree(host: Hypergraph | Tournament) -> tuple[DecompositionTree, Closure, li
             crossing = (m.bit_count() ** 2 - sum(b.bit_count() ** 2 for b in blocks)) // 2
             prime = len(blocks) >= 3 and hits[m] == crossing
             name = _tournament_label(q, prime) if tournament else _hypergraph_label(host, q, prime)
+            if name != LABEL_PRIME and any(built[b].label == name for b in blocks):
+                raise InvariantError(f"{name} node under a {name} node")
         built[m] = TreeNode(m, name, tuple(built.pop(b) for b in blocks), q)
     kind = "tournament" if tournament else "hypergraph"
-    return DecompositionTree(built[full], host.n, kind), close, chain
+    return DecompositionTree(built[full], host.n, kind), close, chains
 
 
 def is_strong_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
@@ -661,21 +799,33 @@ def components(h: Hypergraph) -> list[VertexSet]:
     """Vertex sets of the connected components, in canonical order.
 
     Two vertices are connected when a chain of pairwise-intersecting edges
-    joins them; vertices in no edge are singleton components.
+    joins them; vertices in no edge are singleton components.  One pass
+    over the edges ORs each into the neighbourhood mask of its smallest
+    vertex, which then passes itself to each of its other neighbours, and
+    a breadth-first search over those masks reads each component.
     """
+    n = h.n
+    near = [1 << v for v in range(n)]
+    for e in h.edges:
+        near[(e & -e).bit_length() - 1] |= e
+    for v in range(n):
+        vb, rest = 1 << v, near[v] & ~((2 << v) - 1)
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            near[b.bit_length() - 1] |= vb
     seen = 0
     out = []
-    for v in range(h.n):
+    for v in range(n):
         if (seen >> v) & 1:
             continue
-        comp = 1 << v
-        changed = True
-        while changed:
-            changed = False
-            for e in h.edges:
-                if e & comp and e & ~comp:
-                    comp |= e
-                    changed = True
+        comp = frontier = 1 << v
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            new = near[b.bit_length() - 1] & ~comp
+            comp |= new
+            frontier |= new
         seen |= comp
         out.append(VertexSet(comp))
     return out

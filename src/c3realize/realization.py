@@ -28,9 +28,10 @@ and a pair step tries both realizations of H[X + p] that extend the one
 of H[X].  A failed extension makes the set reached a witness, and a
 witness holding a 4-set with three or more edges is cut down to that
 4-set at stage ``extension-M1``, with no growth within it.  No chain is
-walked twice: a prime root over single vertices grows along the chain its
-tree walked, and ``realize_prime`` and ``realize_critical`` along the one
-their prime check walked (``decomposition._prime_chain``).  Of the two
+walked twice: a prime node over single vertices grows along the chain its
+tree walked within it, if any (the root's, or a split root part's), and
+``realize_prime`` and ``realize_critical`` along the one their prime
+check walked (``decomposition._prime_chain``).  Of the two
 realizations of a prime quotient, the one kept is the one in which its
 first vertex beats its second.  ``realize_prime`` and ``realize_critical``
 run the same growth on a whole input; no isomorphism search is needed,
@@ -581,20 +582,21 @@ def _prepare(h: Hypergraph):
     each child standing for it, so it is realized on that closure within
     the transverse, in the labels of h; the result is renumbered to child
     order by ``bitset.ranks``.  A transverse that is the whole vertex set
-    is a prime root over single vertices, whose chain ``_tree`` walked and
-    returned, so growth takes its steps; any other node's chain is walked
+    is a prime node over single vertices; when ``_tree`` walked a chain
+    within it (the root, or a part of a split root), growth takes the steps
+    of that chain, proved or stalled, and any other node's chain is walked
     lazily.  Returns a witness if any prime quotient is not realizable.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
-    tree, close, chain = _tree(h)
-    full = full_mask(h.n)
+    tree, close, chains = _tree(h)
     prime_base: dict[int, Tournament] = {}
     for node in tree.internal_nodes():
         if node.label != LABEL_PRIME:
             continue
         w = sum(c.members & -c.members for c in node.children)
-        res = _realize_within(h, close.spans, w, chain if w == full else _chain(h, close, w))
+        chain = chains.get(w)
+        res = _realize_within(h, close.spans, w, _chain(h, close, w) if chain is None else chain)
         if isinstance(res, NonRealizabilityWitness):
             return res
         images = ranks(w, h.n)

@@ -9,12 +9,12 @@ import pytest
 
 from c3realize import (
     CapacityError, Hypergraph, InvariantError, ModularPartition, PreconditionError,
-    Tournament, VertexSet, c3_structure, components, count_realizations,
+    Tournament, VertexSet, all_tournaments, c3_structure, components, count_realizations,
     critical_family, decomposition, decomposition_tree,
     enumerate_modules, enumerate_realizations, enumerate_usual_modules, is_module, is_prime,
     is_strong_module, is_usual_module, linear_order,
-    maximal_proper_strong_modules, module_violation, quotient, random_tournament,
-    realization, realize, realize_prime, smallest_strong_module_containing, strong_modules,
+    maximal_proper_strong_modules, module_violation, quotient, random_hypergraph,
+    random_tournament, realization, realize, realize_prime, smallest_strong_module_containing, strong_modules,
     tournament_decomposition_tree, tournament_is_module, tournament_is_prime,
     tournament_modules, tournament_pi, tournament_quotient,
     tournament_strong_modules,
@@ -375,6 +375,20 @@ class TestWideNodes:
         assert time.perf_counter() - start < 3
         assert tree.to_json() == flat(100, "linear")
 
+    def test_linear_order_1000(self):
+        # not strongly connected: the root is split into 1000 single
+        # vertices after the closures of vertex 0
+        start = time.perf_counter()
+        tree = tournament_decomposition_tree(linear_order(1000))
+        assert time.perf_counter() - start < 2
+        assert tree.to_json() == flat(1000, "linear")
+
+    def test_empty_root_over_1000_leaves(self):
+        start = time.perf_counter()
+        tree = decomposition_tree(Hypergraph(1000, []))
+        assert time.perf_counter() - start < 2
+        assert tree.to_json() == flat(1000, "◯")
+
     def test_linear_order_of_40_three_cycles(self):
         k = 40
         arcs = [(3 * i + a, 3 * i + (a + 1) % 3) for i in range(k) for a in range(3)]
@@ -506,17 +520,208 @@ class TestOneClosurePerPair:
         assert pair_tests(realize_prime) == expected
 
     def test_trees_that_are_not_prime_close_each_pair_once(self, monkeypatch):
-        # an empty root over two prime triples, and a prime root over a
-        # 3-cycle and four single vertices
+        # an empty root over two prime triples, split by its components:
+        # the five closures of vertex 0 and two of vertex 3; and a prime
+        # root over a 3-cycle and four single vertices, which is connected
+        # and closes every pair
         t = TestCountGuard.T
-        hosts = [Hypergraph(6, [[0, 1, 2], [3, 4, 5]]), c3_structure(t), t]
+        hosts = [(Hypergraph(6, [[0, 1, 2], [3, 4, 5]]), 7), (c3_structure(t), 21), (t, 21)]
         calls = []
         spy_on_closures(monkeypatch, calls)
-        for host in hosts:
+        for host, closures in hosts:
             tree = decomposition_tree(host)
             assert not all(c.is_leaf for c in tree.root.children)
-            assert len(calls) == len(set(calls)) == host.n * (host.n - 1) // 2
+            assert len(calls) == len(set(calls)) == closures
             calls.clear()
+
+
+def blocks_in_a_line(blocks, n):
+    """The tournament on 0..n-1 in which the blocks, each a 3-cycle or one
+    vertex, follow one another: every vertex of a block beats every vertex
+    of a later one."""
+    arcs = [(u, v) for i, a in enumerate(blocks) for b in blocks[i + 1:] for u in a for v in b]
+    arcs += [(b[j], b[(j + 1) % 3]) for b in blocks if len(b) == 3 for j in range(3)]
+    return Tournament.from_arcs(n, arcs)
+
+
+def stream_shape(seed):
+    """A linear order of 8 blocks, two of them 3-cycles, on 12 shuffled
+    labels, with its blocks."""
+    rng = random.Random(seed)
+    labels = list(range(12))
+    rng.shuffle(labels)
+    blocks = [labels[:3], labels[3:6]] + [[v] for v in labels[6:]]
+    rng.shuffle(blocks)
+    return blocks_in_a_line(blocks, 12), blocks
+
+
+def strong_components_by_reachability(t):
+    """The strong components of t from the vertices each vertex reaches,
+    each component before those it reaches."""
+    reach = []
+    for v in range(t.n):
+        seen, todo = 1 << v, [v]
+        while todo:
+            new = t.succ[todo.pop()] & ~seen
+            seen |= new
+            todo += [u for u in range(t.n) if (new >> u) & 1]
+        reach.append(seen)
+    comps = {sum(1 << u for u in range(t.n) if (reach[v] >> u) & 1 and (reach[u] >> v) & 1)
+             for v in range(t.n)}
+    return sorted(comps, key=lambda c: -reach[(c & -c).bit_length() - 1].bit_count())
+
+
+def components_by_rescans(h):
+    """The connected components as the rescanning loop found them: each
+    grows by every edge that meets it and leaves it, until none does."""
+    seen, out = 0, []
+    for v in range(h.n):
+        if (seen >> v) & 1:
+            continue
+        comp, changed = 1 << v, True
+        while changed:
+            changed = False
+            for e in h.edges:
+                if e & comp and e & ~comp:
+                    comp |= e
+                    changed = True
+        seen |= comp
+        out.append(comp)
+    return out
+
+
+class TestRootSplit:
+    """A root that is not prime over single vertices is split into the
+    connected components of a hypergraph or the strong components of a
+    tournament before any pair other than vertex 0's is closed, and each
+    part runs the engine within it."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stream_shape_closes_few_pairs_each_once(self, monkeypatch, seed):
+        t, blocks = stream_shape(seed)
+        calls = []
+        spy_on_closures(monkeypatch, calls)
+        expected = sorted(sorted(b) for b in blocks)
+        for build, host, label in ((decomposition_tree, c3_structure(t), LABEL_EMPTY),
+                                   (tournament_decomposition_tree, t, LABEL_LINEAR)):
+            tree = build(host)
+            assert tree.root.label == label
+            assert sorted(list(c.members) for c in tree.root.children) == expected
+            # the 11 closures of vertex 0, and 2 of each 3-cycle without it
+            assert len(calls) == len(set(calls)) <= 11 + 2 + 2
+            calls.clear()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_prime_roots_never_reach_the_split(self, monkeypatch, seed):
+        t = random_tournament(14, random.Random(seed))
+        split = []
+        real = decomposition._split
+        monkeypatch.setattr(decomposition, "_split", lambda host: split.append(host) or real(host))
+        for build, host in ((decomposition_tree, c3_structure(t)),
+                            (tournament_decomposition_tree, t)):
+            assert build(host).root.label == LABEL_PRIME
+        assert split == []
+
+    def test_strong_components_of_every_small_tournament(self):
+        for n in range(1, 6):
+            for t in all_tournaments(n):
+                assert decomposition._strong_components(t.succ) == \
+                    strong_components_by_reachability(t), t
+
+    def test_strong_components_of_random_tournaments(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            n = rng.randrange(1, 13)
+            if rng.random() < 0.5:
+                t = random_tournament(n, rng)
+            else:
+                # a linear order with a few nearby arcs reversed
+                succ = list(linear_order(n).succ)
+                for _ in range(rng.randrange(n + 1)):
+                    u = rng.randrange(n)
+                    v = min(n - 1, u + rng.randrange(1, 4))
+                    if u != v:
+                        succ[u] ^= 1 << v
+                        succ[v] ^= 1 << u
+                t = Tournament(n, tuple(succ))
+            assert decomposition._strong_components(t.succ) == \
+                strong_components_by_reachability(t), t
+
+    def test_components_match_the_rescanning_loop(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            h = random_hypergraph(rng.randrange(1, 13), rng)
+            assert [int(c) for c in components(h)] == components_by_rescans(h), h
+
+    def test_each_part_grows_along_the_chain_its_tree_walked(self, monkeypatch):
+        # an empty root over a prime 7-vertex block, a 3-cycle and a vertex
+        blocks = [[1, 3, 5, 7, 9, 10, 0], [2, 4, 6], [8]]
+        arcs = [(u, v) for i, a in enumerate(blocks) for b in blocks[i + 1:]
+                for u in a for v in b]
+        arcs += [(blocks[0][u], blocks[0][v]) for u, v in critical_family("T", 7).arcs()]
+        arcs += [(2, 4), (4, 6), (6, 2)]
+        h = c3_structure(Tournament.from_arcs(11, arcs))
+        walked = []
+        real_chain = decomposition._chain
+        for module in (decomposition, realization):
+            monkeypatch.setattr(module, "_chain", lambda host, close, w:
+                                walked.append(w) or real_chain(host, close, w))
+        assert count_realizations(h) == 2 * 2 * factorial(3)
+        assert sorted(walked) == sorted(sum(1 << v for v in b) for b in blocks[:2])
+
+
+class TestWrongSplit:
+    """A split whose parts are not the components raises instead of
+    building a wrong tree."""
+
+    H = Hypergraph(9, [[0, 1, 2], [3, 4, 5]])
+
+    @pytest.mark.parametrize("first, second", [(0, 1), (2, 3)])
+    def test_merged_components_raise(self, monkeypatch, first, second):
+        real = decomposition.components
+
+        def merged(h):
+            parts = real(h)
+            parts[first] = VertexSet(parts[first] | parts.pop(second))
+            return parts
+        monkeypatch.setattr(decomposition, "components", merged)
+        with pytest.raises(InvariantError, match="empty node under"):
+            decomposition_tree(self.H)
+
+    def test_parts_that_swap_a_vertex_raise(self, monkeypatch):
+        parts = [vs(0, 1, 3), vs(2, 4, 5)] + [VertexSet(1 << v) for v in range(6, 9)]
+        monkeypatch.setattr(decomposition, "components", lambda h: parts)
+        with pytest.raises(InvariantError, match="not a module"):
+            decomposition_tree(self.H)
+
+    def test_parts_that_miss_a_vertex_raise(self, monkeypatch):
+        monkeypatch.setattr(decomposition, "components", lambda h: components(h)[:-1])
+        with pytest.raises(InvariantError, match="partition"):
+            decomposition_tree(self.H)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_merged_strong_components_raise(self, monkeypatch, seed):
+        t, _ = stream_shape(seed)
+        real = decomposition._strong_components
+
+        def merged(succ):
+            parts = real(succ)
+            return [parts[0] | parts[1]] + parts[2:]
+        monkeypatch.setattr(decomposition, "_strong_components", merged)
+        with pytest.raises(InvariantError, match="linear node under"):
+            tournament_decomposition_tree(t)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_swapped_strong_components_raise(self, monkeypatch, seed):
+        t, _ = stream_shape(seed)
+        real = decomposition._strong_components
+
+        def swapped(succ):
+            parts = real(succ)
+            return [parts[1], parts[0]] + parts[2:]
+        monkeypatch.setattr(decomposition, "_strong_components", swapped)
+        with pytest.raises(InvariantError, match="beat every later"):
+            tournament_decomposition_tree(t)
 
 
 class TestRootQuotientIsHost:
