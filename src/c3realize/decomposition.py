@@ -688,7 +688,7 @@ def _tree(host: Hypergraph | Tournament
             prime = len(blocks) >= 3 and hits[m] == crossing
             name = _tournament_label(q, prime) if tournament else _hypergraph_label(host, q, prime)
             if name != LABEL_PRIME and any(built[b].label == name for b in blocks):
-                raise InvariantError(f"{name} node under a {name} node")
+                raise InvariantError(f"{name} node under another {name} node")
         built[m] = TreeNode(m, name, tuple(built.pop(b) for b in blocks), q)
     kind = "tournament" if tournament else "hypergraph"
     return DecompositionTree(built[full], host.n, kind), close, chains
@@ -800,16 +800,17 @@ def components(h: Hypergraph) -> list[VertexSet]:
 
     Two vertices are connected when a chain of pairwise-intersecting edges
     joins them; vertices in no edge are singleton components.  One pass
-    over the edges ORs each into the neighbourhood mask of its smallest
+    over the edges ORs each into the neighbourhood mask of its largest
     vertex, which then passes itself to each of its other neighbours, and
     a breadth-first search over those masks reads each component.
     """
     n = h.n
     near = [1 << v for v in range(n)]
     for e in h.edges:
-        near[(e & -e).bit_length() - 1] |= e
+        near[e.bit_length() - 1] |= e
     for v in range(n):
-        vb, rest = 1 << v, near[v] & ~((2 << v) - 1)
+        vb = 1 << v
+        rest = near[v] & (vb - 1)
         while rest:
             b = rest & -rest
             rest ^= b

@@ -14,7 +14,8 @@ from c3realize import (
     enumerate_modules, enumerate_realizations, enumerate_usual_modules, is_module, is_prime,
     is_strong_module, is_usual_module, linear_order,
     maximal_proper_strong_modules, module_violation, quotient, random_hypergraph,
-    random_tournament, realization, realize, realize_prime, smallest_strong_module_containing, strong_modules,
+    random_tournament, realization, realize, realize_prime,
+    smallest_strong_module_containing, strong_modules,
     tournament_decomposition_tree, tournament_is_module, tournament_is_prime,
     tournament_modules, tournament_pi, tournament_quotient,
     tournament_strong_modules,
@@ -535,24 +536,18 @@ class TestOneClosurePerPair:
             calls.clear()
 
 
-def blocks_in_a_line(blocks, n):
-    """The tournament on 0..n-1 in which the blocks, each a 3-cycle or one
-    vertex, follow one another: every vertex of a block beats every vertex
-    of a later one."""
-    arcs = [(u, v) for i, a in enumerate(blocks) for b in blocks[i + 1:] for u in a for v in b]
-    arcs += [(b[j], b[(j + 1) % 3]) for b in blocks if len(b) == 3 for j in range(3)]
-    return Tournament.from_arcs(n, arcs)
-
-
 def stream_shape(seed):
     """A linear order of 8 blocks, two of them 3-cycles, on 12 shuffled
-    labels, with its blocks."""
+    labels (every vertex of a block beats every vertex of a later one),
+    with its blocks."""
     rng = random.Random(seed)
     labels = list(range(12))
     rng.shuffle(labels)
     blocks = [labels[:3], labels[3:6]] + [[v] for v in labels[6:]]
     rng.shuffle(blocks)
-    return blocks_in_a_line(blocks, 12), blocks
+    arcs = [(u, v) for i, a in enumerate(blocks) for b in blocks[i + 1:] for u in a for v in b]
+    arcs += [(b[j], b[(j + 1) % 3]) for b in blocks if len(b) == 3 for j in range(3)]
+    return Tournament.from_arcs(12, arcs), blocks
 
 
 def strong_components_by_reachability(t):
