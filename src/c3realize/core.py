@@ -31,7 +31,8 @@ class Frozen:
     """The base of the package's value classes: each sets its attributes
     once, in its constructor, through ``object.__setattr__``, after which
     none can be reassigned or deleted.  A copy or an unpickled value is
-    rebuilt from the slots (``_rebuild``), so it is frozen too."""
+    rebuilt from the slots (``_rebuild``), so it is frozen too, as is a
+    value that the package builds from parts it has already checked."""
 
     __slots__ = ()
 
@@ -162,9 +163,7 @@ class Tournament(Frozen):
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Tournament":
         succ = [0] * require_count(n)
-        for u, v in arcs:
-            if not _is_pair(u, v, n):
-                raise PreconditionError(f"invalid arc ({u},{v})")
+        for u, v in _read_pairs(arcs, n, "arc"):
             succ[u] |= 1 << v
         return cls(n, succ)
 
@@ -239,9 +238,18 @@ def _two_way_arc(succ: tuple[int, ...]) -> bool:
     return False
 
 
-def _is_pair(u: object, v: object, n: int) -> bool:
-    """True iff u and v are two distinct int vertex indices in 0..n-1."""
-    return is_int(u) and is_int(v) and 0 <= u < n and 0 <= v < n and u != v
+def _read_pairs(items: Iterable[object], n: int, what: str) -> Iterator[tuple[int, int]]:
+    """The (u, v) items of an arc or edge list, each a tuple or list of two
+    distinct int vertex indices in 0..n-1; any other item raises
+    ``PreconditionError`` ("invalid arc ..." or "invalid edge ..."), before
+    it is unpacked."""
+    for item in items:
+        if not (isinstance(item, (tuple, list)) and len(item) == 2):
+            raise PreconditionError(f"invalid {what} {item!r}")
+        u, v = item
+        if not (is_int(u) and is_int(v) and 0 <= u < n and 0 <= v < n and u != v):
+            raise PreconditionError(f"invalid {what} ({u},{v})")
+        yield u, v
 
 
 class Graph(Frozen):
@@ -251,20 +259,11 @@ class Graph(Frozen):
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         adj = [0] * require_count(n)
-        for u, v in edges:
-            if not _is_pair(u, v, n):
-                raise PreconditionError(f"invalid edge ({u},{v})")
+        for u, v in _read_pairs(edges, n, "edge"):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
-
-    @classmethod
-    def _from_adj(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", adj)
-        return g
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[as_vertex(u, self.n)] >> as_vertex(v, self.n)) & 1)
@@ -327,7 +326,7 @@ def dual(t: Tournament) -> Tournament:
 
 def linear_order(n: int) -> Tournament:
     """The increasing linear order on 0..n-1 (arc p->q for p < q)."""
-    if n < 1:
+    if require_count(n) < 1:
         raise PreconditionError(f"order must be >= 1, got {n}")
     full = full_mask(n)
     succ = tuple(full & ~full_mask(i + 1) for i in range(n))
@@ -353,7 +352,7 @@ def critical_family(kind: str, n: int) -> Tournament:
     """
     if kind not in ("T", "U", "W"):
         raise PreconditionError(f"kind must be one of T, U, W, got {kind!r}")
-    if n % 2 == 0 or n < 5:
+    if require_count(n) % 2 == 0 or n < 5:
         raise PreconditionError(f"order must be odd and >= 5, got {n}")
 
     def reversed_pair(p: int, q: int) -> bool:

@@ -44,7 +44,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .bitset import VertexSet, as_mask, bit_list, full_mask, is_int, iter_bits
-from .core import Frozen, Hypergraph, Tournament, is_linear_order
+from .core import Frozen, Hypergraph, Tournament, _rebuild, is_linear_order
 from .errors import InvariantError, PreconditionError
 from .oracle import _is_module_over, _is_tournament_module
 
@@ -115,10 +115,12 @@ def _hypergraph_closure(h: Hypergraph) -> Closure:
     The span table ``spans[u][b]`` is the union of the edges through u and
     b (``spans[u][u]``, the diagonal, of those through u).  ``close.spans``
     exposes it, so that ``spans[x][v]`` minus x and v is the link of the
-    pair x, v.  On 3-uniform input it is the only table, built in one pass
-    that decodes each edge {a, b, c} once and ORs it into the 9 cells of
-    rows a, b and c, and read within w by cutting a span to w: an edge
-    through u and b lies in H[w] exactly when its third vertex lies in w.
+    pair x, v; only a vertex that lies in an edge has a row of its own
+    (``_span_rows``).  On 3-uniform input it is the only table, built in
+    one pass that decodes each edge {a, b, c} once and ORs it into the 9
+    cells of rows a, b and c, and read within w by cutting a span to w: an
+    edge through u and b lies in H[w] exactly when its third vertex lies
+    in w.
 
     Each member u of the growing set m, with r the smallest vertex of s, is
     spanned once: it absorbs ``spans[u][b] & w`` for each member b spanned
@@ -157,8 +159,7 @@ def _hypergraph_closure(h: Hypergraph) -> Closure:
     """
     if not h.is_3_uniform:
         return _link_closure(h)
-    n = h.n
-    spans = [[0] * n for _ in range(n)]
+    spans = _span_rows(h)
     for e in h.edges:
         low = e & -e
         rest = e ^ low
@@ -176,7 +177,7 @@ def _hypergraph_closure(h: Hypergraph) -> Closure:
         row[a] |= e
         row[b] |= e
         row[c] |= e
-    full = full_mask(n)
+    full = full_mask(h.n)
 
     def close(s: int, w: int = full) -> int:
         r = (s & -s).bit_length() - 1
@@ -234,7 +235,7 @@ def _link_closure(h: Hypergraph) -> Closure:
     """
     n = h.n
     links: list[set[int]] = [set() for _ in range(n)]
-    spans = [[0] * n for _ in range(n)]
+    spans = _span_rows(h)
     for e in h.edges:
         members, rest = [], e
         while rest:
@@ -273,25 +274,39 @@ def _link_closure(h: Hypergraph) -> Closure:
     return close
 
 
+def _span_rows(h: Hypergraph) -> list[list[int]]:
+    """An empty span table: a row of n zeros for each vertex that lies in an
+    edge, and one shared row of zeros, which is only read, for every other
+    vertex, so an input with few edges costs O(n) cells, not n^2.  The
+    union of the edges stops growing at the whole set, which a prime
+    input reaches after a few edges."""
+    n, full, zero = h.n, full_mask(h.n), [0] * h.n
+    covered = 0
+    for e in h.edges:
+        covered |= e
+        if covered == full:
+            break
+    return [[0] * n if covered >> v & 1 else zero for v in range(n)]
+
+
 def _tournament_closure(t: Tournament) -> Closure:
     """The map ``close(s, w)`` from a nonempty set s within w to the smallest
     module of T[w] containing s (w defaults to the whole vertex set).
 
     An outside vertex that splits the set beats exactly one of some member u
     and the first member r, so it lies in succ(u) ^ succ(r); it lies inside
-    every module containing the set and is absorbed.  Within a smaller w the
-    rows are cut to w once per call, so the loop is the same for every w.
+    every module containing the set and is absorbed.  Each absorption is cut
+    to w, the one way the loop reads within w.
     """
     succ = t.succ
     full = full_mask(t.n)
 
     def close(s: int, w: int = full) -> int:
-        rows = succ if w == full else [r & w for r in succ]
-        r_succ = rows[_lowest(s)]
+        r_succ = succ[_lowest(s)]
         m, done = s, 0
         while m != done:
             low = m & ~done & -(m & ~done)
-            m |= rows[low.bit_length() - 1] ^ r_succ
+            m |= (succ[low.bit_length() - 1] ^ r_succ) & w
             done |= low
         return m
 
@@ -563,14 +578,23 @@ def _split(host: Hypergraph | Tournament) -> list[int]:
         parts.sort(key=_lowest)
     else:
         parts = [int(c) for c in components(host)]
-    union = 0
-    for p in parts:
-        if not p or p & union:
-            raise InvariantError("the root's parts do not partition the vertex set")
-        union |= p
-    if union != full_mask(host.n):
-        raise InvariantError("the root's parts do not partition the vertex set")
+    if fault := _partition_fault(parts, host.n):
+        raise InvariantError(f"the root's parts do not partition the vertex set: {fault}")
     return parts
+
+
+def _partition_fault(blocks: list[int], n: int) -> str | None:
+    """Why the vertex sets ``blocks`` do not partition 0..n-1, or None when
+    they do: the first empty block, or one meeting an earlier block, else a
+    vertex in no block."""
+    union = 0
+    for b in blocks:
+        if not b:
+            return "partition blocks must be nonempty"
+        if b & union:
+            return "partition blocks must be disjoint"
+        union |= b
+    return None if union == full_mask(n) else "partition blocks must cover the vertex set"
 
 
 def _strong_components(succ: tuple[int, ...]) -> list[int]:
@@ -715,7 +739,7 @@ def is_prime(host: Hypergraph | Tournament) -> bool:
 
 class ModularPartition(Frozen):
     """A partition of the host's vertices into modules, validated on construction
-    (the engine's own partitions come through ``_of_children`` unchecked).
+    (the engine's own partitions are built by ``core._rebuild`` unchecked).
 
     Blocks are kept in canonical order (by smallest contained vertex).  The
     host may be a hypergraph or a tournament.
@@ -726,30 +750,13 @@ class ModularPartition(Frozen):
     def __init__(self, host: Hypergraph | Tournament, blocks: Iterable[int | Iterable[int]]):
         masks = [as_mask(b, host.n) for b in blocks]
         masks.sort(key=_lowest)
-        union = 0
-        for b in masks:
-            if b == 0:
-                raise PreconditionError("partition blocks must be nonempty")
-            if b & union:
-                raise PreconditionError("partition blocks must be disjoint")
-            union |= b
-        if union != full_mask(host.n):
-            raise PreconditionError("partition blocks must cover the vertex set")
+        if fault := _partition_fault(masks, host.n):
+            raise PreconditionError(fault)
         bad = [b for b in masks if not is_module(host, b)]
         if bad:
             raise PreconditionError(f"block {bit_list(bad[0])} is not a module")
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "blocks", tuple(VertexSet(b) for b in masks))
-
-    @classmethod
-    def _of_children(cls, host: Hypergraph | Tournament, blocks: list[int]) -> "ModularPartition":
-        """The engine's own children of the root, already sorted, and a
-        partition of it as ``_children`` builds them; not re-tested as
-        modules."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "host", host)
-        object.__setattr__(p, "blocks", tuple(VertexSet(b) for b in blocks))
-        return p
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -773,8 +780,9 @@ def maximal_proper_strong_modules(host: Hypergraph | Tournament) -> ModularParti
     strong modules."""
     if host.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    children = _children(host, _closure(host))[0]
-    return ModularPartition._of_children(host, children[full_mask(host.n)])
+    # the engine's children of the root partition it into modules, sorted
+    blocks = _children(host, _closure(host))[0][full_mask(host.n)]
+    return _rebuild(ModularPartition, (host, tuple(VertexSet(b) for b in blocks)))
 
 
 def quotient(host: Hypergraph | Tournament,

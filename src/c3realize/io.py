@@ -23,30 +23,32 @@ __all__ = [
 ]
 
 
-def _load_json(text: str, source: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, source=source, line=exc.lineno, column=exc.colno) from exc
-
-
-def _require_int(value, source: str, path: str, minimum: int = 0) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ParseError(f"expected an integer >= {minimum}, got {value!r}",
-                         source=source, path=path)
+def _require_int(value, source: str, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ParseError(f"expected an integer >= 0, got {value!r}", source=source, path=path)
     return value
 
 
-def parse_hypergraph(text: str, source: str = "<input>") -> Hypergraph:
-    data = _load_json(text, source)
+def _document(text: str, source: str, key: str) -> tuple[int, list]:
+    """``n`` and the list under ``key`` of a JSON object that holds both,
+    checked in this order: the JSON syntax, the object, the two keys, n,
+    the list."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, source=source, line=exc.lineno, column=exc.colno) from exc
     if not isinstance(data, dict):
         raise ParseError("expected a JSON object", source=source, path="$")
-    if "n" not in data or "edges" not in data:
-        raise ParseError('expected keys "n" and "edges"', source=source, path="$")
+    if "n" not in data or key not in data:
+        raise ParseError(f'expected keys "n" and "{key}"', source=source, path="$")
     n = _require_int(data["n"], source, "n")
-    edges = data["edges"]
-    if not isinstance(edges, list):
-        raise ParseError("expected a list of edges", source=source, path="edges")
+    if not isinstance(data[key], list):
+        raise ParseError(f"expected a list of {key}", source=source, path=key)
+    return n, data[key]
+
+
+def parse_hypergraph(text: str, source: str = "<input>") -> Hypergraph:
+    n, edges = _document(text, source, "edges")
     masks = []
     for k, edge in enumerate(edges):
         path = f"edges[{k}]"
@@ -74,15 +76,7 @@ def parse_hypergraph(text: str, source: str = "<input>") -> Hypergraph:
 
 
 def parse_tournament(text: str, source: str = "<input>") -> Tournament:
-    data = _load_json(text, source)
-    if not isinstance(data, dict):
-        raise ParseError("expected a JSON object", source=source, path="$")
-    if "n" not in data or "arcs" not in data:
-        raise ParseError('expected keys "n" and "arcs"', source=source, path="$")
-    n = _require_int(data["n"], source, "n")
-    arcs = data["arcs"]
-    if not isinstance(arcs, list):
-        raise ParseError("expected a list of arcs", source=source, path="arcs")
+    n, arcs = _document(text, source, "arcs")
     # checked before anything of size n is built; with more arcs than pairs
     # the loop below meets a repeated or invalid pair, and with no repeated
     # pair the C(n, 2) or more arcs give each pair exactly one

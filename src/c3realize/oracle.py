@@ -15,7 +15,9 @@ from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits, iter_submasks, remap
+from .bitset import (
+    VertexSet, as_mask, bit_list, full_mask, iter_bits, iter_submasks, remap, require_count,
+)
 from .core import Hypergraph, Tournament
 from .errors import CapacityError, PreconditionError
 
@@ -135,7 +137,7 @@ def all_tournaments(n: int) -> Iterator[Tournament]:
     Bit k of the enumeration counter orients the k-th pair in lexicographic
     order: bit set means low -> high.
     """
-    if n > MAX_EXHAUSTIVE_ORDER:
+    if require_count(n) > MAX_EXHAUSTIVE_ORDER:
         raise CapacityError("exhaustive tournament enumeration", n, MAX_EXHAUSTIVE_ORDER)
     pairs = _pairs(n)
     for code in range(1 << len(pairs)):
@@ -402,7 +404,7 @@ def check_covering_axioms(h: Hypergraph, samples: int = 500, seed: int = 0,
 
 def random_tournament(n: int, rng: random.Random) -> Tournament:
     """A uniformly random tournament on 0..n-1."""
-    succ = [0] * n
+    succ = [0] * require_count(n)
     for i in range(n):
         for j in range(i + 1, n):
             if rng.getrandbits(1):
@@ -415,6 +417,7 @@ def random_tournament(n: int, rng: random.Random) -> Tournament:
 def random_hypergraph(n: int, rng: random.Random, max_edges: int | None = None,
                       sizes: tuple[int, ...] = (2, 3, 4)) -> Hypergraph:
     """A random hypergraph with edge sizes drawn from ``sizes``."""
+    require_count(n)
     if max_edges is None:
         max_edges = max(1, n * 2)
     edges = set()

@@ -58,7 +58,7 @@ from math import factorial, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits, ranks, remap
-from .core import Frozen, Graph, Hypergraph, Tournament, c3_structure
+from .core import Frozen, Graph, Hypergraph, Tournament, _rebuild, c3_structure
 from .decomposition import (
     LABEL_EMPTY, LABEL_PRIME, DecompositionTree, _chain, _hypergraph_closure,
     _is_prime_within, _prime_chain, _tree,
@@ -333,7 +333,7 @@ def _certificate(x: int, ext: Extension) -> ExtensionCertificate:
     verdict, adj, *masks = ext
     n = len(adj)
     down = ranks(full_mask(n) & ~(1 << x), n)
-    g_x = Graph._from_adj(n - 1, tuple(remap(a, down) for v, a in enumerate(adj) if v != x))
+    g_x = _rebuild(Graph, (n - 1, tuple(remap(a, down) for v, a in enumerate(adj) if v != x)))
     return ExtensionCertificate(x, g_x, *(remap(m, down) for m in masks), verdict)
 
 

@@ -14,6 +14,7 @@ from c3realize import (
 from c3realize.bitset import as_mask, ranks, remap
 from c3realize.core import Frozen
 from c3realize.decomposition import is_module
+from c3realize.oracle import all_tournaments, random_hypergraph
 
 C3 = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -176,6 +177,20 @@ class TestTournament:
         with pytest.raises(PreconditionError):
             Tournament(2, [0b10, 0b01])
         with pytest.raises(PreconditionError):
+            Tournament.from_arcs(2, [(0, 0)])
+
+    @pytest.mark.parametrize("succ, fragment", [
+        ("ab", "out-neighbour masks must be ints"),
+        ([0], "need 2 out-neighbour masks"),
+    ])
+    def test_refuses_malformed_successor_rows(self, succ, fragment):
+        with pytest.raises(PreconditionError, match=fragment):
+            Tournament(2, succ)
+
+    def test_arc_messages_name_the_item(self):
+        with pytest.raises(PreconditionError, match=r"invalid arc 5"):
+            Tournament.from_arcs(3, [5])
+        with pytest.raises(PreconditionError, match=r"invalid arc \(0,0\)"):
             Tournament.from_arcs(2, [(0, 0)])
 
     def test_induced_reindexes(self):
@@ -396,8 +411,22 @@ def test_values_copy_and_pickle(make):
     lambda: Hypergraph(2.0, []),
     lambda: Graph(2.0),
     lambda: as_mask(1.5, 2),
+    # each of these built a structure or raised TypeError or ValueError
+    lambda: linear_order(True),
+    lambda: linear_order(3.0),
+    lambda: critical_family("T", 7.0),
+    lambda: random_tournament(-1, random.Random(1)),
+    lambda: random_tournament(True, random.Random(1)),
+    lambda: random_hypergraph(-1, random.Random(1)),
+    lambda: next(all_tournaments(-1)),
+    lambda: Tournament.from_arcs(3, [5]),
+    lambda: Tournament.from_arcs(3, [(0, 1, 2)]),
+    lambda: Graph(3, [(0,)]),
 ], ids=["bool-index", "bool-count", "bool-arc", "bool-edge", "bool-mask", "repeated-index",
-        "float-index", "float-count", "graph-float-count", "float-mask"])
+        "float-index", "float-count", "graph-float-count", "float-mask",
+        "linear_order-bool", "linear_order-float", "critical_family-float",
+        "random_tournament-negative", "random_tournament-bool", "random_hypergraph-negative",
+        "all_tournaments-negative", "arc-not-a-pair", "arc-triple", "edge-single"])
 def test_malformed_indices_and_counts_refused(make):
     with pytest.raises(PreconditionError):
         make()

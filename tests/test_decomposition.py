@@ -154,6 +154,10 @@ class TestModularPartition:
         with pytest.raises(PreconditionError):
             ModularPartition(Hypergraph(3, [[0, 1, 2]]), [[0, 1], [2]])
 
+    def test_refuses_an_empty_block(self):
+        with pytest.raises(PreconditionError, match="must be nonempty"):
+            ModularPartition(Hypergraph(3, []), [[0, 1, 2], []])
+
     def test_validates_cover_and_disjointness(self):
         with pytest.raises(PreconditionError):
             ModularPartition(Hypergraph(3, []), [[0], [1]])
@@ -389,6 +393,14 @@ class TestWideNodes:
         tree = decomposition_tree(Hypergraph(1000, []))
         assert time.perf_counter() - start < 2
         assert tree.to_json() == flat(1000, "◯")
+
+    def test_empty_root_over_10_000_leaves(self):
+        # a vertex in no edge has no span row of its own: the table is not
+        # 10^8 cells
+        start = time.perf_counter()
+        tree = decomposition_tree(Hypergraph(10_000, []))
+        assert time.perf_counter() - start < 2
+        assert tree.to_json() == flat(10_000, "◯")
 
     def test_linear_order_of_40_three_cycles(self):
         k = 40
@@ -692,6 +704,11 @@ class TestWrongSplit:
     def test_parts_that_miss_a_vertex_raise(self, monkeypatch):
         monkeypatch.setattr(decomposition, "components", lambda h: components(h)[:-1])
         with pytest.raises(InvariantError, match="partition"):
+            decomposition_tree(self.H)
+
+    def test_an_empty_part_raises(self, monkeypatch):
+        monkeypatch.setattr(decomposition, "components", lambda h: [VertexSet(0)] + components(h))
+        with pytest.raises(InvariantError, match="partition the vertex set: .* nonempty"):
             decomposition_tree(self.H)
 
     @pytest.mark.parametrize("seed", range(3))

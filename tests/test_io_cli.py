@@ -185,6 +185,12 @@ class TestCli:
                                stdin=stdin, monkeypatch=monkeypatch)
         assert json.loads(out) == {"is_module": True, "violating_edge": None}
 
+    def test_is_module_refuses_a_set_that_is_not_integers(self, capsys, monkeypatch):
+        code, _, err = run_cli(capsys, "is-module", "-", "--set", "0,x",
+                               stdin='{"n": 3, "edges": []}', monkeypatch=monkeypatch)
+        assert code == 2
+        assert "--set" in err
+
     def test_enumerate_with_limit(self, capsys, monkeypatch):
         stdin = '{"n": 3, "edges": []}'
         code, out, _ = run_cli(capsys, "enumerate", "-", stdin=stdin, monkeypatch=monkeypatch)

@@ -23,6 +23,14 @@ def test_no_assert_in_src():
     assert asserts == []
 
 
+def test_values_are_built_without_their_constructor_only_in_core():
+    # core._rebuild, and the fast constructors beside it, are the one place
+    # where a value skips its constructor's checks
+    src = Path(c3realize.__file__).parent
+    found = sorted(path.name for path in src.glob("*.py") if "object.__new__" in path.read_text())
+    assert found == ["core.py"]
+
+
 def test_every_private_definition_is_used_in_src():
     # a private helper kept alive only by tests is dead code: each private
     # function, class or method must be named somewhere in src/ outside its
