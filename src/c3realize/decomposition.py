@@ -21,17 +21,19 @@ two blocks all point one way.  Each internal node keeps its quotient, and
 from beside the tree, which holds only its nodes, so later stages rebuild
 neither.  The sweep counts how many vertex pairs close to each set, and a
 node's prime label is confirmed from that count.  A tree first closes the
-pairs of vertex 0; when all of them close to the whole set, a chain of
-prime sets from a triple through vertex 0 (``_chain``, the one walk of the
-step rule, after Schmerl & Trotter, Discrete Math. 1993) can prove a prime
-root with no other closure.  Otherwise the root is split into the
-connected components of a hypergraph or the strong components of a
-tournament: two or more are the children of an empty (linear) root, and
-each runs the same engine within it, so only pairs within one part are
-closed; a connected root sweeps each remaining pair once.  On 3-uniform
-input the realization of a prime quotient reads the same tables, and a
-prime node over single vertices grows along the chain its tree walked
-within it, so an input needs one closure table and walks no chain twice.
+pairs of vertex 0, in order, and stops at the first that falls short of
+the whole set; when all of them close to it, a chain of prime sets from a
+triple through vertex 0 (``_chain``, the one walk of the step rule, after
+Schmerl & Trotter, Discrete Math. 1993) can prove a prime root with no
+other closure.  Otherwise the root is split into the connected components
+of a hypergraph or the strong components of a tournament: two or more are
+the children of an empty (linear) root, and each runs the same engine
+within it, so only pairs within one part are closed, vertex 0's part
+reusing the closures its pass made; a connected root sweeps each
+remaining pair once.  On 3-uniform input the realization of a prime
+quotient reads the same tables, and a prime node over single vertices
+grows along the chain its tree walked within it, so an input needs one
+closure table and walks no chain twice.
 Nothing here scans vertex subsets: the listers of all modules, whose
 output can have 2^n members, are brute force and live in ``oracle``.
 """
@@ -43,7 +45,7 @@ from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .bitset import VertexSet, as_mask, bit_list, full_mask, is_int, iter_bits
+from .bitset import VertexSet, as_mask, as_vertex, bit_list, full_mask, iter_bits
 from .core import Frozen, Hypergraph, Tournament, _rebuild, is_linear_order
 from .errors import InvariantError, PreconditionError
 from .oracle import _is_module_over, _is_tournament_module
@@ -231,10 +233,13 @@ def _link_closure(h: Hypergraph) -> Closure:
     is skipped.  Cutting a span is exact only on 3-uniform input: an edge
     of four or more vertices through u and b can leave w while another of
     its vertices stays in it.  Trees close mixed-size input within V only
-    (``_chain`` walks only 3-uniform input).
+    (``_chain`` walks only 3-uniform input).  As with the span rows, only a
+    vertex that lies in an edge gets a set of links of its own; every other
+    vertex shares one empty set, which is only read.
     """
     n = h.n
-    links: list[set[int]] = [set() for _ in range(n)]
+    none: frozenset[int] = frozenset()
+    links: list[frozenset[int] | set[int]] = [none] * n
     spans = _span_rows(h)
     for e in h.edges:
         members, rest = [], e
@@ -243,6 +248,8 @@ def _link_closure(h: Hypergraph) -> Closure:
             members.append(low.bit_length() - 1)
             rest ^= low
         for u in members:
+            if links[u] is none:
+                links[u] = set()
             links[u].add(e ^ (1 << u))
             row = spans[u]
             for b in members:
@@ -475,20 +482,28 @@ def _children(host: Hypergraph | Tournament, close: Closure
     (``hits[c]`` is the number of vertex pairs closed to c) and the chains
     of prime sets walked, each keyed by the set it was walked within.
 
-    The pairs of vertex 0 are closed first.  When all of them close to the
-    whole set V, the chain within V (``_chain``) is walked.  When it
-    reaches V, the host is prime, since each set of the chain is.  Then
-    every pair closes to V, so V has the n single vertices as children and
-    ``hits[V] = n(n - 1)/2`` is a fact, not a count, and no other pair is
-    closed.  Vertex 0's pairs are closed before the chain is walked, and
-    that pass is not redundant: a chain that starts from a 3-cycle block
-    stalls only after all of its pair tests, which the n - 1 closures skip
-    whenever one of them falls short of V.  A copy that walked the chain
-    first (32 inputs of seed 23 from ``bench/workloads.py``, medians of
-    four alternating runs of best of 7, shared 2-core VM, Python 3.11.7)
-    took ``decomposition_tree`` on ``stream``-shaped inputs from 0.32 to
-    0.39 ms (+19 %) and on their tournaments from 0.21 to 0.27 ms (+30 %),
-    against 0.34 to 0.30 ms and 0.15 to 0.11 ms on ``prime``-shaped ones.
+    The pairs {0, y} of vertex 0 are closed first, in order of y, and the
+    pass stops at the first closure that falls short of the whole set V:
+    one such closure already shows that not every pair closes to V, which
+    is all the pass asks.  When all n - 1 of them close to V, the chain
+    within V (``_chain``) is walked.  When it reaches V, the host is prime,
+    since each set of the chain is.  Then every pair closes to V, so V has
+    the n single vertices as children and ``hits[V] = n(n - 1)/2`` is a
+    fact, not a count, and no other pair is closed.  A prime root closes
+    all n - 1 pairs, so the stop saves nothing there; a degenerate root
+    usually stops at {0, 1}.  ``tournament_decomposition_tree`` of a linear
+    order closes that one pair, not n - 1, each closure walking the closed
+    set one member at a time: 12 to 0.8 ms at n = 250 and 230 to 4 ms at
+    n = 1000 (best of 3, shared 2-core VM, Python 3.11.7).  The pass comes
+    before the chain: a chain that starts from a 3-cycle block stalls only
+    after all of its pair tests, which the pass skips whenever a closure
+    falls short of V.  A copy that walked the chain first, measured
+    against a pass of all n - 1 closures (32 inputs of seed 23 from
+    ``bench/workloads.py``, medians of four alternating runs of best of 7,
+    same VM), took ``decomposition_tree`` on ``stream``-shaped inputs from
+    0.32 to 0.39 ms (+19 %) and on their tournaments from 0.21 to 0.27 ms
+    (+30 %), against 0.34 to 0.30 ms and 0.15 to 0.11 ms on
+    ``prime``-shaped ones; the stop only widens that gap.
 
     Otherwise, before any other pair is closed, the root is split
     (``_split``) into the connected components of a hypergraph or the
@@ -519,12 +534,13 @@ def _children(host: Hypergraph | Tournament, close: Closure
 
     Each part of two or more vertices then runs the engine within it,
     ``_nodes_within``: the closures of the pairs of its smallest vertex
-    (the part holding vertex 0 reuses those of the root's pass, so no pair
-    is closed twice), the chain within the part when they all reach it, and
-    the sweep of its pairs.  Closures are taken within V: a pair in a
-    module closes inside it, to the same set as within it.  A connected
-    root is one part, whose every remaining pair is swept.
-    Mixed-size input has no chain and keeps the sweep.
+    (the part holding vertex 0 reuses those the root's pass made and closes
+    only its pairs the pass did not reach, so no pair is closed twice; the
+    pass's pairs that leave the part go unused), the chain within the part
+    when they all reach it, and the sweep of its pairs.  Closures are taken
+    within V: a pair in a module closes inside it, to the same set as
+    within it.  A connected root is one part, whose every remaining pair is
+    swept.  Mixed-size input has no chain and keeps the sweep.
 
     A wrong split raises ``InvariantError`` rather than build a wrong tree:
     ``_split`` checks that the parts partition V and, for a tournament,
@@ -538,8 +554,12 @@ def _children(host: Hypergraph | Tournament, close: Closure
     n, full = host.n, full_mask(host.n)
     out: dict[int, list[int]] = {1 << v: [] for v in range(n)}
     chains: dict[int, list] = {}
-    first = [close(1 | (1 << y)) for y in range(1, n)]
-    if first.count(full) == n - 1:
+    first: dict[int, int] = {}
+    for y in range(1, n):
+        first[y] = close(1 | (1 << y))
+        if first[y] != full:
+            break
+    else:
         chain = chains[full] = list(_chain(host, close, full))
         if _reaches(chain, full):
             out[full] = list(out)
@@ -552,7 +572,7 @@ def _children(host: Hypergraph | Tournament, close: Closure
         if p == low:
             continue
         if low == 1:
-            own = [first[y - 1] for y in iter_bits(p ^ 1)]
+            own = [first[y] if y in first else close(1 | (1 << y)) for y in iter_bits(p ^ 1)]
         else:
             own = [close(low | (1 << y)) for y in iter_bits(p ^ low)]
         hits.update(_nodes_within(host, close, p, own, out, top, chains))
@@ -765,10 +785,12 @@ class ModularPartition(Frozen):
         return iter(self.blocks)
 
     def block_of(self, v: int) -> int:
-        """The index of the block holding vertex v, an int in 0..n-1 (the
-        rule of ``bitset.as_mask``)."""
-        if not (is_int(v) and 0 <= v < self.host.n):
-            raise PreconditionError(f"vertex {v!r} not covered")
+        """The index of the block holding vertex v, an int in 0..n-1 (read
+        by ``bitset.as_vertex``)."""
+        try:
+            v = as_vertex(v, self.host.n)
+        except PreconditionError:
+            raise PreconditionError(f"vertex {v!r} not covered") from None
         return next(i for i, b in enumerate(self.blocks) if (b >> v) & 1)
 
     def __repr__(self) -> str:

@@ -135,10 +135,16 @@ def all_tournaments(n: int) -> Iterator[Tournament]:
     """All 2^(n(n-1)/2) tournaments on 0..n-1.
 
     Bit k of the enumeration counter orients the k-th pair in lexicographic
-    order: bit set means low -> high.
+    order: bit set means low -> high.  The count and the cap are checked
+    when this is called, before the first tournament is asked for.
     """
     if require_count(n) > MAX_EXHAUSTIVE_ORDER:
         raise CapacityError("exhaustive tournament enumeration", n, MAX_EXHAUSTIVE_ORDER)
+    return _all_tournaments(n)
+
+
+def _all_tournaments(n: int) -> Iterator[Tournament]:
+    """The tournaments of ``all_tournaments``, for a checked n."""
     pairs = _pairs(n)
     for code in range(1 << len(pairs)):
         succ = [0] * n

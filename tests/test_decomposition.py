@@ -382,7 +382,8 @@ class TestWideNodes:
 
     def test_linear_order_1000(self):
         # not strongly connected: the root is split into 1000 single
-        # vertices after the closures of vertex 0
+        # vertices after the closure of {0, 1}, the first of vertex 0's
+        # pairs and the first to fall short of the whole set
         start = time.perf_counter()
         tree = tournament_decomposition_tree(linear_order(1000))
         assert time.perf_counter() - start < 2
@@ -534,11 +535,11 @@ class TestOneClosurePerPair:
 
     def test_trees_that_are_not_prime_close_each_pair_once(self, monkeypatch):
         # an empty root over two prime triples, split by its components:
-        # the five closures of vertex 0 and two of vertex 3; and a prime
-        # root over a 3-cycle and four single vertices, which is connected
-        # and closes every pair
+        # vertex 0's pass stops at {0, 1}, which closes to {0, 1, 2}, then
+        # {0, 2} and two pairs of vertex 3; and a prime root over a 3-cycle
+        # and four single vertices, which is connected and closes every pair
         t = TestCountGuard.T
-        hosts = [(Hypergraph(6, [[0, 1, 2], [3, 4, 5]]), 7), (c3_structure(t), 21), (t, 21)]
+        hosts = [(Hypergraph(6, [[0, 1, 2], [3, 4, 5]]), 4), (c3_structure(t), 21), (t, 21)]
         calls = []
         spy_on_closures(monkeypatch, calls)
         for host, closures in hosts:
@@ -546,6 +547,53 @@ class TestOneClosurePerPair:
             assert not all(c.is_leaf for c in tree.root.children)
             assert len(calls) == len(set(calls)) == closures
             calls.clear()
+
+    def test_flat_1000_vertex_roots_close_one_pair(self, monkeypatch):
+        # {0, 1} is a module of both, so it stops vertex 0's pass, and the
+        # split finds 1000 single vertices
+        calls = []
+        spy_on_closures(monkeypatch, calls)
+        for build, host, label in ((decomposition_tree, Hypergraph(1000, []), "◯"),
+                                   (tournament_decomposition_tree, linear_order(1000), "linear")):
+            assert build(host).to_json() == flat(1000, label)
+            assert calls == [(0b11,)]
+            calls.clear()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vertex_0_pass_stops_at_its_first_short_pair(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        t, _ = stream_shape(seed)
+        prime = random_tournament(rng.randrange(5, 13), rng)
+        hosts = [t, c3_structure(t), prime, c3_structure(prime),
+                 random_hypergraph(rng.randrange(2, 13), rng),
+                 random_hypergraph(rng.randrange(2, 13), rng, sizes=(3,))]
+        passes = [vertex_0_pass(host) for host in hosts]
+        calls = []
+        spy_on_closures(monkeypatch, calls)
+        for host, expected in zip(hosts, passes):
+            decomposition_tree(host)
+            assert calls[:len(expected)] == expected
+            assert len(set(calls)) == len(calls)
+            # after the pass, only pairs of vertex 0 within its component
+            if isinstance(host, Tournament):
+                parts = strong_components_by_reachability(host)
+            else:
+                parts = components(host)
+            part = next(int(p) for p in parts if int(p) & 1)
+            assert all(s & ~part == 0 for s, *w in calls[len(expected):] if s & 1 and not w)
+            calls.clear()
+
+
+def vertex_0_pass(host):
+    """The closures vertex 0's pass should make: {0, y} for y = 1, 2, ...,
+    up to the first that does not close to the whole set."""
+    close, full = decomposition._closure(host), (1 << host.n) - 1
+    out = []
+    for y in range(1, host.n):
+        out.append((1 | 1 << y,))
+        if close(1 | 1 << y) != full:
+            break
+    return out
 
 
 def stream_shape(seed):
@@ -614,8 +662,11 @@ class TestRootSplit:
             tree = build(host)
             assert tree.root.label == label
             assert sorted(list(c.members) for c in tree.root.children) == expected
-            # the 11 closures of vertex 0, and 2 of each 3-cycle without it
-            assert len(calls) == len(set(calls)) <= 11 + 2 + 2
+            # {0, 1} falls short of the whole set, which stops vertex 0's
+            # pass; then each 3-cycle closes the 2 pairs of its smallest
+            # vertex (at these seeds 1 lies outside vertex 0's block, so
+            # {0, 1} is not one of them)
+            assert len(calls) == len(set(calls)) == 5
             calls.clear()
 
     @pytest.mark.parametrize("seed", range(4))

@@ -99,3 +99,9 @@ def test_tree_of_an_edgeless_3000_vertex_hypergraph_has_no_square_table():
     # vertices in no edge share one zero span row: about 3 MB here, against
     # 72 MB for 3000 rows of 3000 cells
     assert traced_peak(decomposition_tree, Hypergraph(3000, [])) < 8_000_000
+
+
+def test_link_closure_of_a_3000_vertex_hypergraph_with_one_edge_has_no_set_per_vertex():
+    # mixed-size input keeps link sets, but a vertex in no edge shares one
+    # empty set: about 0.12 MB here, against 0.77 MB for 3000 empty sets
+    assert traced_peak(_hypergraph_closure, Hypergraph(3000, [[0, 1]])) < 200_000

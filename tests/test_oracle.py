@@ -7,7 +7,7 @@ import pytest
 
 import c3realize
 from c3realize import (
-    CapacityError, Hypergraph, c3_structure, check_covering_axioms,
+    CapacityError, Hypergraph, PreconditionError, c3_structure, check_covering_axioms,
     check_partitive, count_realizations, critical_family,
     brute_force_realizations, all_tournaments, random_hypergraph,
     random_tournament,
@@ -31,6 +31,13 @@ class TestAllTournaments:
     def test_capacity(self):
         with pytest.raises(CapacityError, match="7"):
             next(all_tournaments(8))
+
+    def test_arguments_are_checked_when_called(self):
+        # no next(): the count and the cap are checked before the first item
+        with pytest.raises(CapacityError, match="7"):
+            all_tournaments(99)
+        with pytest.raises(PreconditionError, match="vertex count"):
+            all_tournaments(-1)
 
 
 class TestBruteForceRealizations:
