@@ -20,16 +20,18 @@ two blocks all point one way.  Each internal node keeps its quotient, and
 ``_tree`` hands realization the closure and the chains the tree was read
 from beside the tree, which holds only its nodes, so later stages rebuild
 neither.  The sweep counts how many vertex pairs close to each set, and a
-node's prime label is confirmed from that count.  A tree first closes the
-pairs of vertex 0, in order, and stops at the first that falls short of
-the whole set; when all of them close to it, a chain of prime sets from a
-triple through vertex 0 (``_chain``, the one walk of the step rule, after
-Schmerl & Trotter, Discrete Math. 1993) can prove a prime root with no
-other closure.  Otherwise the root is split into the connected components
+node's prime label is confirmed from that count.  One routine
+(``_nodes_within``) closes every pair of a tree, on the whole set and on
+each part of a split root alike: it closes the pairs of the module's
+smallest vertex, in order, and stops at the first that falls short of the
+module; when all of them close to it, a chain of prime sets from a triple
+through that vertex (``_chain``, the one walk of the step rule, after
+Schmerl & Trotter, Discrete Math. 1993) can prove it prime with no other
+closure.  Otherwise the root alone is split into the connected components
 of a hypergraph or the strong components of a tournament: two or more are
-the children of an empty (linear) root, and each runs the same engine
+the children of an empty (linear) root, and each runs the same routine
 within it, so only pairs within one part are closed, vertex 0's part
-reusing the closures its pass made; a connected root sweeps each
+reusing the closures its pass made; any other module sweeps each
 remaining pair once.  On 3-uniform input the realization of a prime
 quotient reads the same tables, and a prime node over single vertices
 grows along the chain its tree walked within it, so an input needs one
@@ -480,35 +482,47 @@ def _children(host: Hypergraph | Tournament, close: Closure
     """Each nonempty strong module's children (its maximal proper strong
     modules, by smallest vertex), every child before its parent, ``hits``
     (``hits[c]`` is the number of vertex pairs closed to c) and the chains
-    of prime sets walked, each keyed by the set it was walked within.
+    of prime sets walked, each keyed by the set it was walked within: the
+    single vertices, and above them ``_nodes_within`` the whole set."""
+    n = host.n
+    out: dict[int, list[int]] = {1 << v: [] for v in range(n)}
+    chains: dict[int, list] = {}
+    if n < 2:
+        return out, Counter(), chains
+    top = [1 << v for v in range(n)]
+    return out, _nodes_within(host, close, full_mask(n), [], out, top, chains), chains
 
-    The pairs {0, y} of vertex 0 are closed first, in order of y, and the
-    pass stops at the first closure that falls short of the whole set V:
-    one such closure already shows that not every pair closes to V, which
-    is all the pass asks.  When all n - 1 of them close to V, the chain
-    within V (``_chain``) is walked.  When it reaches V, the host is prime,
-    since each set of the chain is.  Then every pair closes to V, so V has
-    the n single vertices as children and ``hits[V] = n(n - 1)/2`` is a
-    fact, not a count, and no other pair is closed.  A prime root closes
-    all n - 1 pairs, so the stop saves nothing there; a degenerate root
-    usually stops at {0, 1}.  ``tournament_decomposition_tree`` of a linear
-    order closes that one pair, not n - 1, each closure walking the closed
-    set one member at a time: 12 to 0.8 ms at n = 250 and 230 to 4 ms at
-    n = 1000 (best of 3, shared 2-core VM, Python 3.11.7).  The pass comes
+
+def _nodes_within(host: Hypergraph | Tournament, close: Closure, w: int, made: list[int],
+                  out: dict[int, list[int]], top: list[int], chains: dict[int, list]
+                  ) -> Counter[int]:
+    """The engine within the module w of two or more vertices: adds the
+    strong modules within w to ``out`` and returns how many pairs of w
+    closed to each set.  ``made`` holds the closures already made of the
+    pairs {r, y}, r the smallest vertex of w, for the first ``len(made)``
+    other members y, and grows to all of them; the whole set V starts with
+    none.  Closures are taken within V: a pair in a module closes inside
+    it, to the same set as within it.  Every pair of a tree is closed here,
+    and each at most once.
+
+    The pass closes {r, y} in order of y and stops at the first closure
+    that is not w: one such closure already shows that not every pair
+    closes to w, which is all the pass asks.  When all k - 1 of them reach
+    w, the chain within w (``_chain``) is walked and kept in ``chains``.
+    When it reaches w, H[w] is prime, since each set of the chain is.  Then
+    every pair closes to w, so w has its k single vertices as children and
+    ``hits[w] = k(k - 1)/2`` is a fact, not a count, and no other pair is
+    closed.  A prime w closes all k - 1 pairs, so the stop saves nothing
+    there; a degenerate one usually stops at its first pair, and a linear
+    order or an edgeless hypergraph closes {0, 1} alone.  The pass comes
     before the chain: a chain that starts from a 3-cycle block stalls only
     after all of its pair tests, which the pass skips whenever a closure
-    falls short of V.  A copy that walked the chain first, measured
-    against a pass of all n - 1 closures (32 inputs of seed 23 from
-    ``bench/workloads.py``, medians of four alternating runs of best of 7,
-    same VM), took ``decomposition_tree`` on ``stream``-shaped inputs from
-    0.32 to 0.39 ms (+19 %) and on their tournaments from 0.21 to 0.27 ms
-    (+30 %), against 0.34 to 0.30 ms and 0.15 to 0.11 ms on
-    ``prime``-shaped ones; the stop only widens that gap.
+    falls short of w (CHANGES.md gives the timings that chose this order).
 
-    Otherwise, before any other pair is closed, the root is split
-    (``_split``) into the connected components of a hypergraph or the
-    strong components of a tournament.  Two or more parts are the children
-    of an empty (linear) root, which is exact:
+    Otherwise, at the root w = V only, before any other pair is closed, V
+    is split (``_split``) into the connected components of a hypergraph or
+    the strong components of a tournament.  Two or more parts are the
+    children of an empty (linear) root, which is exact:
 
     - Each component C is a module: no edge leaves it.
     - Each component C is strong.  Let a module M overlap C and hold z
@@ -530,17 +544,28 @@ def _children(host: Hypergraph | Tournament, close: Closure
     more, but not all, is a module only when consecutive, and then
     overlaps the union of its last one with the next (or of its first one
     with the one before).  The root's quotient, on the smallest vertex of
-    each part, then has no edge (is transitive).
+    each part, then has no edge (is transitive).  Each part of two or more
+    vertices runs this routine within it: the part holding vertex 0 is
+    handed the closures of the pass that lie within it and closes only
+    its pairs the pass did not reach, so no pair is closed twice, and the
+    pass's pairs that leave it go unused.
 
-    Each part of two or more vertices then runs the engine within it,
-    ``_nodes_within``: the closures of the pairs of its smallest vertex
-    (the part holding vertex 0 reuses those the root's pass made and closes
-    only its pairs the pass did not reach, so no pair is closed twice; the
-    pass's pairs that leave the part go unused), the chain within the part
-    when they all reach it, and the sweep of its pairs.  Closures are taken
-    within V: a pair in a module closes inside it, to the same set as
-    within it.  A connected root is one part, whose every remaining pair is
-    swept.  Mixed-size input has no chain and keeps the sweep.
+    Otherwise (a connected root, or any w below the root) the rest of r's
+    pairs are closed, then every other pair of w once, and the distinct
+    closures, smallest first, are swept, keeping ``top[v]``, the largest
+    node built so far that contains v; the tops partition the vertex set.
+    This is exact: a pair closure is a strong module, or a union of two or
+    more (not all) children of a node whose quotient is degenerate (empty,
+    complete or linear); no strong module overlaps a module; and a node of
+    two or more vertices is itself a pair closure unless it is degenerate
+    with three or more children, which its smaller closures join.  A
+    closure inside the top of its smallest vertex adds nothing.  Otherwise
+    each top it meets becomes a child of a new node, except a top that
+    sticks out of it: that top is a union of children of a degenerate
+    node, so it stops being a node and the new node takes its children.
+    When the sweep ends, each such union has grown to its whole node and
+    the only top within w is w.  Mixed-size input has no chain and is
+    always swept.
 
     A wrong split raises ``InvariantError`` rather than build a wrong tree:
     ``_split`` checks that the parts partition V and, for a tournament,
@@ -551,34 +576,47 @@ def _children(host: Hypergraph | Tournament, close: Closure
     ``_tree`` refuses a part whose own root is degenerate with the root's
     label (a part that merges two components).
     """
-    n, full = host.n, full_mask(host.n)
-    out: dict[int, list[int]] = {1 << v: [] for v in range(n)}
-    chains: dict[int, list] = {}
-    first: dict[int, int] = {}
-    for y in range(1, n):
-        first[y] = close(1 | (1 << y))
-        if first[y] != full:
-            break
-    else:
-        chain = chains[full] = list(_chain(host, close, full))
-        if _reaches(chain, full):
-            out[full] = list(out)
-            return out, Counter({full: n * (n - 1) // 2}), chains
-    parts = _split(host)
-    top = [1 << v for v in range(n)]
-    hits: Counter[int] = Counter()
-    for p in parts:
-        low = p & -p
-        if p == low:
-            continue
-        if low == 1:
-            own = [first[y] if y in first else close(1 | (1 << y)) for y in iter_bits(p ^ 1)]
+    members = bit_list(w)
+    r, k = 1 << members[0], len(members)
+    if made.count(w) == len(made):
+        for y in members[len(made) + 1:]:
+            made.append(close(r | (1 << y)))
+            if made[-1] != w:
+                break
         else:
-            own = [close(low | (1 << y)) for y in iter_bits(p ^ low)]
-        hits.update(_nodes_within(host, close, p, own, out, top, chains))
-    if len(parts) > 1:
-        out[full] = parts
-    return out, hits, chains
+            chain = chains[w] = list(_chain(host, close, w))
+            if _reaches(chain, w):
+                out[w] = [1 << v for v in members]
+                return Counter({w: k * (k - 1) // 2})
+    if w == full_mask(host.n) and len(parts := _split(host)) > 1:
+        hits: Counter[int] = Counter()
+        for p in parts:
+            if p & (p - 1):
+                own = [c for y, c in zip(members[1:], made) if p >> y & 1] if p & r else []
+                hits.update(_nodes_within(host, close, p, own, out, top, chains))
+        out[w] = parts
+        return hits
+    made += [close(r | (1 << y)) for y in members[len(made) + 1:]]
+    hits = Counter(made)
+    hits.update(close((1 << x) | (1 << y)) for x, y in combinations(members[1:], 2))
+    for c in sorted(hits, key=int.bit_count):
+        if c & ~top[_lowest(c)] == 0:
+            continue
+        node, blocks, rest = c, [], c
+        while rest:
+            t = top[_lowest(rest)]
+            if t & ~c:
+                node |= t
+                blocks += out.pop(t)
+            else:
+                blocks.append(t)
+            rest &= ~t
+        out[node] = sorted(blocks, key=_lowest)
+        for v in iter_bits(node):
+            top[v] = node
+    if top[_lowest(w)] != w:
+        raise InvariantError("a part of the root's split is not a module")
+    return hits
 
 
 def _split(host: Hypergraph | Tournament) -> list[int]:
@@ -639,61 +677,6 @@ def _strong_components(succ: tuple[int, ...]) -> list[int]:
     return parts
 
 
-def _nodes_within(host: Hypergraph | Tournament, close: Closure, w: int, first: list[int],
-                  out: dict[int, list[int]], top: list[int], chains: dict[int, list]
-                  ) -> Counter[int]:
-    """The engine within the module w of two or more vertices, given
-    ``first``, the closures of the pairs of its smallest vertex r: adds
-    the strong modules within w to ``out``, and returns how many pairs of
-    w closed to each set.
-
-    When every pair of r closes to w and no chain was walked within w yet,
-    the chain within w is walked and kept in ``chains``; when it reaches w,
-    w is prime over single vertices.  Otherwise every other pair of w is
-    closed once, and the distinct closures, smallest first, are swept,
-    keeping ``top[v]``, the largest node built so far that contains v; the
-    tops partition the vertex set.  This is exact: a pair closure is a
-    strong module, or a union of two or more (not all) children of a node
-    whose quotient is degenerate (empty, complete or linear); no strong
-    module overlaps a module; and a node of two or more vertices is itself
-    a pair closure unless it is degenerate with three or more children,
-    which its smaller closures join.  A closure inside the top of its
-    smallest vertex adds nothing.  Otherwise each top it meets becomes a
-    child of a new node, except a top that sticks out of it: that top is a
-    union of children of a degenerate node, so it stops being a node and
-    the new node takes its children.  When the sweep ends, each such union
-    has grown to its whole node and the only top within w is w, else w was
-    not a module and ``InvariantError`` is raised.
-    """
-    k = w.bit_count()
-    if w not in chains and first.count(w) == k - 1:
-        chain = chains[w] = list(_chain(host, close, w))
-        if _reaches(chain, w):
-            out[w] = [1 << v for v in iter_bits(w)]
-            return Counter({w: k * (k - 1) // 2})
-    low = w & -w
-    hits = Counter(first)
-    hits.update(close((1 << x) | (1 << y)) for x, y in combinations(bit_list(w ^ low), 2))
-    for c in sorted(hits, key=int.bit_count):
-        if c & ~top[_lowest(c)] == 0:
-            continue
-        node, blocks, rest = c, [], c
-        while rest:
-            t = top[_lowest(rest)]
-            if t & ~c:
-                node |= t
-                blocks += out.pop(t)
-            else:
-                blocks.append(t)
-            rest &= ~t
-        out[node] = sorted(blocks, key=_lowest)
-        for v in iter_bits(node):
-            top[v] = node
-    if top[_lowest(w)] != w:
-        raise InvariantError("a part of the root's split is not a module")
-    return hits
-
-
 def _tree(host: Hypergraph | Tournament
           ) -> tuple[DecompositionTree, Closure, dict[int, list]]:
     """The inclusion tree of the strong modules, built bottom-up, with the
@@ -738,9 +721,10 @@ def _tree(host: Hypergraph | Tournament
     return DecompositionTree(built[full], host.n, kind), close, chains
 
 
-def is_strong_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
-    """True iff the set is a module overlapping no other module of ``h``."""
-    return as_mask(vertices, h.n) in strong_modules(h)
+def is_strong_module(host: Hypergraph | Tournament, vertices: int | Iterable[int]) -> bool:
+    """True iff the set is a module overlapping no other module of a
+    hypergraph or a tournament."""
+    return as_mask(vertices, host.n) in strong_modules(host)
 
 
 def strong_modules(host: Hypergraph | Tournament) -> frozenset[VertexSet]:
@@ -995,10 +979,11 @@ def decomposition_tree(host: Hypergraph | Tournament) -> DecompositionTree:
     return _tree(host)[0]
 
 
-def smallest_strong_module_containing(h: Hypergraph,
+def smallest_strong_module_containing(host: Hypergraph | Tournament,
                                       vertices: int | Iterable[int]) -> VertexSet:
-    """The intersection of all strong modules containing the given set."""
-    return decomposition_tree(h).lowest_node_containing(vertices).members
+    """The intersection of all strong modules of a hypergraph or a
+    tournament containing the given set."""
+    return decomposition_tree(host).lowest_node_containing(vertices).members
 
 
 # --- tournament analogues ------------------------------------------------------

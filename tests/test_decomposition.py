@@ -879,3 +879,83 @@ class TestTreeIsAPlainValue:
             tracemalloc.stop()
         assert tree.root.label == LABEL_PRIME
         assert held < 64 * 2**10
+
+
+class TestOneRoutinePerModule:
+    """Every pair of a tree is closed by one routine, on the root and on
+    each part of a split root alike."""
+
+    def test_pass_over_a_vertex_outside_vertex_0_s_part(self, monkeypatch):
+        # {0, 1} closes to V (the union of the two components), {0, 2} falls
+        # short of V and stops the pass, and vertex 0's part reuses it
+        h = Hypergraph(6, [[0, 2, 4], [1, 3, 5]])
+        calls = []
+        spy_on_closures(monkeypatch, calls)
+        tree = decomposition_tree(h)
+        assert calls == [(0b11,), (0b101,), (0b10001,), (0b1010,), (0b100010,)]
+        assert tree.root.label == LABEL_EMPTY
+        assert [list(c.members) for c in tree.root.children] == [[0, 2, 4], [1, 3, 5]]
+        assert all(c.label == LABEL_PRIME and len(c.children) == 3
+                   for c in tree.root.children)
+
+    def test_isolated_vertex_0_whose_pairs_all_close_to_the_root(self, monkeypatch):
+        # every pair of vertex 0 closes to V, and vertex 0 lies in no edge,
+        # so the chain has no base; the root still splits
+        h = Hypergraph(5, [[1, 2, 3], [2, 3, 4]])
+        close = decomposition._closure(h)
+        assert all(close(1 | 1 << y) == 0b11111 for y in range(1, 5))
+        calls = []
+        spy_on_closures(monkeypatch, calls)
+        tree = decomposition_tree(h)
+        assert len(calls) == len(set(calls)) == 10
+        assert tree.to_json() == {
+            "module": [0, 1, 2, 3, 4], "label": "◯", "children": [
+                {"module": [0], "label": None, "children": []},
+                {"module": [1, 2, 3, 4], "label": "△", "children": [
+                    {"module": [1, 4], "label": "◯", "children": [
+                        {"module": [1], "label": None, "children": []},
+                        {"module": [4], "label": None, "children": []}]},
+                    {"module": [2], "label": None, "children": []},
+                    {"module": [3], "label": None, "children": []}]}]}
+
+
+class TestOrdersBelowTwo:
+    HOSTS = [(Hypergraph, lambda n: Hypergraph(n, [])),
+             (Tournament, lambda n: Tournament(n, [0] * n))]
+
+    @pytest.mark.parametrize("kind, make", HOSTS)
+    def test_strong_modules(self, kind, make):
+        assert strong_modules(make(0)) == {vs()}
+        assert strong_modules(make(1)) == {vs(), vs(0)}
+
+    @pytest.mark.parametrize("kind, make", HOSTS)
+    def test_not_prime(self, kind, make):
+        assert not is_prime(make(0))
+        assert not is_prime(make(1))
+
+    @pytest.mark.parametrize("kind, make", HOSTS)
+    def test_trees(self, kind, make):
+        build = tournament_decomposition_tree if kind is Tournament else decomposition_tree
+        tree = build(make(1))
+        assert tree.root.is_leaf and list(tree.root.members) == [0]
+        with pytest.raises(PreconditionError):
+            build(make(0))
+
+
+class TestStrongModuleHelpersOnTournaments:
+    def tournaments(self):
+        for n in range(1, 5):
+            yield from all_tournaments(n)
+        rng = random.Random(31)
+        for n in (5, 6):
+            for _ in range(20):
+                yield random_tournament(n, rng)
+
+    def test_against_the_tournament_tree(self):
+        for t in self.tournaments():
+            strong = tournament_strong_modules(t)
+            tree = tournament_decomposition_tree(t)
+            for s in range(1, 1 << t.n):
+                assert is_strong_module(t, s) == (VertexSet(s) in strong), (t, s)
+                assert smallest_strong_module_containing(t, s) == \
+                    tree.lowest_node_containing(s).members, (t, s)

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import c3realize
@@ -87,3 +88,14 @@ def test_public_functions_take_no_private_parameters():
                              + [a.vararg, a.kwarg] if x is not None]
                     found += [(node.name, name) for name in names if name.startswith("_")]
     assert sorted(set(found) - PRIVATE_PARAMETERS_ALLOWED.keys()) == []
+
+
+def test_no_timings_in_src():
+    # a timing belongs in a committed bench file or in CHANGES.md, where its
+    # hardware and method are given, not in the code it measured
+    src = Path(c3realize.__file__).parent
+    timing = re.compile(r"\d\s*(ms|µs|us)\b|best of|core VM")
+    found = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if timing.search(line)]
+    assert found == []
