@@ -2,7 +2,7 @@
 
 Everything here avoids the decomposition/realization pipeline on purpose:
 realizations are found by scanning all orientations, modules by scanning
-all vertex subsets (up to ``bound`` vertices, since there can be 2^n),
+all vertex subsets (up to ``DEFAULT_BOUND`` vertices, since there can be 2^n),
 isomorphisms by backtracking search, and the set-family laws are checked
 directly from enumerated module sets.  The pipeline imports only the two
 module predicates from here.
@@ -37,13 +37,13 @@ MAX_EXHAUSTIVE_ORDER = 7
 
 # --- brute-force module listing ------------------------------------------------
 
-def subsets_where(ground: int, keep: Callable[[int], bool],
-                  bound: int = DEFAULT_BOUND) -> list[int]:
+def subsets_where(ground: int, keep: Callable[[int], bool]) -> list[int]:
     """Every subset of ``ground`` that ``keep`` accepts, by testing all
-    2^|ground| of them; grounds of more than ``bound`` vertices are refused."""
+    2^|ground| of them; grounds of more than ``DEFAULT_BOUND`` vertices are
+    refused before any is tested."""
     size = ground.bit_count()
-    if size > bound:
-        raise CapacityError("module enumeration", size, bound)
+    if size > DEFAULT_BOUND:
+        raise CapacityError("module enumeration", size, DEFAULT_BOUND)
     return [m for m in iter_submasks(ground) if keep(m)]
 
 
@@ -78,19 +78,19 @@ def _is_tournament_module(t: Tournament, m: int) -> bool:
     return True
 
 
-def modules_within(h: Hypergraph, w: int, bound: int = DEFAULT_BOUND) -> list[int]:
+def modules_within(h: Hypergraph, w: int) -> list[int]:
     """All modules of the subhypergraph induced by ``w``, as masks within w.
 
     No re-indexing: an edge of H[w] is an edge of H contained in w, and a
     swap target stays inside w, so membership can be tested against h.edges.
     """
     edges = [e for e in h.edges if e & ~w == 0]
-    return subsets_where(w, partial(_is_module_over, edges, h.edges), bound)
+    return subsets_where(w, partial(_is_module_over, edges, h.edges))
 
 
-def enumerate_modules(h: Hypergraph, bound: int = DEFAULT_BOUND) -> frozenset[VertexSet]:
+def enumerate_modules(h: Hypergraph) -> frozenset[VertexSet]:
     """Exactly the modules of ``h``, including the trivial ones."""
-    return frozenset(VertexSet(m) for m in modules_within(h, full_mask(h.n), bound))
+    return frozenset(VertexSet(m) for m in modules_within(h, full_mask(h.n)))
 
 
 def is_usual_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
@@ -115,16 +115,16 @@ def is_usual_module(h: Hypergraph, vertices: int | Iterable[int]) -> bool:
     return True
 
 
-def enumerate_usual_modules(h: Hypergraph, bound: int = DEFAULT_BOUND) -> frozenset[VertexSet]:
+def enumerate_usual_modules(h: Hypergraph) -> frozenset[VertexSet]:
     """Exactly the modules of ``h`` in the sense of ``is_usual_module``."""
     return frozenset(VertexSet(m) for m in
-                     subsets_where(full_mask(h.n), partial(is_usual_module, h), bound))
+                     subsets_where(full_mask(h.n), partial(is_usual_module, h)))
 
 
-def tournament_modules(t: Tournament, bound: int = DEFAULT_BOUND) -> frozenset[VertexSet]:
+def tournament_modules(t: Tournament) -> frozenset[VertexSet]:
     """Exactly the modules of ``t``, including the trivial ones."""
     return frozenset(VertexSet(m) for m in
-                     subsets_where(full_mask(t.n), partial(_is_tournament_module, t), bound))
+                     subsets_where(full_mask(t.n), partial(_is_tournament_module, t)))
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -335,7 +335,7 @@ def _closure_violations(report: AxiomReport, mods: frozenset[int], ground: int) 
                 report.add("difference", M=n_, N=m, missing=m & ~n_)
 
 
-def check_partitive(h: Hypergraph, bound: int = DEFAULT_BOUND) -> AxiomReport:
+def check_partitive(h: Hypergraph) -> AxiomReport:
     """Verify the partitive-family laws of the module set of ``h``.
 
     Checks the trivial members and closure under intersection, union of
@@ -345,13 +345,12 @@ def check_partitive(h: Hypergraph, bound: int = DEFAULT_BOUND) -> AxiomReport:
     """
     report = AxiomReport("partitive")
     full = full_mask(h.n)
-    mods = frozenset(modules_within(h, full, bound))
+    mods = frozenset(modules_within(h, full))
     _closure_violations(report, mods, full)
     return report
 
 
-def check_covering_axioms(h: Hypergraph, samples: int = 500, seed: int = 0,
-                          bound: int = DEFAULT_BOUND) -> AxiomReport:
+def check_covering_axioms(h: Hypergraph, samples: int = 500, seed: int = 0) -> AxiomReport:
     """Sample the modular-covering axioms of the induced-module assignment.
 
     Draws ``samples`` tuples (W, W', M, M') with W inside W', M a module of
@@ -362,8 +361,8 @@ def check_covering_axioms(h: Hypergraph, samples: int = 500, seed: int = 0,
     W), disjoint extension, and intersecting union.  Module sets per vertex
     subset are enumerated exactly and cached; the seed is recorded.
     """
-    if h.n > bound:
-        raise CapacityError("module enumeration", h.n, bound)
+    if h.n > DEFAULT_BOUND:
+        raise CapacityError("module enumeration", h.n, DEFAULT_BOUND)
     rng = random.Random(seed)
     report = AxiomReport("covering", seed=seed, samples=samples)
     if h.n == 0:
@@ -374,7 +373,7 @@ def check_covering_axioms(h: Hypergraph, samples: int = 500, seed: int = 0,
     def modules_of(w: int) -> list[int]:
         got = cache.get(w)
         if got is None:
-            got = cache[w] = modules_within(h, w, bound)
+            got = cache[w] = modules_within(h, w)
         return got
 
     for _ in range(samples):

@@ -60,7 +60,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .bitset import VertexSet, as_mask, bit_list, full_mask, iter_bits, ranks, remap
 from .core import Frozen, Graph, Hypergraph, Tournament, _rebuild, c3_structure
 from .decomposition import (
-    LABEL_EMPTY, LABEL_PRIME, DecompositionTree, _chain, _hypergraph_closure,
+    LABEL_EMPTY, LABEL_PRIME, Closure, DecompositionTree, TreeNode, _chain, _hypergraph_closure,
     _is_prime_within, _prime_chain, _tree,
 )
 from .errors import InvariantError, PreconditionError
@@ -304,28 +304,40 @@ def _realizes_at(spans: list[list[int]], succ: list[int], w: int,
     return True
 
 
-def _extension_at(h: Hypergraph, x: int, t_x: Tournament,
-                  verified: bool) -> tuple[list[list[int]], list[int], Extension]:
-    """Check the preconditions, lift ``t_x`` into the labels of h (vertex j
-    of ``t_x`` is the j-th smallest vertex of h other than x, as
-    ``bitset.ranks`` numbers them) and evaluate the extension with w the
-    whole vertex set.  ``x`` is read by ``bitset.as_mask``."""
+def _extension_at(h: Hypergraph, x: int,
+                  t_x: Tournament) -> tuple[list[list[int]], list[int], Extension]:
+    """Check the preconditions of the two public calls (3-uniform h, ``t_x``
+    a realization of H - x, both hypergraphs prime) and evaluate the
+    extension (``_evaluate_extension``).  ``x`` is read by
+    ``bitset.as_mask``.  Primality is proved on the closure the evaluation
+    builds, so an input refused there has been evaluated, never answered."""
     full = full_mask(h.n)
     rest = full & ~as_mask([x], h.n)
     if t_x.n != h.n - 1:
         raise PreconditionError("tournament must have one vertex fewer than the hypergraph")
-    if not verified and not h.is_3_uniform:
+    if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
+    if c3_structure(t_x) != h.induced(rest):
+        raise PreconditionError("tournament does not realize the deleted hypergraph")
+    close, succ, ext = _evaluate_extension(h, x, t_x)
+    if _prime_chain(h, close, full) is None or _prime_chain(h, close, rest) is None:
+        raise PreconditionError("extension requires both hypergraphs prime")
+    return close.spans, succ, ext
+
+
+def _evaluate_extension(h: Hypergraph, x: int,
+                        t_x: Tournament) -> tuple[Closure, list[int], Extension]:
+    """Lift ``t_x`` into the labels of h (vertex j of ``t_x`` is the j-th
+    smallest vertex of h other than x, as ``bitset.ranks`` numbers them),
+    build h's closure and evaluate the extension with w the whole vertex
+    set.  Nothing is checked: h must be 3-uniform, x one of its vertices
+    and ``t_x`` a tournament on the others."""
+    full = full_mask(h.n)
     close = _hypergraph_closure(h)
-    if not verified:
-        if c3_structure(t_x) != h.induced(rest):
-            raise PreconditionError("tournament does not realize the deleted hypergraph")
-        if _prime_chain(h, close, full) is None or _prime_chain(h, close, rest) is None:
-            raise PreconditionError("extension requires both hypergraphs prime")
-    lift = [1 << v for v in iter_bits(rest)]
+    lift = [1 << v for v in range(h.n) if v != x]
     succ = [remap(s, lift) for s in t_x.succ]
     succ.insert(x, 0)
-    return close.spans, succ, _extension(close.spans, succ, full, x)
+    return close, succ, _extension(close.spans, succ, full, x)
 
 
 def _certificate(x: int, ext: Extension) -> ExtensionCertificate:
@@ -337,8 +349,7 @@ def _certificate(x: int, ext: Extension) -> ExtensionCertificate:
     return ExtensionCertificate(x, g_x, *(remap(m, down) for m in masks), verdict)
 
 
-def extension_certificate(h: Hypergraph, x: int, t_x: Tournament,
-                          _verified: bool = False) -> ExtensionCertificate:
+def extension_certificate(h: Hypergraph, x: int, t_x: Tournament) -> ExtensionCertificate:
     """Evaluate the extension conditions for adding ``x`` on top of ``t_x``.
 
     Builds the link graph at x (v,w adjacent iff {x,v,w} is an edge),
@@ -347,20 +358,22 @@ def extension_certificate(h: Hypergraph, x: int, t_x: Tournament,
     minus/plus pair, link-graph adjacency coincides with the arc pointing
     minus to plus.  Isolated link vertices must split into the forward
     closure of the minus side and the backward closure of the plus side,
-    with all remaining arcs agreeing.
+    with all remaining arcs agreeing.  Raises ``PreconditionError`` unless
+    h is 3-uniform, ``t_x`` realizes H - x and both H and H - x are prime.
     """
-    return _certificate(x, _extension_at(h, x, t_x, _verified)[2])
+    return _certificate(x, _extension_at(h, x, t_x)[2])
 
 
-def extend_realization(h: Hypergraph, x: int, t_x: Tournament,
-                       _verified: bool = False) -> Tournament | ExtensionCertificate:
+def extend_realization(h: Hypergraph, x: int,
+                       t_x: Tournament) -> Tournament | ExtensionCertificate:
     """Extend a realization of H-x to one of H, or explain why none exists.
 
     On success the result is the unique realization whose restriction away
     from ``x`` equals ``t_x``: x beats the minus sides and loses to the plus
-    sides.  On failure the certificate carries the violated condition.
+    sides.  On failure the certificate carries the violated condition.  The
+    preconditions are those of ``extension_certificate``.
     """
-    spans, succ, ext = _extension_at(h, x, t_x, _verified)
+    spans, succ, ext = _extension_at(h, x, t_x)
     if ext[0] != VERDICT_OK:
         return _certificate(x, ext)
     full = full_mask(h.n)
@@ -586,9 +599,15 @@ def _prepare(h: Hypergraph):
     within it (the root, or a part of a split root), growth takes the steps
     of that chain, proved or stalled, and any other node's chain is walked
     lazily.  Returns a witness if any prime quotient is not realizable.
+
+    The input on no vertices has no decomposition tree (``_tree`` refuses
+    it); it gets a leaf root on no vertices, which has no node to choose
+    at, so its one realization is the empty tournament.
     """
     if not h.is_3_uniform:
         raise PreconditionError("input must be 3-uniform")
+    if h.n == 0:
+        return DecompositionTree(TreeNode(0, None, ()), 0, "hypergraph"), {}, []
     tree, close, chains = _tree(h)
     prime_base: dict[int, Tournament] = {}
     for node in tree.internal_nodes():

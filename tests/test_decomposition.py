@@ -105,7 +105,7 @@ class TestEnumerateModules:
     def test_capacity_bound_is_named(self):
         with pytest.raises(CapacityError, match="20"):
             enumerate_modules(Hypergraph(21, []))
-        assert len(enumerate_modules(Hypergraph(4, []), bound=4)) == 16
+        assert len(enumerate_modules(Hypergraph(4, []))) == 16
 
     def test_usual_modules_enumeration(self):
         h = Hypergraph(5, [[0, 1, p] for p in (2, 3, 4)])

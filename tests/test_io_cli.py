@@ -301,3 +301,24 @@ class TestInvariantExit:
         assert code == 4
         assert out == ""
         assert "does not realize" in err
+
+
+class TestNoVertices:
+    def test_commands_agree_with_the_oracle(self, capsys, monkeypatch):
+        empty = '{"n": 0, "edges": []}'
+        answers = {}
+        for argv in (["count"], ["oracle", "count"], ["realize"], ["oracle", "realize"],
+                     ["enumerate"]):
+            answers[" ".join(argv)] = run_cli(capsys, *argv, "-", stdin=empty,
+                                              monkeypatch=monkeypatch)
+        none = '{"n": 0, "arcs": []}'
+        assert answers["count"] == answers["oracle count"] == (0, "1\n", "")
+        assert answers["realize"] == answers["oracle realize"] == (0, none + "\n", "")
+        assert answers["enumerate"] == (0, none + "\n", "")
+
+    def test_c3_realize_pipeline(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, "c3", "-", stdin='{"n": 0, "arcs": []}',
+                               monkeypatch=monkeypatch)
+        assert code == 0
+        code, out, _ = run_cli(capsys, "realize", "-", stdin=out, monkeypatch=monkeypatch)
+        assert (code, json.loads(out)) == (0, {"n": 0, "arcs": []})

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import random
 from pathlib import Path
@@ -9,7 +10,7 @@ import c3realize
 from c3realize import (
     CapacityError, Hypergraph, PreconditionError, c3_structure, check_covering_axioms,
     check_partitive, count_realizations, critical_family,
-    brute_force_realizations, all_tournaments, random_hypergraph,
+    brute_force_realizations, all_tournaments, linear_order, oracle, random_hypergraph,
     random_tournament,
 )
 
@@ -196,3 +197,29 @@ class TestLayering:
 
     def test_public_names_stay_importable(self):
         assert [name for name in PUBLIC_NAMES if not hasattr(c3realize, name)] == []
+
+
+BIG = Hypergraph(21, [])
+CAPPED = {
+    "subsets_where": lambda: oracle.subsets_where(BIG.vertex_mask, lambda m: True),
+    "modules_within": lambda: oracle.modules_within(BIG, BIG.vertex_mask),
+    "enumerate_modules": lambda: oracle.enumerate_modules(BIG),
+    "enumerate_usual_modules": lambda: oracle.enumerate_usual_modules(BIG),
+    "tournament_modules": lambda: oracle.tournament_modules(linear_order(21)),
+    "check_partitive": lambda: oracle.check_partitive(BIG),
+    "check_covering_axioms": lambda: oracle.check_covering_axioms(BIG),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED))
+def test_fixed_cap_refuses_21_vertices_before_scanning(name, monkeypatch):
+    # every brute-force module scan is capped at DEFAULT_BOUND = 20
+    # vertices, with no parameter to raise it, and refuses a larger input
+    # before it tests a subset
+    def scan(ground):
+        raise AssertionError("scanned past the cap")
+
+    monkeypatch.setattr(oracle, "iter_submasks", scan)
+    assert "bound" not in inspect.signature(getattr(oracle, name)).parameters
+    with pytest.raises(CapacityError, match="20"):
+        CAPPED[name]()

@@ -225,14 +225,14 @@ class TestExtendRealization:
     def test_odd_cycle_failure(self):
         h = complete_3_uniform(4)
         t_x = realize_prime(h.induced([1, 2, 3]))
-        cert = extend_realization(h, 0, t_x, _verified=True)
+        cert = unchecked_extension(h, 0, t_x)
         assert cert.verdict == VERDICT_ODD_CYCLE
 
     def test_empty_link_graph_fails_y_cover(self):
         # x in no edge: both closures stay empty and cannot cover I_x
         h = Hypergraph(4, [[1, 2, 3]])
         t_x = realize(h.induced([1, 2, 3]))
-        cert = extension_certificate(h, 0, t_x, _verified=True)
+        cert = unchecked_certificate(h, 0, t_x)
         assert cert.verdict == VERDICT_Y_NOT_COVERING
         assert cert.x_minus == 0 and cert.x_plus == 0
 
@@ -270,10 +270,10 @@ class TestExtendRealization:
         # checks them gives the same certificate every time
         seen = Counter()
         for h, x, t_x in extension_cases(2000, random.Random(17)):
-            got = extension_certificate(h, x, t_x, _verified=True)
+            got = unchecked_certificate(h, x, t_x)
             with monkeypatch.context() as m:
                 m.setattr(realization, "_extension", extension_with_arc_checks)
-                want = extension_certificate(h, x, t_x, _verified=True)
+                want = unchecked_certificate(h, x, t_x)
             assert certificate_fields(got) == certificate_fields(want)
             seen[got.verdict] += 1
         assert seen[VERDICT_M2_ARC] == 0
@@ -285,7 +285,7 @@ class TestExtendRealization:
         # verdict, the arcs at x of the extension, read in those coordinates
         seen = Counter()
         for h, x, t_x in extension_cases(600, random.Random(19)):
-            cert = extension_certificate(h, x, t_x, _verified=True)
+            cert = unchecked_certificate(h, x, t_x)
             others = [v for v in range(h.n) if v != x]
             link = [(i, j) for i, j in combinations(range(h.n - 1), 2)
                     if (1 << x | 1 << others[i] | 1 << others[j]) in h.edges]
@@ -294,7 +294,7 @@ class TestExtendRealization:
             assert cert.x_minus | cert.x_plus | cert.y_minus | cert.y_plus < 1 << (h.n - 1)
             seen[cert.verdict] += 1
             if cert.ok and c3_structure(t_x) == h.induced(sum(1 << v for v in others)):
-                t = extend_realization(h, x, t_x, _verified=True)
+                t = unchecked_extension(h, x, t_x)
                 seen["extended"] += 1
                 assert t.induced(sum(1 << v for v in others)) == t_x
                 assert set(iter_bits(cert.x_minus | cert.y_minus)) == {
@@ -302,6 +302,35 @@ class TestExtendRealization:
                 assert set(iter_bits(cert.x_plus | cert.y_plus)) == {
                     i for i, v in enumerate(others) if t.has_arc(v, x)}
         assert seen["extended"] and len(seen) > 3, seen
+
+
+    def test_checks_always_run(self):
+        # each public call refuses exactly the inputs that break one of its
+        # preconditions, and otherwise answers as the unchecked evaluation
+        seen = Counter()
+        for h, x, t_x in extension_cases(400, random.Random(17)):
+            rest = h.vertex_mask & ~(1 << x)
+            broken = (c3_structure(t_x) != h.induced(rest), not is_prime(h),
+                      not is_prime(h.induced(rest)))
+            if any(broken):
+                for call in (extension_certificate, extend_realization):
+                    with pytest.raises(PreconditionError):
+                        call(h, x, t_x)
+                seen[broken] += 1
+                continue
+            got, want = extension_certificate(h, x, t_x), unchecked_certificate(h, x, t_x)
+            assert certificate_fields(got) == certificate_fields(want)
+            got, want = extend_realization(h, x, t_x), unchecked_extension(h, x, t_x)
+            if isinstance(want, Tournament):
+                assert got == want
+                seen["extended"] += 1
+            else:
+                assert certificate_fields(got) == certificate_fields(want)
+                seen[want.verdict] += 1
+        # each precondition is seen to fail alone
+        assert seen[True, False, False] and seen[False, True, False]
+        assert seen[False, False, True]
+        assert seen["extended"] and seen[VERDICT_E0], seen
 
 
 def extension_with_arc_checks(spans, succ, w, x):
@@ -384,13 +413,30 @@ def extension_with_arc_checks(spans, succ, w, x):
     return result(VERDICT_OK, *sides)
 
 
+def unchecked_certificate(h, x, t_x):
+    """``extension_certificate`` without its precondition checks: the
+    private evaluation read through ``_certificate``, as the public call
+    reads it."""
+    return realization._certificate(x, realization._evaluate_extension(h, x, t_x)[2])
+
+
+def unchecked_extension(h, x, t_x):
+    """``extend_realization`` without its precondition checks: the private
+    evaluation, then ``_certificate`` or ``_extend`` as the public call."""
+    close, succ, ext = realization._evaluate_extension(h, x, t_x)
+    if ext[0] != VERDICT_OK:
+        return realization._certificate(x, ext)
+    realization._extend(close.spans, succ, h.vertex_mask, x, ext, h.vertex_mask)
+    return Tournament._from_succ(h.n, tuple(succ))
+
+
 def certificate_fields(cert):
     return (cert.x, cert.g_x, int(cert.i_x), int(cert.x_minus), int(cert.x_plus),
             int(cert.y_minus), int(cert.y_plus), cert.verdict)
 
 
 def extension_cases(count, rng):
-    """Seeded (h, x, t_x) for ``extension_certificate(..., _verified=True)``:
+    """Seeded (h, x, t_x) for ``unchecked_certificate``:
     h the C3 structure of a random tournament t, sometimes with one triple
     toggled, and t_x the tournament t - x, sometimes with one arc reversed."""
     for _ in range(count):
@@ -1230,3 +1276,17 @@ class TestUpwardGrowth:
             assert realize(h) == got
             assert next(enumerate_realizations(h)) == got
         assert paths["from the base"] and paths["from larger sets"], paths
+
+
+class TestOrdersBelowTwo:
+    # the input on no vertices has no decomposition tree (``_tree`` refuses
+    # it), and on one vertex a leaf: realize, count and enumerate agree
+    # with the oracle on both
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_against_brute_force(self, n):
+        h = Hypergraph(n, [])
+        want = brute_force_realizations(h)
+        assert want == [Tournament(n, [0] * n)]
+        assert realize(h) == want[0]
+        assert count_realizations(h) == 1
+        assert list(enumerate_realizations(h)) == want
