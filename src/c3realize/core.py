@@ -7,7 +7,10 @@ construction, so values can be shared and hashed freely.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from functools import partial
+from itertools import chain
+from operator import eq
+from typing import Iterable, Iterator, Sequence
 
 from .bitset import (
     as_mask, as_vertex, bit_list, full_mask, is_int, iter_bits, ranks, remap, require_count,
@@ -65,15 +68,20 @@ class Hypergraph(Frozen):
 
     def __init__(self, n: int, edges: Iterable[int | Iterable[int]] = ()):
         require_count(n)
-        masks = frozenset(as_mask(e, n) for e in edges)
-        for e in masks:
-            if e.bit_count() < 2:
-                raise PreconditionError(
-                    f"edge {bit_list(e)} has fewer than 2 vertices")
+        items = edges if type(edges) in (list, tuple) else list(edges)  # read once
+        bulk = _edge_masks(n, items, False)
+        if bulk is None:  # not taken in bulk: read item by item, naming any fault
+            masks = frozenset(as_mask(e, n) for e in items)
+            for e in masks:
+                if e.bit_count() < 2:
+                    raise PreconditionError(
+                        f"edge {bit_list(e)} has fewer than 2 vertices")
+            is_3_uniform = all(e.bit_count() == 3 for e in masks)
+        else:
+            masks, is_3_uniform = frozenset(bulk[0]), bulk[1]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", masks)
-        object.__setattr__(self, "is_3_uniform",
-                           all(e.bit_count() == 3 for e in masks))
+        object.__setattr__(self, "is_3_uniform", is_3_uniform)
 
     @classmethod
     def _from_masks(cls, n: int, masks: frozenset[int],
@@ -94,7 +102,21 @@ class Hypergraph(Frozen):
 
     def edge_lists(self) -> list[list[int]]:
         """Edges as sorted index lists, sorted lexicographically."""
-        return sorted(bit_list(e) for e in self.edges)
+        lists = []
+        for m in self.edges:  # decoded from the top bit down
+            e = []
+            while m:
+                top = m.bit_length() - 1
+                e.append(top)
+                m ^= 1 << top
+            e.reverse()
+            lists.append(e)
+        if self.is_3_uniform:  # a triple's base-n number orders it as the lists compare
+            n = self.n
+            lists.sort(key=lambda e: (e[0] * n + e[1]) * n + e[2])
+        else:
+            lists.sort()
+        return lists
 
     def has_edge(self, vertices: int | Iterable[int]) -> bool:
         return as_mask(vertices, self.n) in self.edges
@@ -111,6 +133,52 @@ class Hypergraph(Frozen):
 
     def __repr__(self) -> str:
         return f"Hypergraph({self.n}, {self.edge_lists()})"
+
+
+def _edge_masks(n: int, edges: Sequence, strict: bool) -> tuple[Sequence[int], bool] | None:
+    """The masks of ``edges`` and whether all have 3 vertices, checked by
+    builtins over whole lists; or None when some edge breaks the rule, or is
+    of a kind these checks leave to the caller's loop over the items (a
+    generator, an ``int`` subclass), which then reads it or names the fault.
+
+    The rule is the file format's when ``strict``: each edge a list of two
+    or more ``int`` indices within 0..n-1, strictly increasing.  Else it is
+    the constructor's: each edge such a list or a tuple, in any order, or
+    each edge an ``int`` mask of two or more vertices within 0..n-1.  No
+    index is shifted before all are known to be within 0..n-1.
+    """
+    kinds = set(map(type, edges))
+    if kinds == {int} and not strict:
+        counts = set(map(int.bit_count, edges))
+        if min(edges) < 0 or max(edges) >> n or min(counts) < 2:
+            return None
+        return edges, counts <= {3}
+    if not kinds <= ({list} if strict else {list, tuple}):
+        return None
+    lengths = set(map(len, edges))
+    if edges and (min(lengths) < 2 or not _indices_within(n, edges)):
+        return None
+    if lengths == {3}:  # the common case, ordered and shifted in one pass
+        masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in edges
+                 if not strict or a < b < c]
+    elif strict and not all(map(eq, map(sorted, edges), edges)):
+        return None
+    else:
+        masks = list(map(sum, map(partial(map, (1).__lshift__), edges)))
+    # k powers of 2 make k bits only if they are distinct
+    if len(masks) < len(edges) or not all(map(eq, map(int.bit_count, masks), map(len, edges))):
+        return None
+    return masks, lengths <= {3}
+
+
+def _indices_within(n: int, items: Sequence[Sequence]) -> bool:
+    """Every index in the lists or tuples ``items`` is an ``int`` (not a
+    subclass) within 0..n-1: checked by builtins over the whole list, so
+    that the caller can shift by every index."""
+    if set(map(type, chain.from_iterable(items))) - {int}:
+        return False
+    vertices = set(chain.from_iterable(items))
+    return not vertices or (min(vertices) >= 0 and max(vertices) < n)
 
 
 def induced_subhypergraph(h: Hypergraph, vertices: int | Iterable[int]) -> Hypergraph:

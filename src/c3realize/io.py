@@ -7,13 +7,22 @@ pair per unordered vertex pair.
 
 Parsers raise :class:`ParseError` carrying the source name plus either the
 line/column of a JSON syntax error or the JSON path of a semantic one.
+
+Each parser reads its list on one of two paths.  The bulk path checks the
+whole list by builtins: the types and lengths of the items, the types and
+the least and greatest of all indices (before any index is shifted), then
+the order of each edge, or for arcs the self-loops and repeated pairs read
+from the successor masks.  Only when a check fails does the per-item loop
+run: it reads the list from the start, one item at a time, and raises at
+the first bad item.  The bulk path raises nothing of its own, so an error
+has the same text and position whichever path its input takes.
 """
 
 from __future__ import annotations
 
 import json
 
-from .core import Hypergraph, Tournament
+from .core import Hypergraph, Tournament, _edge_masks, _indices_within, _two_way_arc
 from .errors import ParseError
 
 __all__ = [
@@ -49,6 +58,17 @@ def _document(text: str, source: str, key: str) -> tuple[int, list]:
 
 def parse_hypergraph(text: str, source: str = "<input>") -> Hypergraph:
     n, edges = _document(text, source, "edges")
+    bulk = _edge_masks(n, edges, True)
+    if bulk is not None:
+        distinct = frozenset(bulk[0])
+        if len(distinct) == len(edges):
+            return Hypergraph._from_masks(n, distinct, bulk[1])
+    return Hypergraph._from_masks(n, _read_edges(n, edges, source))
+
+
+def _read_edges(n: int, edges: list, source: str) -> frozenset[int]:
+    """The edge masks, read one edge at a time; raises ``ParseError`` at the
+    first edge that breaks the format."""
     masks = []
     for k, edge in enumerate(edges):
         path = f"edges[{k}]"
@@ -72,18 +92,46 @@ def parse_hypergraph(text: str, source: str = "<input>") -> Hypergraph:
                 raise ParseError(f"edge {edges[k]} listed more than once",
                                  source=source, path=f"edges[{k}]")
             seen.add(m)
-    return Hypergraph._from_masks(n, distinct)
+    return distinct
 
 
 def parse_tournament(text: str, source: str = "<input>") -> Tournament:
     n, arcs = _document(text, source, "arcs")
     # checked before anything of size n is built; with more arcs than pairs
-    # the loop below meets a repeated or invalid pair, and with no repeated
-    # pair the C(n, 2) or more arcs give each pair exactly one
+    # the loop of _read_arcs meets a repeated or invalid pair, and with no
+    # repeated pair the C(n, 2) or more arcs give each pair exactly one
     expected = n * (n - 1) // 2
     if len(arcs) < expected:
         raise ParseError(f"need exactly one arc per pair: got {len(arcs)} of {expected}",
                          source=source, path="arcs")
+    succ = _arc_rows(n, arcs) if len(arcs) == expected else None
+    if succ is None:
+        succ = _read_arcs(n, arcs, source)
+    return Tournament._from_succ(n, tuple(succ))
+
+
+def _arc_rows(n: int, arcs: list) -> list[int] | None:
+    """The successor masks of C(n, 2) arcs read as a whole, or None if some
+    arc is not a list of two distinct ``int`` indices within 0..n-1 or some
+    pair is oriented twice.  The checks run over whole lists, by builtins,
+    before any index is shifted; the faults are then read from the masks."""
+    if arcs and not (set(map(type, arcs)) == {list} and set(map(len, arcs)) == {2}
+                     and _indices_within(n, arcs)):
+        return None
+    succ = [0] * n
+    for u, v in arcs:
+        succ[u] |= 1 << v
+    # an arc listed twice leaves fewer bits than arcs; a self-loop sets a
+    # diagonal bit; a pair both ways sets a bit and its mirror
+    if (sum(map(int.bit_count, succ)) < len(arcs)
+            or any((s >> u) & 1 for u, s in enumerate(succ)) or _two_way_arc(succ)):
+        return None
+    return succ
+
+
+def _read_arcs(n: int, arcs: list, source: str) -> list[int]:
+    """The successor masks, read one arc at a time; raises ``ParseError`` at
+    the first arc that breaks the format."""
     succ = [0] * n
     for k, arc in enumerate(arcs):
         path = f"arcs[{k}]"
@@ -102,7 +150,7 @@ def parse_tournament(text: str, source: str = "<input>") -> Tournament:
             raise ParseError(f"pair {{{min(u, v)},{max(u, v)}}} oriented more than once",
                              source=source, path=path)
         succ[u] |= 1 << v
-    return Tournament._from_succ(n, tuple(succ))
+    return succ
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:

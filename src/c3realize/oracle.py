@@ -1,7 +1,8 @@
 """Independent brute-force ground truth for tests and derived examples.
 
 Everything here avoids the decomposition/realization pipeline on purpose:
-realizations are found by scanning all orientations, modules by scanning
+realizations are found by orienting one pair at a time and cutting a branch
+at the first triple that disagrees with the edges, modules by scanning
 all vertex subsets (up to ``DEFAULT_BOUND`` vertices, since there can be 2^n),
 isomorphisms by backtracking search, and the set-family laws are checked
 directly from enumerated module sets.  The pipeline imports only the two
@@ -156,29 +157,51 @@ def _all_tournaments(n: int) -> Iterator[Tournament]:
         yield Tournament._from_succ(n, tuple(succ))
 
 
-def _realizes(t_succ: tuple[int, ...], triples: list[tuple[int, int, int, int]],
-              edges: frozenset[int]) -> bool:
-    """Early-abort check that a tournament's 3-cycles are exactly ``edges``."""
-    for u, v, w, mask in triples:
-        k = ((t_succ[u] >> v) & 1) + ((t_succ[v] >> w) & 1) + ((t_succ[w] >> u) & 1)
-        if (k == 0 or k == 3) != (mask in edges):
-            return False
-    return True
-
-
-def _triples(n: int) -> list[tuple[int, int, int, int]]:
-    return [(u, v, w, (1 << u) | (1 << v) | (1 << w))
-            for u, v, w in combinations(range(n), 3)]
-
-
 def brute_force_realizations(h: Hypergraph) -> list[Tournament]:
-    """Exactly the tournaments whose 3-cycle triples equal the edge set."""
+    """Exactly the tournaments whose 3-cycle triples equal the edge set, in
+    the order of ``all_tournaments``.
+
+    The pairs are oriented one at a time, in the order (0,1), (0,2), (1,2),
+    (0,3), ...; orienting (i, j) completes the triples {x, i, j} with x < i,
+    and a branch is cut as soon as one of them disagrees with the edge set.
+    """
     if h.n > MAX_EXHAUSTIVE_ORDER:
         raise CapacityError("exhaustive realization search", h.n, MAX_EXHAUSTIVE_ORDER)
     if not h.is_3_uniform:
         return []
-    triples = _triples(h.n)
-    return [t for t in all_tournaments(h.n) if _realizes(t.succ, triples, h.edges)]
+    n = h.n
+    below = [[0] * n for _ in range(n)]  # below[i][j]: the x < i with {x, i, j} an edge
+    for e in h.edges:
+        x, i, j = bit_list(e)
+        below[i][j] |= 1 << x
+    found: list[tuple[int, ...]] = []
+    _orient([(i, j) for j in range(n) for i in range(j)], 0, below, [0] * n, [0] * n, found)
+    return [Tournament._from_succ(n, succ)
+            for succ in sorted(found, key=partial(_counter, _pairs(n)))]
+
+
+def _counter(pairs: list[tuple[int, int]], succ: tuple[int, ...]) -> int:
+    """The value of ``all_tournaments``' counter at the tournament ``succ``."""
+    return sum(1 << k for k, (i, j) in enumerate(pairs) if (succ[i] >> j) & 1)
+
+
+def _orient(order: list[tuple[int, int]], k: int, below: list[list[int]],
+            succ: list[int], pred: list[int], found: list[tuple[int, ...]]) -> None:
+    """Append to ``found`` every completion of the orientation of
+    ``order[:k]`` (held in ``succ`` and ``pred``) whose completed triples
+    are cyclic exactly where ``below`` says."""
+    if k == len(order):
+        found.append(tuple(succ))
+        return
+    i, j = order[k]
+    for u, v in ((i, j), (j, i)):
+        # with u -> v, {x, u, v} is cyclic iff v -> x -> u
+        if succ[v] & pred[u] & ((1 << i) - 1) == below[i][j]:
+            succ[u] ^= 1 << v
+            pred[v] ^= 1 << u
+            _orient(order, k + 1, below, succ, pred, found)
+            succ[u] ^= 1 << v
+            pred[v] ^= 1 << u
 
 
 # --- isomorphism -----------------------------------------------------------

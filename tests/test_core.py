@@ -11,7 +11,7 @@ from c3realize import (
     VertexSet, c3_structure, critical_family, decomposition_tree, dual, induced_subhypergraph,
     is_linear_order, linear_order, maximal_proper_strong_modules, random_tournament, realize,
 )
-from c3realize.bitset import as_mask, ranks, remap
+from c3realize.bitset import as_mask, bit_list, ranks, remap
 from c3realize.core import Frozen
 from c3realize.decomposition import is_module
 from c3realize.oracle import all_tournaments, random_hypergraph
@@ -68,6 +68,20 @@ class TestHypergraph:
     def test_equality_is_edge_set_equality(self):
         assert Hypergraph(3, [[0, 1, 2]]) == Hypergraph(3, [[0, 1, 2]])
         assert Hypergraph(3, []) != Hypergraph(4, [])
+
+
+class TestEdgeLists:
+    def test_same_lists_in_the_same_order_as_decoding_and_sorting(self):
+        # edge_lists decodes by bit operations and sorts 3-uniform edges by
+        # an int key; both must give what the plain way gives
+        rng = random.Random(41)
+        cases = [Hypergraph(4, [[0, 1, 2], [0, 1], [0, 1, 2, 3], [1, 2], [0, 2], [0, 3]]),
+                 Hypergraph(3, []), Hypergraph(0, [])]
+        cases += [random_hypergraph(rng.randint(2, 12), rng, 40, sizes=(2, 3, 4, 5))
+                  for _ in range(100)]
+        cases += [c3_structure(random_tournament(n, rng)) for n in (3, 5, 8, 14, 40)]
+        for h in cases:
+            assert h.edge_lists() == sorted(bit_list(e) for e in h.edges), h.edges
 
 
 class TestInducedSubhypergraph:

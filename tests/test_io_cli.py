@@ -6,11 +6,35 @@ import tracemalloc
 import pytest
 
 from c3realize import (
-    Hypergraph, ParseError, Tournament, c3_structure, critical_family, dual,
-    dump_hypergraph, dump_tournament, parse_hypergraph, parse_tournament,
+    Hypergraph, ParseError, Tournament, VertexSet, c3_structure, core, critical_family, dual,
+    dump_hypergraph, dump_tournament, io, parse_hypergraph, parse_tournament,
     random_tournament, realization, tournament_to_json,
 )
 from c3realize.cli import main
+
+# malformed documents, each with a fragment of the error it must raise
+HYPERGRAPH_FAULTS = [
+    ('[1, 2]', "expected a JSON object"),
+    ('{"n": 3}', 'expected keys'),
+    ('{"n": -1, "edges": []}', "expected an integer"),
+    ('{"n": 3, "edges": [[2, 1, 0]]}', "not strictly increasing"),
+    ('{"n": 3, "edges": [[0, 0, 1]]}', "not strictly increasing"),
+    ('{"n": 3, "edges": [[0, 1, 5]]}', "out of range"),
+    ('{"n": 3, "edges": [[0]]}', "length >= 2"),
+    ('{"n": 3, "edges": {"0": [0, 1, 2]}}', "expected a list of edges"),
+    ('{"n": 3, "edges": [[0, 1, 2], [0, 1, 2]]}',
+     r"at edges\[1\]: edge \[0, 1, 2\] listed more than once"),
+]
+TOURNAMENT_FAULTS = [
+    ('{"n": 2, "arcs": [[0, 0], [0, 1]]}', "self-loop"),
+    ('{"n": 2, "arcs": [[0, 1], [1, 0]]}', "oriented more than once"),
+    ('{"n": 3, "arcs": [[0, 1]]}', "exactly one arc per pair"),
+    ('{"n": 2, "arcs": [[0, 2]]}', "out of range"),
+    ('{"n": 2, "arcs": [[0, 1, 1]]}', "ordered pair"),
+    ('[[0, 1]]', "expected a JSON object"),
+    ('{"n": 2}', 'expected keys "n" and "arcs"'),
+    ('{"n": 2, "arcs": "0 1"}', "expected a list of arcs"),
+]
 
 
 class TestHypergraphFormat:
@@ -32,18 +56,7 @@ class TestHypergraphFormat:
         assert exc.value.source == "bad.json"
         assert exc.value.line == 2
 
-    @pytest.mark.parametrize("text,fragment", [
-        ('[1, 2]', "expected a JSON object"),
-        ('{"n": 3}', 'expected keys'),
-        ('{"n": -1, "edges": []}', "expected an integer"),
-        ('{"n": 3, "edges": [[2, 1, 0]]}', "not strictly increasing"),
-        ('{"n": 3, "edges": [[0, 0, 1]]}', "not strictly increasing"),
-        ('{"n": 3, "edges": [[0, 1, 5]]}', "out of range"),
-        ('{"n": 3, "edges": [[0]]}', "length >= 2"),
-        ('{"n": 3, "edges": {"0": [0, 1, 2]}}', "expected a list of edges"),
-        ('{"n": 3, "edges": [[0, 1, 2], [0, 1, 2]]}',
-         r"at edges\[1\]: edge \[0, 1, 2\] listed more than once"),
-    ])
+    @pytest.mark.parametrize("text,fragment", HYPERGRAPH_FAULTS)
     def test_semantic_errors(self, text, fragment):
         with pytest.raises(ParseError, match=fragment):
             parse_hypergraph(text)
@@ -58,16 +71,7 @@ class TestTournamentFormat:
         t = critical_family("U", 5)
         assert parse_tournament(dump_tournament(t)) == t
 
-    @pytest.mark.parametrize("text,fragment", [
-        ('{"n": 2, "arcs": [[0, 0], [0, 1]]}', "self-loop"),
-        ('{"n": 2, "arcs": [[0, 1], [1, 0]]}', "oriented more than once"),
-        ('{"n": 3, "arcs": [[0, 1]]}', "exactly one arc per pair"),
-        ('{"n": 2, "arcs": [[0, 2]]}', "out of range"),
-        ('{"n": 2, "arcs": [[0, 1, 1]]}', "ordered pair"),
-        ('[[0, 1]]', "expected a JSON object"),
-        ('{"n": 2}', 'expected keys "n" and "arcs"'),
-        ('{"n": 2, "arcs": "0 1"}', "expected a list of arcs"),
-    ])
+    @pytest.mark.parametrize("text,fragment", TOURNAMENT_FAULTS)
     def test_rejects_violations(self, text, fragment):
         with pytest.raises(ParseError, match=fragment):
             parse_tournament(text)
@@ -322,3 +326,152 @@ class TestNoVertices:
         assert code == 0
         code, out, _ = run_cli(capsys, "realize", "-", stdin=out, monkeypatch=monkeypatch)
         assert (code, json.loads(out)) == (0, {"n": 0, "arcs": []})
+
+
+# --- the bulk checks against the per-item loops ------------------------------
+
+def outcome(call):
+    """What ``call()`` returns, or the type, text and position of what it
+    raises."""
+    try:
+        value = call()
+    except Exception as exc:
+        return ("raised", type(exc), str(exc),
+                *(getattr(exc, name, None) for name in ("path", "line", "column")))
+    return "value", value, getattr(value, "is_3_uniform", None)
+
+
+def both_paths(monkeypatch, module, bulk, call):
+    """The outcome of ``call`` as it runs, and with the bulk reader
+    ``module.bulk`` made to find a fault in every input, so that the per-item
+    loop reads it."""
+    fast = outcome(call)
+    with monkeypatch.context() as patch:
+        patch.setattr(module, bulk, lambda *args: None)
+        return fast, outcome(call)
+
+
+BAD_INDICES = [-1, "n", True, 1.0, "1", None, [0]]  # "n": the vertex count
+
+
+def mutants(n, items, rng, count):
+    """The item list unchanged, then ``count`` seeded one-point mutations
+    of it: an index made bad, two indices swapped, one index repeated, an
+    item repeated, reversed, shortened or lengthened, or a self-loop."""
+    yield items
+    for _ in range(count):
+        out = [list(item) for item in items]
+        k = rng.randrange(len(out))
+        item = out[k]
+        places = [(a, b) for a, x in enumerate(out) for b in range(len(x))]
+        (a, b), (c, d) = rng.choice(places), rng.choice(places)
+        op = rng.randrange(8)
+        if op == 0:
+            bad = rng.choice(BAD_INDICES)
+            out[a][b] = n if bad == "n" else bad
+        elif op == 1:
+            out[a][b], out[c][d] = out[c][d], out[a][b]
+        elif op == 2:
+            out[a][b] = out[c][d]
+        elif op == 3:
+            out.insert(rng.randrange(len(out) + 1), list(item))
+        elif op == 4:
+            item.reverse()
+        elif op == 5:
+            item.pop()
+        elif op == 6:
+            item.append(rng.randrange(n + 1))
+        else:
+            out[k] = [item[0], item[0]]
+        yield out
+
+
+def prime_shaped(seed):
+    """A random tournament of order 14 and its 3-cycle structure."""
+    t = random_tournament(14, random.Random(seed))
+    return t, c3_structure(t)
+
+
+def stream_shaped():
+    """A linear order of order 12 with two of its blocks 3-cycles."""
+    arcs = [(u, v) for u in range(12) for v in range(u + 1, 12) if (u, v) not in ((0, 2), (3, 5))]
+    t = Tournament.from_arcs(12, arcs + [(2, 0), (5, 3)])
+    return t, c3_structure(t)
+
+
+BASES = [prime_shaped(1), prime_shaped(2), stream_shaped()]
+
+
+class TestBulkReadsAgreeWithTheLoops:
+    """Each reader checks a whole list at once and runs its per-item loop
+    only when a check fails: both paths give the same value or the same
+    error, with the same text and position, on every input."""
+
+    def test_parsers_on_the_fault_tables(self, monkeypatch):
+        for text, _ in HYPERGRAPH_FAULTS:
+            fast, slow = both_paths(monkeypatch, io, "_edge_masks",
+                                    lambda: parse_hypergraph(text))
+            assert fast == slow and fast[0] == "raised", text
+        for text, _ in TOURNAMENT_FAULTS:
+            fast, slow = both_paths(monkeypatch, io, "_arc_rows",
+                                    lambda: parse_tournament(text))
+            assert fast == slow and fast[0] == "raised", text
+
+    def test_parsers_on_mutated_documents(self, monkeypatch):
+        rng = random.Random(28)
+        seen = set()
+        for t, h in BASES:
+            for edges in mutants(h.n, h.edge_lists(), rng, 300):
+                text = json.dumps({"n": h.n, "edges": edges})
+                fast, slow = both_paths(monkeypatch, io, "_edge_masks",
+                                        lambda: parse_hypergraph(text, "h.json"))
+                assert fast == slow, text
+                seen.add(fast[0])
+            arcs = [list(arc) for arc in t.arcs()]
+            for arcs in mutants(t.n, arcs, rng, 300):
+                text = json.dumps({"n": t.n, "arcs": arcs})
+                fast, slow = both_paths(monkeypatch, io, "_arc_rows",
+                                        lambda: parse_tournament(text, "t.json"))
+                assert fast == slow, text
+                seen.add(fast[0])
+        assert seen == {"value", "raised"}
+
+    def test_hypergraph_constructor(self, monkeypatch):
+        rng = random.Random(29)
+        forms = [
+            lambda edges: edges,
+            lambda edges: tuple(tuple(e) if isinstance(e, list) else e for e in edges),
+            lambda edges: (e for e in edges),
+            lambda edges: [iter(e) if isinstance(e, list) else e for e in edges],
+        ]
+        seen = set()
+        for _, h in BASES:
+            for edges in mutants(h.n, h.edge_lists(), rng, 150):
+                for form in forms:
+                    fast, slow = both_paths(monkeypatch, core, "_edge_masks",
+                                            lambda: Hypergraph(h.n, form(edges)))
+                    assert fast == slow, edges
+                    seen.add(fast[0])
+            masks = sorted(h.edges)
+            for bad in (None, True, 1, -1, 1 << h.n, VertexSet(3), VertexSet(7), [0, 1], 5.0):
+                for edges in (masks, masks + [bad], [bad] + masks, list(map(VertexSet, masks))):
+                    fast, slow = both_paths(monkeypatch, core, "_edge_masks",
+                                            lambda: Hypergraph(h.n, edges))
+                    assert fast == slow, edges
+                    seen.add(fast[0])
+        for edges in (5, "ab", [], (), [[0, 1], (1, 2)], [[False, 1]], [(0, 1.0)]):
+            fast, slow = both_paths(monkeypatch, core, "_edge_masks",
+                                    lambda: Hypergraph(3, edges))
+            assert fast == slow, edges
+        assert seen == {"value", "raised"}
+
+    def test_bulk_readers_accept_well_formed_input(self):
+        # else the tests above would compare the per-item loop with itself
+        for t, h in BASES:
+            assert core._edge_masks(h.n, h.edge_lists(), True) is not None
+            assert core._edge_masks(h.n, [tuple(e) for e in h.edge_lists()], False) is not None
+            assert core._edge_masks(h.n, list(h.edges), False) is not None
+            assert io._arc_rows(t.n, [list(arc) for arc in t.arcs()]) is not None
+        # and refuses, on its own, what the per-item loops refuse
+        assert core._edge_masks(3, [[0, 1, 2], [2, 1, 0]], True) is None
+        assert core._edge_masks(3, [[0, 1, 1]], False) is None

@@ -5,9 +5,10 @@ import tracemalloc
 import pytest
 
 from c3realize import (
-    Hypergraph, PreconditionError, Tournament, c3_structure, cli, decomposition_tree,
-    dump_hypergraph, dump_tournament, extension_certificate, is_module, is_strong_module,
-    linear_order, module_violation, parse_tournament, random_tournament,
+    Hypergraph, ParseError, PreconditionError, Tournament, c3_structure, cli,
+    decomposition_tree, dump_hypergraph, dump_tournament, extension_certificate, is_module,
+    is_strong_module, linear_order, module_violation, parse_hypergraph, parse_tournament,
+    random_tournament,
 )
 from c3realize.decomposition import ModularPartition, _hypergraph_closure, quotient
 from c3realize.oracle import is_usual_module
@@ -15,6 +16,7 @@ from c3realize.oracle import is_usual_module
 BIG = 10 ** 8  # an index whose mask alone is 12.5 MB
 H4 = Hypergraph(4, [[0, 1, 2], [0, 1, 3]])
 L4 = linear_order(4)
+NOT_WITHIN = (PreconditionError, f"vertex {BIG} not within")
 TREE = decomposition_tree(H4)
 
 
@@ -36,27 +38,48 @@ class TestTournamentParserMemory:
         assert traced_peak(parse_tournament, text) <= 1.2 * traced_peak(json.loads, text)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: Hypergraph(3, [[0, 1, BIG]]),
-    lambda: is_module(H4, [BIG]),
-    lambda: is_module(L4, [BIG]),
-    lambda: module_violation(H4, [BIG]),
-    lambda: is_strong_module(H4, [BIG]),
-    lambda: is_usual_module(H4, [BIG]),
-    lambda: ModularPartition(H4, [[0, 1, 2, 3], [BIG]]),
-    lambda: quotient(H4, [[0, 1, 2, 3], [BIG]]),
-    lambda: H4.induced([0, BIG]),
-    lambda: L4.induced([BIG]),
-    lambda: H4.has_edge([0, 1, BIG]),
-    lambda: TREE.lowest_node_containing([BIG]),
+class TestHypergraphParserMemory:
+    def test_parser_peak_is_about_that_of_the_json_and_the_edge_set(self):
+        # the bulk checks keep no list of the size of the input alive beside
+        # the masks: about 8.3 MB here, against 3.9 MB for the JSON and
+        # 3.6 MB for the returned edge set
+        text = dump_hypergraph(c3_structure(random_tournament(100, random.Random(1))))
+        tracemalloc.start()
+        try:
+            h = parse_hypergraph(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(h.edges) == 40_262
+        assert peak <= 1.15 * (traced_peak(json.loads, text) + kept)
+
+
+@pytest.mark.parametrize("call,refusal", [
+    (lambda: Hypergraph(3, [[0, 1, BIG]]), NOT_WITHIN),
+    (lambda: is_module(H4, [BIG]), NOT_WITHIN),
+    (lambda: is_module(L4, [BIG]), NOT_WITHIN),
+    (lambda: module_violation(H4, [BIG]), NOT_WITHIN),
+    (lambda: is_strong_module(H4, [BIG]), NOT_WITHIN),
+    (lambda: is_usual_module(H4, [BIG]), NOT_WITHIN),
+    (lambda: ModularPartition(H4, [[0, 1, 2, 3], [BIG]]), NOT_WITHIN),
+    (lambda: quotient(H4, [[0, 1, 2, 3], [BIG]]), NOT_WITHIN),
+    (lambda: H4.induced([0, BIG]), NOT_WITHIN),
+    (lambda: L4.induced([BIG]), NOT_WITHIN),
+    (lambda: H4.has_edge([0, 1, BIG]), NOT_WITHIN),
+    (lambda: TREE.lowest_node_containing([BIG]), NOT_WITHIN),
+    (lambda: parse_hypergraph(f'{{"n": 3, "edges": [[0, 1, {BIG}]]}}'),
+     (ParseError, f"vertex {BIG} out of range")),
 ], ids=["Hypergraph", "is_module", "tournament-is_module", "module_violation",
         "is_strong_module", "is_usual_module", "ModularPartition", "quotient",
-        "induced", "tournament-induced", "has_edge", "lowest_node_containing"])
-def test_index_out_of_range_refused_before_any_shift(call):
-    # bitset.as_mask checks each index against n before it shifts by it
+        "induced", "tournament-induced", "has_edge", "lowest_node_containing",
+        "parse_hypergraph"])
+def test_index_out_of_range_refused_before_any_shift(call, refusal):
+    # bitset.as_mask checks each index against n before it shifts by it, and
+    # so do the bulk checks of the parser and the constructor
+    error, message = refusal
     tracemalloc.start()
     try:
-        with pytest.raises(PreconditionError, match=f"vertex {BIG} not within"):
+        with pytest.raises(error, match=message):
             call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -2,6 +2,7 @@ import ast
 import inspect
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,19 @@ class TestBruteForceRealizations:
 
     def test_non_3_uniform_has_no_realizations(self):
         assert brute_force_realizations(Hypergraph(3, [[0, 1]])) == []
+
+    def test_search_agrees_with_a_scan_of_every_tournament(self):
+        # the pair-by-pair search returns the tournaments that a scan of
+        # all_tournaments keeps, in its order: on the 3-cycle structure of
+        # every tournament of order <= 5, and on each with one triple toggled
+        for n in range(6):
+            by_structure = {}
+            for t in all_tournaments(n):
+                by_structure.setdefault(c3_structure(t), []).append(t)
+            triples = [sum(1 << v for v in c) for c in combinations(range(n), 3)]
+            for h in list(by_structure):
+                for g in [h] + [Hypergraph(n, h.edges ^ {e}) for e in triples]:
+                    assert brute_force_realizations(g) == by_structure.get(g, []), g
 
     def test_agrees_with_counting_formula_exhaustively(self):
         for n in (1, 2, 3, 4):
